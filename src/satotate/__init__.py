@@ -16,7 +16,6 @@ from .coeffs import (
     expand_eta_quotient,
     fetch_remote,
     load_coefficient_file,
-    normalized_prime_value,
     pentagonal_series,
     write_coefficient_file,
 )

@@ -198,14 +198,6 @@ class Poly2:
             return float(acc)
         return acc
 
-    def eval_exact(self, u, v):
-        """Evaluate at exact rational points."""
-        u, v = Fraction(u), Fraction(v)
-        total = Fraction(0)
-        for (i, j), c in self.coeffs.items():
-            total += Fraction(c) * u**i * v**j
-        return total
-
     def v_coefficients_at(self, u_values):
         """Coefficients of P(u0, v) in v for an array of u0 values.
 
@@ -343,11 +335,6 @@ def _mul_interval(alo, ahi, blo, bhi):
 # -- dense univariate helpers (ascending coefficient lists) --------------------
 
 
-def poly1_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
 def poly1_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -356,17 +343,6 @@ def poly1_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
-
-
-def poly1_pow(a, e):
-    result = [1]
-    base = list(a)
-    while e > 0:
-        if e & 1:
-            result = poly1_mul(result, base)
-        base = poly1_mul(base, base)
-        e >>= 1
-    return result
 
 
 def compose_bivariate(P, u_sub, v_sub):

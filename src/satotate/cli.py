@@ -2,8 +2,8 @@
 
 Verbs: expand, fetch, measure, density, dominance, figures, first-sign,
 bracket.  Global flags: --config (key = value file; command-line flags win),
---cache-dir, --out, --threads (reserved; execution is single-process and
-deterministic), --seedless (lifts the quadrature cell budget).
+--cache-dir, --out, --seedless (lifts the quadrature cell budget).  Runs are
+single-process and deterministic.
 
 Exit codes: 0 success, 2 usage/config error, 3 data or coverage error,
 4 numerical budget exhausted.
@@ -19,7 +19,6 @@ from pathlib import Path
 from . import bundled, charts, coeffs, counting, measures, region
 from .errors import (
     BudgetError,
-    CompositionOverflow,
     ConfigError,
     CoverageError,
     DomainError,
@@ -42,7 +41,7 @@ _DATA_ERRORS = (
     RecipeError,
     OutOfRangeError,
 )
-_BUDGET_ERRORS = (BudgetError, CompositionOverflow, TraceError, HypothesisError)
+_BUDGET_ERRORS = (BudgetError, TraceError, HypothesisError)
 
 _D22_FLAG = (
     "note: the (2,2) density is 0.523761 by both the closed form and certified "
@@ -64,7 +63,6 @@ class RunConfig:
     out: str = "."
     png: bool = True
     mn: tuple = ((1, 1),)
-    envelope_mode: str = "Unconditional12"
     budget: int | None = 10_000_000
 
     def validate(self):
@@ -92,10 +90,10 @@ def load_config(path):
         values[key.strip()] = val.strip()
     cfg = RunConfig()
     for key, val in values.items():
-        if key in ("f", "fp", "base_url", "out", "cache_dir", "envelope_mode"):
+        if key in ("f", "fp", "base_url", "out", "cache_dir"):
             setattr(cfg, key, val)
         elif key in ("x_max", "checkpoints"):
-            setattr(cfg, key, int(val))
+            setattr(cfg, key, _parse_numbers(val, key, int, count=1)[0])
         elif key == "png":
             cfg.png = val.lower() in ("1", "true", "yes", "on")
         elif key == "mn":
@@ -105,18 +103,26 @@ def load_config(path):
     return cfg
 
 
+def _parse_numbers(text, name, convert, count=None):
+    """Comma-separated numbers of a flag or key; ConfigError when malformed."""
+    try:
+        values = [convert(t) for t in text.replace(" ", "").split(",") if t]
+    except ValueError:
+        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{name}: expected {count} comma-separated numbers, got {text!r}")
+    return values
+
+
 def _parse_mn(text):
-    pairs = []
-    for chunk in text.replace(" ", "").split(";"):
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad (m,n) pair {chunk!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+    pairs = tuple(
+        tuple(_parse_numbers(chunk, "(m,n) pair", int, count=2))
+        for chunk in text.replace(" ", "").split(";")
+        if chunk
+    )
     if not pairs:
         raise ConfigError("no (m,n) pairs supplied")
-    return tuple(pairs)
+    return pairs
 
 
 def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL):
@@ -155,43 +161,28 @@ def _add_region_flags(sub):
     sub.add_argument("--region-file", help="constraint file (see docs)")
 
 
-def _graded_lex_poly(tokens):
-    from fractions import Fraction
-
-    from .region import _graded_lex_monomials
-    from .bipoly import Poly2
-
-    coeffs = [Fraction(t) for t in tokens.split(",")]
-    degree = 0
-    while (degree + 1) * (degree + 2) // 2 < len(coeffs):
-        degree += 1
-    monos = list(_graded_lex_monomials(degree))
-    if len(coeffs) > len(monos):
-        raise ConfigError("coefficient list length is not triangular")
-    return Poly2(dict(zip(monos, coeffs)))
-
-
 def _region_from_args(args):
     if args.rect:
-        vals = [float(t) for t in args.rect.split(",")]
-        if len(vals) != 4:
-            raise ConfigError("--rect needs u_lo,u_hi,v_lo,v_hi")
-        return region.rect(*vals)
+        return region.rect(*_parse_numbers(args.rect, "--rect", float, count=4))
     if args.sign_product:
-        m, n = (int(t) for t in args.sign_product.split(","))
-        return region.sign_product(m, n)
+        return region.sign_product(*_parse_numbers(args.sign_product, "--sign-product", int, count=2))
     if args.disk is not None:
-        return region.disk(float(args.disk))
+        return region.disk(*_parse_numbers(args.disk, "--disk", float, count=1))
     if args.halfplane_u:
         return region.half_plane_u_positive()
     if args.full_square:
         return region.full_square()
     if args.poly_interval:
-        P = _graded_lex_poly(args.poly_interval)
-        lo_s, hi_s = args.interval.split(",")
-        lo = float("-inf") if lo_s in ("-inf", "") else float(lo_s)
-        hi = float("inf") if hi_s in ("inf", "") else float(hi_s)
-        m, n = (int(t) for t in args.lift.split(","))
+        try:
+            P = region.graded_lex_poly(args.poly_interval.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--poly-interval: {exc}") from None
+        try:
+            lo_s, hi_s = args.interval.split(",")
+            lo, hi = float(lo_s or "-inf"), float(hi_s or "inf")
+        except ValueError:
+            raise ConfigError(f"--interval: expected lo,hi, got {args.interval!r}") from None
+        m, n = _parse_numbers(args.lift, "--lift", int, count=2)
         return region.region_from_poly_interval(P, measures.Interval(lo, hi), m, n)
     if args.region_file:
         return region.parse_region_file(args.region_file)
@@ -254,54 +245,57 @@ def cmd_fetch(cfg, args):
 
 def cmd_measure(cfg, args):
     reg = _region_from_args(args)
+    resolutions = _parse_numbers(args.m or "64", "--m", int) if args.grid_bracket else ()
     target = args.target
     mv = measures.mu_jst_region(reg, target, budget=cfg.budget)
     print(f"region: {reg.describe()}")
     print(f"measure = {mv.value:.9f}  (certified +- {mv.abs_error:.3g})")
     lines = [f"region,value,abs_error", f"{reg.describe()},{mv.value:.12g},{mv.abs_error:.12g}"]
     if args.rect:
-        vals = [float(t) for t in args.rect.split(",")]
+        vals = _parse_numbers(args.rect, "--rect", float, count=4)
         closed = measures.mu_jst_rect(
             measures.Interval(vals[0], vals[1]), measures.Interval(vals[2], vals[3])
         ).value
         print(f"closed form (product of 1-D measures) = {closed:.9f}")
     if args.sign_product:
-        m, n = (int(t) for t in args.sign_product.split(","))
+        m, n = _parse_numbers(args.sign_product, "--sign-product", int, count=2)
         closed = measures.d_mn(m, n)
         print(f"closed form d({m},{n}) = {closed:.9f}   |difference| = {abs(closed - mv.value):.2e}")
         if (m, n) == (2, 2):
             print(_D22_FLAG)
-    if args.grid_bracket:
-        for m_res in _parse_int_list(args.m or "64"):
-            approx = region.classify_boxes(reg, m_res)
-            n_obs, bound = region.boundary_bound_check(reg, m_res, approx)
-            merge = region.strip_merge(reg, m_res, approx)
-            print(
-                f"m={m_res:4d}  bracket=[{approx.mu_low:.9f}, {approx.mu_high:.9f}] "
-                f"width={approx.mu_high - approx.mu_low:.3g}  N={n_obs} (bound {bound:.0f})  "
-                f"max strip components={int(merge.per_strip_counts.max(initial=0))}"
-            )
+    for m_res in resolutions:
+        approx = region.classify_boxes(reg, m_res)
+        n_obs, bound = region.boundary_bound_check(reg, m_res, approx)
+        merge = region.strip_merge(reg, m_res, approx)
+        print(
+            f"m={m_res:4d}  bracket=[{approx.mu_low:.9f}, {approx.mu_high:.9f}] "
+            f"width={approx.mu_high - approx.mu_low:.3g}  N={n_obs} (bound {bound:.0f})  "
+            f"max strip components={int(merge.per_strip_counts.max(initial=0))}"
+        )
     if args.out_csv:
         Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
-def _parse_int_list(text):
-    return [int(t) for t in text.replace(" ", "").split(",") if t]
-
-
-def _series_commands(cfg, args, kind):
+def _pair_frame(cfg, args):
+    """Resolve the command's two tables and checkpoint grid, and build its one
+    pair frame; every series of the command reduces this frame."""
     x_max = args.x_max or cfg.x_max
     table_f = resolve_table(args.f or cfg.f, x_max, cfg.cache_dir, cfg.base_url)
     table_fp = resolve_table(args.fp or cfg.fp, x_max, cfg.cache_dir, cfg.base_url)
     checkpoints = counting.default_checkpoints(x_max, cfg.checkpoints)
-    out = Path(cfg.out)
+    return counting.pair_frame(table_f, table_fp, max(checkpoints)), checkpoints
+
+
+def _series_commands(cfg, args, kind):
     pairs = _parse_mn(args.mn) if args.mn else cfg.mn
+    frame, checkpoints = _pair_frame(cfg, args)
+    out = Path(cfg.out)
     builder = (
         counting.sign_density_series if kind == "density" else counting.dominance_density_series
     )
     for m, n in pairs:
-        rep = builder(table_f, table_fp, m, n, checkpoints)
+        rep = builder(*frame.tables, m, n, checkpoints)
         stem = f"{kind}_{m}_{n}"
         rep.write_csv(out / f"{stem}.csv")
         final = rep.final()
@@ -318,38 +312,33 @@ def _series_commands(cfg, args, kind):
 
 def cmd_figures(cfg, args):
     """Reproduce the two summary figures: simultaneous-sign densities for
-    (1,1), (2,2), (1,2) and dominance densities for (1,3), (2,2), (2,3)."""
-    x_max = args.x_max or cfg.x_max
-    table_f = resolve_table(args.f or cfg.f, x_max, cfg.cache_dir, cfg.base_url)
-    table_fp = resolve_table(args.fp or cfg.fp, x_max, cfg.cache_dir, cfg.base_url)
-    checkpoints = counting.default_checkpoints(x_max, cfg.checkpoints)
-    if not checkpoints:
-        raise ConfigError("empty checkpoint grid")
+    (1,1), (2,2), (1,2) and dominance densities for (1,3), (2,2), (2,3).
+
+    The figures carry no envelope column, so their densities are read
+    straight from the pair frame."""
+    frame, checkpoints = _pair_frame(cfg, args)
     out = Path(cfg.out)
-    label_f, label_fp = table_f.descriptor.label, table_fp.descriptor.label
+    label_f, label_fp = (t.descriptor.label for t in frame.tables)
 
     def emit(name, kind, pairs, title):
-        reports = {}
-        for m, n in pairs:
-            builder = (
-                counting.sign_density_series if kind == "sign" else counting.dominance_density_series
-            )
-            reports[(m, n)] = builder(table_f, table_fp, m, n, checkpoints)
-        xs = [r.x for r in next(iter(reports.values())).rows]
-        pi_xs = [r.pi_x for r in next(iter(reports.values())).rows]
         columns = {}
         series = []
-        for (m, n), rep in reports.items():
-            emp = tuple(r.emp_density for r in rep.rows)
-            pred = rep.rows[0].pred_density
+        for m, n in pairs:
+            if kind == "sign":
+                event, pred = frame.sign_event(m, n), measures.d_mn(m, n)
+            else:
+                event, pred = frame.dominance_event(m, n), counting.dominance_prediction(m, n)
+            rows = frame.tally(event, checkpoints)
+            emp = tuple(r[5] for r in rows)
             columns[f"{m}_{n}"] = (emp, pred)
             series.append(charts.Series(f"({m},{n})", emp, pred))
+        xs = [r[0] for r in rows]
+        pi_xs = [r[1] for r in rows]
         charts.write_multi_series_csv(out / f"{name}.csv", xs, pi_xs, columns)
         charts.render_svg(out / f"{name}.svg", xs, series, title, "x", "density")
         if cfg.png:
             charts.render_png(out / f"{name}.png", xs, series, title, "x", "density")
         print(f"{name}: wrote {out / (name + '.csv')} and {out / (name + '.svg')}")
-        return reports
 
     emit(
         "figure1", "sign", [(1, 1), (2, 2), (1, 2)],
@@ -395,7 +384,7 @@ def cmd_bracket(cfg, args):
     reg = _region_from_args(args)
     out = Path(cfg.out)
     rows = ["m,mu_low,mu_high,width,boundary_count,area_bound,max_strip_components"]
-    for m_res in _parse_int_list(args.m or "16,32,64,128"):
+    for m_res in _parse_numbers(args.m or "16,32,64,128", "--m", int):
         approx = region.classify_boxes(reg, m_res)
         n_obs, bound = region.boundary_bound_check(reg, m_res, approx)
         merge = region.strip_merge(reg, m_res, approx)
@@ -425,7 +414,6 @@ def build_parser():
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--cache-dir", dest="cache_dir")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="reserved; runs are single-process")
     parser.add_argument("--seedless", action="store_true", help="lift the quadrature cell budget")
     sub = parser.add_subparsers(dest="command", required=True)
 

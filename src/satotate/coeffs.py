@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .counting import sieve
 from .errors import (
     GapError,
     InvariantError,
@@ -100,17 +101,6 @@ def _validate_recipe(recipe, weight, level):
         )
 
 
-def _primes_upto(n):
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 class CoefficientTable:
     """Immutable table of exact integers A(1..bound) for one newform."""
 
@@ -126,8 +116,7 @@ class CoefficientTable:
         if self.bound < 1 or self._raw[0] != 1:
             raise InvariantError("A(1) must equal 1")
         k, N = self.descriptor.weight, self.descriptor.level
-        for p in _primes_upto(self.bound):
-            p = int(p)
+        for p in sieve(self.bound).primes.tolist():
             A = self._raw[p - 1]
             if N % p != 0:
                 # Deligne: |a(p)| <= 2, i.e. A(p)^2 <= 4 p^{k-1}, exactly
@@ -181,11 +170,6 @@ class CoefficientTable:
             f"CoefficientTable({self.descriptor.label!r}, k={self.descriptor.weight}, "
             f"N={self.descriptor.level}, bound={self.bound})"
         )
-
-
-def normalized_prime_value(table, p):
-    """Module-level alias for CoefficientTable.normalized_prime_value."""
-    return table.normalized_prime_value(p)
 
 
 # -- pentagonal series and the eta engine --------------------------------------

@@ -14,6 +14,7 @@ zero tests are exact rational arithmetic, so no tie is ever binned silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,25 +132,93 @@ def exact_lift_sign(table, p, m):
     return eval_s_exact(m, a_sq, a_sign)
 
 
-def _eligible_primes(table_f, table_fp, x):
-    if table_f.bound < x or table_fp.bound < x:
-        raise CoverageError(
-            f"tables cover {table_f.bound} and {table_fp.bound}, need {x}"
-        )
-    primes = sieve(int(x)).primes
-    NN = table_f.descriptor.level * table_fp.descriptor.level
-    keep = np.array([NN % int(p) != 0 for p in primes])
-    return primes[keep], primes
+# -- the prime-pair frame --------------------------------------------------------------
 
 
-def _lift_signs(table, primes, m):
-    """Float values and exact-guarded integer signs of a(p^m) over primes."""
-    a = table.normalized_values(primes)
-    vals = np.asarray(eval_u(m, a / 2.0))
-    signs = np.sign(vals).astype(np.int64)
-    for idx in np.flatnonzero(np.abs(vals) <= _GUARD):
-        signs[idx] = exact_lift_sign(table, int(primes[idx]), m)
-    return vals, signs
+class PairFrame:
+    """The normalized pairs (a(p), a'(p)) at the primes p <= x coprime to both levels.
+
+    Every statistic in this module is a reduction over one frame: it checks
+    coverage, sieves once, drops the level primes and normalizes both tables
+    once, memoizes lift values and exact-guarded lift signs per (side, m),
+    and owns the exact re-decision of guard-band values.  Side 0 is f, side 1
+    is f'.  Build frames through ``pair_frame``, which reuses the last one.
+    """
+
+    def __init__(self, table_f, table_fp, x):
+        if table_f.bound < x or table_fp.bound < x:
+            raise CoverageError(
+                f"tables cover {table_f.bound} and {table_fp.bound}, need {x}"
+            )
+        self.tables = (table_f, table_fp)
+        self.primes_all = sieve(int(x)).primes
+        level_product = table_f.descriptor.level * table_fp.descriptor.level
+        self.primes = self.primes_all[level_product % self.primes_all != 0]
+        self.values = tuple(t.normalized_values(self.primes) for t in self.tables)
+        self._lifts = {}
+        self._signs = {}
+
+    def lift(self, side, m):
+        """Float values of a(p^m) = U_m(a(p)/2) on one side."""
+        if (side, m) not in self._lifts:
+            self._lifts[side, m] = np.asarray(eval_u(m, self.values[side] / 2.0))
+        return self._lifts[side, m]
+
+    def lift_signs(self, side, m):
+        """Signs of a(p^m) on one side; guard-band values are decided exactly."""
+        if (side, m) not in self._signs:
+            vals = self.lift(side, m)
+            signs = np.sign(vals).astype(np.int64)
+            for idx in np.flatnonzero(np.abs(vals) <= _GUARD):
+                signs[idx] = exact_lift_sign(self.tables[side], int(self.primes[idx]), m)
+            self._signs[side, m] = signs
+        return self._signs[side, m]
+
+    def exact_signs(self, W, indices):
+        """Exact signs of W(a(p), a'(p)) at the given positions, in Q + Q*sqrt(p)."""
+        table_f, table_fp = self.tables
+        kf, kfp = table_f.descriptor.weight, table_fp.descriptor.weight
+        signs = np.zeros(len(indices), dtype=np.int64)
+        for t, idx in enumerate(indices):
+            p = int(self.primes[idx])
+            X, Y = _exact_pair_value(W, p, table_f.a_int(p), kf, table_fp.a_int(p), kfp)
+            signs[t] = _radical_sign(X, Y, p)
+        return signs
+
+    def sign_event(self, m, n):
+        """Sign of a(p^m) a'(p^n) per prime."""
+        return self.lift_signs(0, m) * self.lift_signs(1, n)
+
+    def dominance_event(self, m, n):
+        """+1 where a(p^m) < a'(p^n), -1 where greater, 0 at exact ties."""
+        diff = self.lift(1, n) - self.lift(0, m)
+        event = np.sign(diff).astype(np.int64)
+        near = np.flatnonzero(np.abs(diff) <= _GUARD)
+        W = Poly2.from_univariate(s_poly(n), "v") - Poly2.from_univariate(s_poly(m), "u")
+        event[near] = self.exact_signs(W, near)
+        return event
+
+    def tally(self, event, checkpoints):
+        """Per checkpoint: (x, pi(x), #event > 0, #event < 0, #event = 0, density of
+        event > 0 among the primes counted)."""
+        idx = np.searchsorted(self.primes, checkpoints, side="right")
+        cums = [
+            np.concatenate([[0], np.cumsum(flags.astype(np.int64))])[idx]
+            for flags in (event > 0, event < 0, event == 0)
+        ]
+        pis = np.searchsorted(self.primes_all, checkpoints, side="right")
+        rows = []
+        for x, pi_x, pos, neg, zero in zip(checkpoints, pis, *cums):
+            n_eligible = int(pos + neg + zero)
+            emp = float(pos / n_eligible) if n_eligible else 0.0
+            rows.append((int(x), int(pi_x), int(pos), int(neg), int(zero), emp))
+        return rows
+
+
+@functools.lru_cache(maxsize=1)
+def pair_frame(table_f, table_fp, x):
+    """The pair frame of two tables up to x; a repeated request reuses it."""
+    return PairFrame(table_f, table_fp, x)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -191,6 +260,26 @@ class DensityReport:
             if not 0.0 <= row.emp_density <= 1.0:
                 raise InvariantError(f"empirical density {row.emp_density} outside [0,1]")
 
+    @classmethod
+    def build(cls, kind, frame, m, n, checkpoints, event, pred, stat_region):
+        """Tally ``event`` over the frame; the envelope column is the ratio of
+        the sharper unconditional envelope of ``stat_region`` to pi(x)."""
+        length, alpha, beta = stat_region.envelope_params()
+        df, dfp = (t.descriptor for t in frame.tables)
+        rows = []
+        for x, pi_x, pos, neg, zero, emp in frame.tally(event, checkpoints):
+            ratio = float("inf")
+            if x >= 16:
+                ratio = region_mod.error_envelope(
+                    "Unconditional12", x, df.weight, dfp.weight, df.level, dfp.level,
+                    length, alpha, beta, pi_x=pi_x,
+                ) / pi_x
+            rows.append(CheckpointRow(x, pi_x, pos, neg, zero, emp, pred, ratio))
+        return cls(
+            kind, df.label, dfp.label, m, n, "ExcludeLevelPrimes", stat_region.describe(),
+            tuple(rows),
+        )
+
     def final(self):
         return self.rows[-1]
 
@@ -207,61 +296,6 @@ class DensityReport:
         Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
-def _cumulative(primes, flags, checkpoints):
-    csum = np.concatenate([[0], np.cumsum(flags.astype(np.int64))])
-    idx = np.searchsorted(primes, checkpoints, side="right")
-    return csum[idx]
-
-
-def _envelope_ratio_fn(table_f, table_fp, stat_region, mode="Unconditional12"):
-    length, alpha, beta = stat_region.envelope_params()
-    df, dfp = table_f.descriptor, table_fp.descriptor
-
-    def ratio(x, pi_x):
-        env = region_mod.error_envelope(
-            mode, x, df.weight, dfp.weight, df.level, dfp.level, length, alpha, beta,
-            pi_x=pi_x,
-        )
-        return env / pi_x
-
-    return ratio
-
-
-def _series_report(kind, table_f, table_fp, m, n, checkpoints, event_signs,
-                   primes_all, eligible, pred, stat_region):
-    ratio_fn = _envelope_ratio_fn(table_f, table_fp, stat_region)
-    pos_c = _cumulative(eligible, event_signs > 0, checkpoints)
-    neg_c = _cumulative(eligible, event_signs < 0, checkpoints)
-    zero_c = _cumulative(eligible, event_signs == 0, checkpoints)
-    rows = []
-    for ci, x in enumerate(checkpoints):
-        pi_x = int(np.searchsorted(primes_all, x, side="right"))
-        n_eligible = int(pos_c[ci] + neg_c[ci] + zero_c[ci])
-        emp = float(pos_c[ci] / n_eligible) if n_eligible else 0.0
-        rows.append(
-            CheckpointRow(
-                x=int(x),
-                pi_x=pi_x,
-                count_pos=int(pos_c[ci]),
-                count_neg=int(neg_c[ci]),
-                count_zero=int(zero_c[ci]),
-                emp_density=emp,
-                pred_density=pred,
-                envelope_ratio=ratio_fn(x, pi_x) if x >= 16 else float("inf"),
-            )
-        )
-    return DensityReport(
-        kind=kind,
-        label_f=table_f.descriptor.label,
-        label_fp=table_fp.descriptor.label,
-        m=m,
-        n=n,
-        exclusion="ExcludeLevelPrimes",
-        region_desc=stat_region.describe(),
-        rows=tuple(rows),
-    )
-
-
 def sign_density_series(table_f, table_fp, m, n, checkpoints):
     """Counts of primes with a(p^m) a'(p^n) > 0 (and < 0, = 0) per checkpoint.
 
@@ -270,16 +304,17 @@ def sign_density_series(table_f, table_fp, m, n, checkpoints):
     """
     if m == 0 and n == 0:
         raise DomainError("(m, n) = (0, 0) has no sign statistic")
-    x_max = max(checkpoints)
-    eligible, primes_all = _eligible_primes(table_f, table_fp, x_max)
-    _, signs_m = _lift_signs(table_f, eligible, m)
-    _, signs_n = _lift_signs(table_fp, eligible, n)
-    product_signs = signs_m * signs_n
-    stat_region = region_mod.sign_product(m, n)
-    return _series_report(
-        "sign", table_f, table_fp, m, n, list(checkpoints), product_signs,
-        primes_all, eligible, d_mn(m, n), stat_region,
+    frame = pair_frame(table_f, table_fp, max(checkpoints))
+    return DensityReport.build(
+        "sign", frame, m, n, list(checkpoints), frame.sign_event(m, n), d_mn(m, n),
+        region_mod.sign_product(m, n),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _dominance_region(m, n):
+    """The region {S_m(u) < S_n(v)}, built once per (m, n)."""
+    return region_mod.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), m, n)
 
 
 def dominance_prediction(m, n, target_abs_error=1e-3):
@@ -291,33 +326,17 @@ def dominance_prediction(m, n, target_abs_error=1e-3):
     """
     if m == n or (m % 2 == 1 and n % 2 == 1):
         return 0.5
-    lt_region = region_mod.poly_positive(
-        Poly2({(0, 1): 1, (1, 0): -1}), m, n
-    )
-    return mu_jst_region(lt_region, target_abs_error).value
+    return mu_jst_region(_dominance_region(m, n), target_abs_error).value
 
 
 def dominance_density_series(table_f, table_fp, m, n, checkpoints):
     """Counts of primes with a(p^m) < a'(p^n) per checkpoint."""
     if m == 0 and n == 0:
         raise DomainError("(m, n) = (0, 0) compares constants")
-    x_max = max(checkpoints)
-    eligible, primes_all = _eligible_primes(table_f, table_fp, x_max)
-    vals_m, _ = _lift_signs(table_f, eligible, m)
-    vals_n, _ = _lift_signs(table_fp, eligible, n)
-    diff = vals_n - vals_m
-    event = np.sign(diff).astype(np.int64)  # +1 means a(p^m) < a'(p^n)
-    W = Poly2.from_univariate(s_poly(n), "v") - Poly2.from_univariate(s_poly(m), "u")
-    kf = table_f.descriptor.weight
-    kfp = table_fp.descriptor.weight
-    for idx in np.flatnonzero(np.abs(diff) <= _GUARD):
-        p = int(eligible[idx])
-        X, Y = _exact_pair_value(W, p, table_f.a_int(p), kf, table_fp.a_int(p), kfp)
-        event[idx] = _radical_sign(X, Y, p)
-    stat_region = region_mod.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), m, n)
-    return _series_report(
-        "dominance", table_f, table_fp, m, n, list(checkpoints), event,
-        primes_all, eligible, dominance_prediction(m, n), stat_region,
+    frame = pair_frame(table_f, table_fp, max(checkpoints))
+    return DensityReport.build(
+        "dominance", frame, m, n, list(checkpoints), frame.dominance_event(m, n),
+        dominance_prediction(m, n), _dominance_region(m, n),
     )
 
 
@@ -332,31 +351,21 @@ def count_in_region(table_f, table_fp, stat_region, x):
     value falls within 1e-9 of a boundary is re-decided with exact rational
     arithmetic in Q + Q*sqrt(p).
     """
-    eligible, _ = _eligible_primes(table_f, table_fp, x)
-    if eligible.size == 0:
-        return 0
-    a = table_f.normalized_values(eligible)
-    ap = table_fp.normalized_values(eligible)
+    frame = pair_frame(table_f, table_fp, x)
     statuses = []
     for leaf in stat_region.leaves:
-        vals = np.asarray(leaf.poly.eval_float(a, ap))
-        st = np.where(region_mod._holds_arr(leaf.op, vals), 1, -1).astype(np.int8)
+        vals = np.asarray(leaf.poly.eval_float(*frame.values))
+        st = np.where(leaf.holds(vals), 1, -1).astype(np.int8)
         st[np.abs(vals) <= _GUARD] = 0
         statuses.append(st)
-    tree = stat_region.tree_status(statuses, shape=eligible.shape)
-    count = int((tree == 1).sum())
-    kf = table_f.descriptor.weight
-    kfp = table_fp.descriptor.weight
-    for idx in np.flatnonzero(tree == 0):
-        p = int(eligible[idx])
-        exact_statuses = []
-        for leaf in stat_region.leaves:
-            X, Y = _exact_pair_value(leaf.poly, p, table_f.a_int(p), kf, table_fp.a_int(p), kfp)
-            s = _radical_sign(X, Y, p)
-            exact_statuses.append(np.int8(1 if leaf.holds(s) else -1))
-        verdict = int(stat_region.tree_status([np.asarray(s) for s in exact_statuses], shape=()))
-        count += verdict == 1
-    return count
+    tree = stat_region.tree_status(statuses, shape=frame.primes.shape)
+    undecided = np.flatnonzero(tree == 0)
+    exact = [
+        np.where(leaf.holds(frame.exact_signs(leaf.poly, undecided)), 1, -1).astype(np.int8)
+        for leaf in stat_region.leaves
+    ]
+    settled = stat_region.tree_status(exact, shape=undecided.shape)
+    return int((tree == 1).sum()) + int((settled == 1).sum())
 
 
 def zero_count(table_f, table_fp, P, m, n, x):
@@ -368,20 +377,10 @@ def zero_count(table_f, table_fp, P, m, n, x):
     if P.is_constant():
         raise DomainError("P must be non-constant")
     W = compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))
-    eligible, _ = _eligible_primes(table_f, table_fp, x)
-    if eligible.size == 0:
-        return 0
-    a = table_f.normalized_values(eligible)
-    ap = table_fp.normalized_values(eligible)
-    vals = np.asarray(W.eval_float(a, ap))
-    kf = table_f.descriptor.weight
-    kfp = table_fp.descriptor.weight
-    count = 0
-    for idx in np.flatnonzero(np.abs(vals) <= _GUARD):
-        p = int(eligible[idx])
-        X, Y = _exact_pair_value(W, p, table_f.a_int(p), kf, table_fp.a_int(p), kfp)
-        count += X == 0 and Y == 0
-    return count
+    frame = pair_frame(table_f, table_fp, x)
+    vals = np.asarray(W.eval_float(*frame.values))
+    near = np.flatnonzero(np.abs(vals) <= _GUARD)
+    return int((frame.exact_signs(W, near) == 0).sum())
 
 
 # -- first sign change ---------------------------------------------------------------
@@ -416,40 +415,24 @@ def first_sign_change(table_f, table_fp, m, n, exclusion="AllPrimes", search_bou
         raise DomainError(f"unknown exclusion rule {exclusion!r}")
     bound = search_bound or min(table_f.bound, table_fp.bound)
     bound = min(bound, table_f.bound, table_fp.bound)
-    primes = sieve(bound).primes
-    Nf = table_f.descriptor.level
-    Nfp = table_fp.descriptor.level
+    frame = pair_frame(table_f, table_fp, bound)
+    negative = frame.primes[frame.sign_event(m, n) < 0]
+    found = [int(negative[0])] if negative.size else []
     skipped = []
-    ramified = [int(p) for p in primes if (Nf * Nfp) % int(p) == 0]
-    unramified = np.array([int(p) for p in primes if (Nf * Nfp) % int(p) != 0], dtype=np.int64)
-    sign_at = {}
     if exclusion == "AllPrimes":
-        for p in ramified:
+        for p in np.setdiff1d(frame.primes_all, frame.primes).tolist():
             factors = []
-            ok = True
-            for table, N, mm in ((table_f, Nf, m), (table_fp, Nfp, n)):
-                if N % p == 0:
-                    if p**mm > table.bound:
-                        ok = False
-                        break
+            for table, mm in ((table_f, m), (table_fp, n)):
+                if table.descriptor.level % p != 0:
+                    factors.append(exact_lift_sign(table, p, mm))
+                elif p**mm <= table.bound:
                     A = table.a_int(p**mm)
                     factors.append((A > 0) - (A < 0))
-                else:
-                    factors.append(exact_lift_sign(table, p, mm))
-            if not ok:
+            if len(factors) < 2:
                 skipped.append(p)
-                continue
-            sign_at[p] = factors[0] * factors[1]
-    if unramified.size:
-        _, signs_m = _lift_signs(table_f, unramified, m)
-        _, signs_n = _lift_signs(table_fp, unramified, n)
-        prods = signs_m * signs_n
-        for p, s in zip(unramified, prods):
-            sign_at[int(p)] = int(s)
-    for p in sorted(sign_at):
-        if sign_at[p] < 0:
-            return FirstSignChange(p, bound, exclusion, tuple(skipped))
-    return FirstSignChange(None, bound, exclusion, tuple(skipped))
+            elif factors[0] * factors[1] < 0:
+                found.append(p)
+    return FirstSignChange(min(found, default=None), bound, exclusion, tuple(skipped))
 
 
 def theoretical_first_sign_bound(m, n, k, k_prime, level, level_prime, d):

@@ -75,9 +75,5 @@ class TraceError(SatotateError):
     """Implicit-curve tracing failed to converge within its budget."""
 
 
-class CompositionOverflow(SatotateError):
-    """Composed polynomial coefficients exceeded the supported exact range."""
-
-
 class ConfigError(SatotateError):
     """A run configuration is invalid (bad key, unwritable directory...)."""

@@ -145,7 +145,7 @@ class PolynomialRegion:
         statuses = []
         for leaf in self.leaves:
             val = leaf.poly.eval_float(u, v)
-            statuses.append(np.where(leaf.holds(val) if np.isscalar(val) else _holds_arr(leaf.op, val), 1, -1).astype(np.int8))
+            statuses.append(np.where(leaf.holds(val), 1, -1).astype(np.int8))
         return self.tree_status(statuses, shape=np.broadcast(u, v).shape) == 1
 
     def contains(self, u, v, guard=0.0):
@@ -203,16 +203,6 @@ class PolynomialRegion:
         return f"PolynomialRegion({self.label!r}, leaves={len(self.leaves)})"
 
 
-def _holds_arr(op, val):
-    if op == ">":
-        return val > 0
-    if op == ">=":
-        return val >= 0
-    if op == "<":
-        return val < 0
-    return val <= 0
-
-
 # -- constructors ---------------------------------------------------------------
 
 
@@ -266,27 +256,7 @@ def sign_product(m, n, sign=1):
         return PolynomialRegion(
             (Constraint(poly, ">" if sign > 0 else "<"),), label=label
         )
-    if sign > 0:
-        cons = (
-            Constraint(su, ">"),
-            Constraint(sv, ">"),
-            Constraint(su, "<"),
-            Constraint(sv, "<"),
-        )
-    else:
-        cons = (
-            Constraint(su, ">"),
-            Constraint(sv, "<"),
-            Constraint(su, "<"),
-            Constraint(sv, ">"),
-        )
-    tree = (
-        "or",
-        (
-            ("and", (("leaf", 0), ("leaf", 1))),
-            ("and", (("leaf", 2), ("leaf", 3))),
-        ),
-    )
+    cons, tree = _sign_pattern_tree((su, sv), 1 if sign > 0 else -1, strict=True)
     return PolynomialRegion(cons, tree, label=label)
 
 
@@ -396,27 +366,7 @@ def poly_positive(P, m, n, sign=1):
         pa = Poly2.from_univariate(a_coeffs, "u")
         pb = Poly2.from_univariate(b_coeffs, "v")
         if not (pa.is_constant() or pb.is_constant()):
-            if sign > 0:
-                cons = (
-                    Constraint(pa, ">"),
-                    Constraint(pb, ">"),
-                    Constraint(pa, "<"),
-                    Constraint(pb, "<"),
-                )
-            else:
-                cons = (
-                    Constraint(pa, ">"),
-                    Constraint(pb, "<"),
-                    Constraint(pa, "<"),
-                    Constraint(pb, ">"),
-                )
-            tree = (
-                "or",
-                (
-                    ("and", (("leaf", 0), ("leaf", 1))),
-                    ("and", (("leaf", 2), ("leaf", 3))),
-                ),
-            )
+            cons, tree = _sign_pattern_tree((pa, pb), 1 if sign > 0 else -1, strict=True)
             return PolynomialRegion(cons, tree, label=label)
     csign, parts = _sympy_factors(composed)
     odd = [poly for poly, mult in parts if mult % 2 == 1]
@@ -851,7 +801,11 @@ class ErrorEnvelope:
         )
 
     def ratio(self, x):
-        return self.value(x) / _pi_x(x)
+        pi_x = _pi_x(x)
+        return error_envelope(
+            self.mode, x, self.k, self.k_prime, self.level, self.level_prime,
+            self.length, self.alpha, self.beta, pi_x=pi_x,
+        ) / pi_x
 
 
 def error_envelope(mode, x, k, k_prime, level, level_prime, length, alpha, beta, pi_x=None):
@@ -892,6 +846,22 @@ def _graded_lex_monomials(degree):
             yield (i, d - i)
 
 
+def graded_lex_poly(tokens):
+    """Poly2 from coefficient strings listed in graded-lex order (1; u, v;
+    u^2, uv, v^2; ...); missing trailing coefficients are zero.  Raises
+    ValueError naming the first coefficient that is not a rational number."""
+    coeffs = []
+    for tok in tokens:
+        try:
+            coeffs.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad coefficient {tok!r}") from None
+    degree = 0
+    while (degree + 1) * (degree + 2) // 2 < len(coeffs):
+        degree += 1
+    return Poly2(dict(zip(_graded_lex_monomials(degree), coeffs)))
+
+
 def parse_region_file(path):
     """Parse a region definition file: one constraint per line, all conjoined.
 
@@ -914,23 +884,14 @@ def parse_region_file(path):
                 coeff_tokens = tokens[1:cmp_at]
                 op = tokens[cmp_at + 1]
                 bound = Fraction(tokens[bound_at + 1])
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, ZeroDivisionError) as exc:
                 raise ParseError(str(exc), lineno) from None
             if op not in _OPS:
                 raise ParseError(f"unknown comparison {op!r}", lineno)
-            coeffs = {}
-            degree = 0
-            while (degree + 1) * (degree + 2) // 2 < len(coeff_tokens):
-                degree += 1
-            monos = list(_graded_lex_monomials(degree))
-            if len(coeff_tokens) > len(monos):
-                raise ParseError("coefficient list length is not triangular", lineno)
-            for mono, tok in zip(monos, coeff_tokens):
-                try:
-                    coeffs[mono] = Fraction(tok)
-                except ValueError:
-                    raise ParseError(f"bad coefficient {tok!r}", lineno) from None
-            poly = Poly2(coeffs) - Poly2.constant(bound)
+            try:
+                poly = graded_lex_poly(coeff_tokens) - Poly2.constant(bound)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
             cons.append(Constraint(poly, op))
     if not cons:
         raise ParseError("region file defines no constraints")

@@ -5,9 +5,11 @@ antiderivatives, Riemann sums, a segmented sieve) and shares no code with
 the implementation paths it checks.
 """
 
+import functools
 import math
 
 import numpy as np
+import sympy
 from scipy.integrate import quad
 
 #: classical coefficients of q * prod (1-q^n)^24 (weight-12, level-1 form)
@@ -153,3 +155,37 @@ def segmented_sieve_count(bound, segment=10**5):
         count += int(mask.sum())
         low = high
     return count
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_division_primes(bound):
+    return tuple(p for p in range(2, bound + 1) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _surd_lift(A, k, p, m):
+    """S_m(a) = U_m(a/2) for a = A / p^((k-1)/2), as an exact sympy number."""
+    a = sympy.Rational(A, p ** (k // 2)) * sympy.sqrt(p)
+    prev, cur = sympy.Integer(1), a
+    if m == 0:
+        return prev
+    for _ in range(m - 1):
+        prev, cur = cur, sympy.expand(a * cur - prev)
+    return cur
+
+
+def exact_pair_values(table_f, table_fp, P, m, n, x):
+    """Per-prime brute force: {p: P(a(p^m), a'(p^n))} over the primes p <= x
+    coprime to both levels, each value an exact sympy surd whose sign sympy
+    decides (``sympy.sign``), never the package's radical arithmetic."""
+    levels = table_f.descriptor.level * table_fp.descriptor.level
+    values = {}
+    for p in _trial_division_primes(int(x)):
+        if levels % p == 0:
+            continue
+        s = _surd_lift(table_f.a_int(p), table_f.descriptor.weight, p, m)
+        t = _surd_lift(table_fp.a_int(p), table_fp.descriptor.weight, p, n)
+        values[p] = sympy.expand(
+            sum(sympy.Rational(c.numerator, c.denominator) * s**i * t**j for (i, j), c in P.coeffs.items())
+        )
+    return values

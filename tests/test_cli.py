@@ -2,7 +2,7 @@
 
 import pytest
 
-
+from satotate import cli, coeffs, counting, region
 from satotate.cli import RunConfig, load_config, main, resolve_table
 
 
@@ -218,3 +218,69 @@ def test_runconfig_validation(tmp_path):
     cfg = RunConfig(x_max=10**9, out=str(tmp_path))
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--poly-interval", "1,x"],
+        ["measure", "--rect", "a,b,c,d"],
+        ["measure", "--sign-product", "2"],
+        ["measure", "--poly-interval", "0,0,0,0,1,0", "--lift", "1"],
+        ["bracket", "--sign-product", "2,2", "--m", "16,x"],
+        ["density", "--mn", "1,x", "--x-max", "100"],
+    ],
+)
+def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
+    code, _, err = run(["--out", str(tmp_path), *argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.fixture()
+def pipeline_calls(monkeypatch, f54_table, f66_table):
+    """Run series commands on the bundled fixtures while counting pair frames,
+    sieves, curve traces and poly_positive builds."""
+    tables = {"5.4.a.a": f54_table, "6.6.a.a": f66_table}
+    # truncation hands out fresh, already-checked tables: no ingest sieve runs
+    monkeypatch.setattr(
+        cli, "resolve_table", lambda label, n_max, *rest: coeffs._truncate_table(tables[label], n_max)
+    )
+    counting.pair_frame.cache_clear()
+    counting._dominance_region.cache_clear()
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(counting, "PairFrame")
+    counted(counting, "sieve")
+    counted(region, "trace_boundary")
+    counted(region, "poly_positive")
+    yield calls
+    counting.pair_frame.cache_clear()
+    counting._dominance_region.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["figures", "density", "dominance"])
+def test_one_pair_frame_and_one_sieve_per_command(tmp_path, capsys, pipeline_calls, command):
+    argv = ["--out", str(tmp_path), command, "--f", "5.4.a.a", "--fp", "6.6.a.a", "--x-max", "3000"]
+    if command != "figures":
+        argv += ["--mn", "1,1;2,2;1,3;2,3"]
+    assert run(argv, capsys)[0] == 0
+    assert pipeline_calls["PairFrame"] == 1
+    assert pipeline_calls["sieve"] == 1
+
+
+def test_figures_trace_no_curves(tmp_path, capsys, pipeline_calls):
+    argv = ["--out", str(tmp_path), "figures", "--f", "5.4.a.a", "--fp", "6.6.a.a", "--x-max", "3000"]
+    assert run(argv, capsys)[0] == 0
+    assert pipeline_calls.get("trace_boundary", 0) == 0
+    assert pipeline_calls["poly_positive"] == 1  # the (2,3) dominance prediction

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from satotate import region
 from satotate.bipoly import Poly2
@@ -19,7 +22,7 @@ from satotate.counting import (
     zero_count,
 )
 from satotate.errors import BudgetError, CoverageError, DomainError
-from satotate.measures import d_mn, mu_jst_region
+from satotate.measures import Interval, d_mn, mu_jst_region
 
 import oracles
 
@@ -297,3 +300,84 @@ def test_empirical_convergence_all_panels(f54_table, f66_table):
         rep = dominance_density_series(f54_table, f66_table, m, n, cps)
         final = rep.final()
         assert abs(final.emp_density - final.pred_density) <= 0.05, ("dom", m, n)
+
+
+# -- the pair pipeline against an exact per-prime oracle ------------------------------
+
+_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_TABLE_PAIRS = ((1, 2), (0, 1), (1, 1))  # indices into (delta, 5.4.a.a, 6.6.a.a)
+_ORACLE_SETTINGS = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def _pair_problems(draw):
+    """P of degree <= 2 with small integer coefficients, lift indices m, n <= 6
+    (not both zero), a bound x and a pair of bundled tables."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    assume(any(coeffs[1:]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    assume((m, n) != (0, 0))
+    x = draw(st.integers(2, 2000))
+    return Poly2(dict(zip(_MONOMIALS, coeffs))), m, n, x, draw(st.sampled_from(_TABLE_PAIRS))
+
+
+def _sign(value):
+    return int(sympy.sign(value))
+
+
+# a(p) = a'(p) on a self pair, so P = x - y vanishes at every prime: each one
+# lands in the guard band and only the exact re-decision counts it
+_SELF_TIE = (Poly2({(1, 0): 1, (0, 1): -1}), 2, 2, 2000, (1, 1))
+
+
+@_ORACLE_SETTINGS
+@given(
+    problem=_pair_problems(),
+    bounds=st.sampled_from(
+        [(-math.inf, 0), (0, math.inf), (-1, 1), (0, 0), (1, 2), (-math.inf, math.inf)]
+    ),
+)
+@example(problem=_SELF_TIE, bounds=(0, 0))
+@example(problem=_SELF_TIE, bounds=(0, math.inf))
+def test_region_and_zero_counts_match_exact_oracle(
+    delta_table, f54_table, f66_table, problem, bounds
+):
+    P, m, n, x, (i, j) = problem
+    tables = (delta_table, f54_table, f66_table)
+    tf, tfp = tables[i], tables[j]
+    lo, hi = bounds
+    try:
+        stat_region = region.region_from_poly_interval(P, Interval(lo, hi), m, n)
+    except DomainError:
+        assume(False)  # P(S_m(u), S_n(v)) is constant
+    values = oracles.exact_pair_values(tf, tfp, P, m, n, x)
+    # infinite endpoints impose nothing; finite ones are closed
+    inside = sum(
+        1
+        for v in values.values()
+        if (lo == -math.inf or _sign(v - lo) >= 0) and (hi == math.inf or _sign(v - hi) <= 0)
+    )
+    assert count_in_region(tf, tfp, stat_region, x) == inside
+    assert zero_count(tf, tfp, P, m, n, x) == sum(1 for v in values.values() if v == 0)
+
+
+@_ORACLE_SETTINGS
+@given(problem=_pair_problems())
+# 5.4.a.a has a(2) = -sqrt(2), a zero of S_3: an exact tie at p = 2
+@example(problem=(None, 1, 3, 2000, (0, 1)))
+def test_sign_series_counts_match_exact_oracle(delta_table, f54_table, f66_table, problem):
+    _, m, n, x, (i, j) = problem
+    tables = (delta_table, f54_table, f66_table)
+    tf, tfp = tables[i], tables[j]
+    checkpoints = sorted({max(2, x // 2), x})
+    rows = sign_density_series(tf, tfp, m, n, checkpoints).rows
+    signs = {
+        p: _sign(v) for p, v in oracles.exact_pair_values(tf, tfp, Poly2({(1, 1): 1}), m, n, x).items()
+    }
+    for row in rows:
+        upto = [s for p, s in signs.items() if p <= row.x]
+        assert (row.count_pos, row.count_neg, row.count_zero) == (
+            upto.count(1), upto.count(-1), upto.count(0)
+        )

@@ -1,0 +1,65 @@
+"""Regression oracle: the CLI outputs are byte-identical to recorded digests.
+
+The README promises byte-identical CSV/SVG re-runs; these sha256 digests
+were recorded from the outputs of the same commands before the prime-pair
+pipeline was consolidated, so any refactor that changes a single byte of a
+figure, a density/dominance CSV (including its envelope column) or a grid
+bracket fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from satotate.cli import main
+
+PAIR = ["--f", "5.4.a.a", "--fp", "6.6.a.a", "--x-max", "3000"]
+MN = ["--mn", "1,1;2,2;1,3;2,3"]
+
+COMMANDS = {
+    "figures": ["figures", *PAIR],
+    "density": ["density", *PAIR, *MN],
+    "dominance": ["dominance", *PAIR, *MN],
+    "bracket": ["bracket", "--poly-interval", "0,-1,1", "--lift", "1,3", "--m", "16,32"],
+}
+
+DIGESTS = {
+    "figures/figure1.csv": "09211be0e29d48e588328ca5464f778784dee01e45c09cfd8fcbbd770e733422",
+    "figures/figure1.svg": "03a2a41a74d9124c6cf043015b54d386892c4289a824ea4f2a03871369d40a43",
+    "figures/figure2.csv": "4aabec825a8f2c59668f34986fac8e256127d275c04604e9f93a08b10346d2a0",
+    "figures/figure2.svg": "29d226e2f00f2d974dc82daffb4e4047ea651474b06e67efaf8855c140c164cd",
+    "density/density_1_1.csv": "4f76801ff877e63da2ab9ca493690ea75e73c799787fdf6fee1e88c0282e6cc2",
+    "density/density_2_2.csv": "56734fc7dc7897f05980f2bb02e498ca874ddff14e5fd3881b3f9f4b7549f6da",
+    "density/density_1_3.csv": "5c79a31c3c5b723e0e782c37ad2328c18fd8e36588b3e2f71e82600f563a4578",
+    "density/density_2_3.csv": "f6976d8ddedc3b269c6423610e101813edcc31c16277f313967ecb948c461f54",
+    "dominance/dominance_1_1.csv": "a1b3338f1fc52fe12870d81251ea360c64d9d4f3b182e2e6e7b6906c4f3017aa",
+    "dominance/dominance_2_2.csv": "59e1ba1220a46afdb6c0de71543d02e5ece5ef03da0266742de3a6210fa5e884",
+    "dominance/dominance_1_3.csv": "2cbb31b2e6ad55eb8546b1b2c2b0476702432a0e378bccbfb3d92d9ee06272fd",
+    "dominance/dominance_2_3.csv": "fbe759fdfbab026c1a2c0b3bead0d26e09f73e78bdf5a96b4c51a6ddc584ea43",
+    "bracket/bracket_poly-interval[0.0,inf](1,3).csv": (
+        "5c72d5ecdc94464d0cac9bbed59ce445ea5fbdc63c7a6b94bb0dd54496eb379b"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    for name, argv in COMMANDS.items():
+        code = main(["--cache-dir", str(root / "cache"), "--out", str(root / name), *argv])
+        assert code == 0, name
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_outputs_match_recorded_digests(outputs, command):
+    written = sorted(
+        p.relative_to(outputs).as_posix()
+        for p in (outputs / command).iterdir()
+        if p.suffix in (".csv", ".svg")
+    )
+    expected = sorted(path for path in DIGESTS if path.startswith(command + "/"))
+    assert written == expected
+    for path in expected:
+        digest = hashlib.sha256((outputs / path).read_bytes()).hexdigest()
+        assert digest == DIGESTS[path], path

@@ -267,6 +267,17 @@ def test_region_file_parsing(tmp_path):
         parse_region_file(bad)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["poly 1 x cmp < bound 0", "poly 1 1/0 cmp < bound 0", "poly 1 1 cmp < bound 1/0"],
+)
+def test_region_file_rejects_bad_numbers(tmp_path, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(line + "\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_region_file(bad)
+
+
 # -- envelopes ---------------------------------------------------------------------------
 
 
@@ -295,6 +306,23 @@ def test_envelope_ratio_decreasing():
     for mode in ("GRH13", "GRH12"):
         r = ratios(mode)
         assert r[-1] < r[0], mode
+
+
+def test_envelope_ratio_sieves_once_per_call(monkeypatch):
+    from satotate import counting
+    from satotate.region import ENVELOPE_MODES, ErrorEnvelope
+
+    x = 10**4
+    pi_x = counting.sieve(x).count()
+    envs = [ErrorEnvelope(mode, 4, 6, 5, 6, 10.0, 5, 4) for mode in ENVELOPE_MODES]
+    expected = [env.value(x) / pi_x for env in envs]
+    bounds = []
+    real = counting.sieve
+    monkeypatch.setattr(counting, "sieve", lambda bound: bounds.append(bound) or real(bound))
+    for env, want in zip(envs, expected):
+        bounds.clear()
+        assert env.ratio(x) == want
+        assert bounds == [x]
 
 
 def test_envelope_validation():
