@@ -18,6 +18,7 @@ again on construction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .coeffs import (
     CoefficientTable,
     NewformDescriptor,
     Source,
+    eta_combination,
     eta_product_qexpansion,
     expand_eta_quotient,
     write_coefficient_file,
@@ -82,17 +84,18 @@ def _solve_level6_combination(series, target):
 
 
 def build_6_6_a_a(n_max):
-    """Reconstruct 6.6.a.a up to n_max; exact integers, fully re-verified."""
+    """Reconstruct 6.6.a.a up to n_max; exact integers, fully re-verified.
+    The solved weights are cleared to integers over a common denominator,
+    the integer combination is expanded exactly, then divided back."""
     length = max(n_max, 9)
-    series = [eta_product_qexpansion(recipe, length) for recipe in _LEVEL6_BASIS]
-    target = (0,) + SNAPSHOT_6_6_A_A
-    weights = _solve_level6_combination(series, target)
-    combo = []
-    for n in range(1, length + 1):
-        value = sum(w * s[n] for w, s in zip(weights, series))
-        if value.denominator != 1:
-            raise InvariantError(f"non-integral coefficient at n={n}")
-        combo.append(int(value))
+    prefixes = [eta_product_qexpansion(recipe, 3) for recipe in _LEVEL6_BASIS]
+    weights = _solve_level6_combination(prefixes, (0,) + SNAPSHOT_6_6_A_A)
+    denominator = math.lcm(*(w.denominator for w in weights))
+    ints = [int(w * denominator) for w in weights]
+    lifted = eta_combination(list(zip(ints, _LEVEL6_BASIS)), length)
+    if any(value % denominator for value in lifted):
+        raise InvariantError("non-integral coefficient in the level-6 combination")
+    combo = [value // denominator for value in lifted[1:]]
     if tuple(combo[:9]) != SNAPSHOT_6_6_A_A:
         raise InvariantError("level-6 combination does not match the snapshot expansion")
     return CoefficientTable(descriptor_for("6.6.a.a"), combo[:n_max])

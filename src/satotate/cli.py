@@ -194,10 +194,13 @@ def _region_from_args(args):
 
 def cmd_expand(cfg, args):
     if args.eta:
-        recipe = tuple(
-            (int(d), int(e))
-            for d, e in (pair.split(":") for pair in args.eta.split(","))
-        )
+        try:
+            recipe = tuple(
+                (int(d), int(e))
+                for d, e in (pair.split(":") for pair in args.eta.split(","))
+            )
+        except ValueError:
+            raise ConfigError(f"--eta: expected divisor:exponent pairs, got {args.eta!r}") from None
         if args.label and args.label in bundled.ETA_RECIPES:
             descriptor = bundled.descriptor_for(args.label)
         else:

@@ -6,15 +6,19 @@ eigenvalue) and lazily exposes a(p) = A(p) / p^{(k-1)/2} in floating point.
 
 Three acquisition paths: eta-quotient expansion (exact integer power-series
 arithmetic), file ingestion, and a caching HTTP client.  The expansion engine
-runs on int64 numpy arrays while a certified magnitude bound guarantees no
-overflow is possible, and transparently reruns with arbitrary-precision
-Python integers once coefficients outgrow 64 bits (weight 12 does, well
-below n = 10^4).
+runs its sparse pentagonal and cube passes (and long division, for negative
+net exponents) on int64 residue arrays modulo a few primes below 2^31, and
+lifts once by the Chinese remainder theorem.  The number of primes comes from
+an a-priori bound on the final coefficients, so the lift is exact however
+far they outgrow 64 bits (weight 12 does, well below n = 10^4).  See Hart,
+Tornaria and Watkins, "Congruent number theta coefficients to 10^12"
+(ANTS IX, 2010) for multi-modular series arithmetic.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -44,7 +48,9 @@ CACHE_ENV_VAR = "SATOTATE_CACHE_DIR"
 #: placeholder -- point it at any service implementing the template.
 DEFAULT_BASE_URL = "https://q-expansions.example.org/api"
 
-_INT64_LIMIT = 2**62
+#: The eta engine computes modulo primes below this limit, so that a residue
+#: times a pass's coefficient sum stays inside int64.
+_MODULUS_LIMIT = 2**31
 
 
 class Source(Enum):
@@ -82,9 +88,8 @@ class NewformDescriptor:
 def _validate_recipe(recipe, weight, level):
     if not recipe:
         raise RecipeError("empty eta recipe")
+    _eta_passes(recipe, 0)  # the engine's checks of the divisors and the vanishing order
     for d, e in recipe:
-        if d < 1:
-            raise RecipeError(f"divisor {d} must be positive")
         if e == 0:
             raise RecipeError("zero exponent in eta recipe")
         if level % d != 0:
@@ -93,11 +98,6 @@ def _validate_recipe(recipe, weight, level):
     if twice_weight != 2 * weight:
         raise RecipeError(
             f"recipe weight {twice_weight}/2 does not match declared weight {weight}"
-        )
-    num = sum(d * e for d, e in recipe)
-    if num <= 0 or num % 24 != 0:
-        raise RecipeError(
-            f"vanishing order {num}/24 is not a positive integer"
         )
 
 
@@ -185,163 +185,159 @@ class PentagonalSeries:
 
 
 def _pentagonal_terms(bound, step=1):
-    """(exponent, sign) pairs of prod (1 - q^{step*n}) up to q^bound."""
-    terms = [(0, 1)]
-    j = 1
-    while True:
-        hit = False
-        for jj in (j, -j):
-            e = step * jj * (3 * jj - 1) // 2
-            if e <= bound:
-                terms.append((e, -1 if j % 2 else 1))
-                hit = True
-        if not hit:
-            break
-        j += 1
-    terms.sort()
-    return terms
+    """(exponent, sign) pairs of prod (1 - q^{step*n}) up to q^bound, sorted:
+    Euler's (-1)^j q^{step j(3j-1)/2}, where j(3j-1)/2 >= j^2 bounds j."""
+    limit = bound // step
+    root = math.isqrt(limit)
+    pent = ((j * (3 * j - 1) // 2, (-1) ** j) for j in range(-root, root + 1))
+    return sorted((step * g, s) for g, s in pent if g <= limit)
 
 
 def _cube_terms(bound, step=1):
-    """(exponent, coefficient) pairs of prod (1 - q^{step*n})^3 up to q^bound.
-
-    The cube of the product collapses to sum_j (-1)^j (2j+1) q^{j(j+1)/2},
-    so exponents that are multiples of three apply in one sparse pass.
-    """
-    terms = []
-    j = 0
-    while step * j * (j + 1) // 2 <= bound:
-        terms.append((step * j * (j + 1) // 2, (2 * j + 1) * (-1 if j % 2 else 1)))
-        j += 1
-    return terms
+    """(exponent, coefficient) pairs of prod (1 - q^{step*n})^3 up to q^bound:
+    Jacobi's sum_j (-1)^j (2j+1) q^{step j(j+1)/2}."""
+    count = (math.isqrt(8 * (bound // step) + 1) + 1) // 2
+    return [(step * j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(count)]
 
 
 def pentagonal_series(bound):
     """Exact coefficients of prod (1 - q^n) through degree ``bound``."""
     if bound < 1:
         raise RecipeError(f"bound must be >= 1, got {bound}")
-    coeffs = [0] * (bound + 1)
-    for e, s in _pentagonal_terms(bound):
-        coeffs[e] += s
-    return PentagonalSeries(bound, tuple(coeffs))
+    terms = dict(_pentagonal_terms(bound))
+    return PentagonalSeries(bound, tuple(terms.get(n, 0) for n in range(bound + 1)))
 
 
-class _Int64Overflow(Exception):
-    pass
+def _is_prime(n):
+    """Miller-Rabin over the bases 2, 3, 5, 7: deterministic for odd n < 3215031751."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
-def _apply_sparse_int64(dense, mag, terms):
-    length = dense.shape[0]
-    new = np.zeros(length, dtype=np.int64)
-    new_mag = np.zeros(length)
-    for e, c in terms:
-        if e >= length:
-            break
-        if c == 1:
-            new[e:] += dense[: length - e]
-        elif c == -1:
-            new[e:] -= dense[: length - e]
-        else:
-            new[e:] += c * dense[: length - e]
-        new_mag[e:] += abs(c) * mag[: length - e]
-    new_mag *= 1.0 + 1e-12
-    if new_mag.max() >= _INT64_LIMIT:
-        raise _Int64Overflow
-    return new, new_mag
+def _crt_moduli(bound):
+    """The fewest primes below 2^31, largest first, whose product exceeds
+    2 * bound + 1: enough to lift any integer of absolute value <= bound."""
+    moduli, product, n = [], 1, _MODULUS_LIMIT - 1
+    while product <= 2 * bound + 1:
+        if _is_prime(n):
+            moduli.append(n)
+            product *= n
+        n -= 2
+    return tuple(moduli)
 
 
-def _apply_sparse_object(dense, terms):
-    length = dense.shape[0]
-    new = np.zeros(length, dtype=object)
-    new[:] = 0
-    for e, c in terms:
-        if e >= length:
-            break
-        if c == 1:
-            new[e:] += dense[: length - e]
-        elif c == -1:
-            new[e:] -= dense[: length - e]
-        else:
-            new[e:] += c * dense[: length - e]
-    return new
+def _crt_lift(residues, moduli):
+    """Python ints of absolute value below prod(moduli) / 2 with the given
+    residues (one int64 array per modulus)."""
+    modulus = math.prod(moduli)
+    # int64 while a sum of len(moduli) terms below modulus cannot overflow
+    dtype = np.int64 if len(moduli) * modulus < 2**63 else object
+    value = np.zeros(len(residues[0]), dtype=dtype)
+    for row, p in zip(residues, moduli):
+        cofactor = modulus // p
+        value += (row * pow(cofactor, -1, p) % p).astype(value.dtype) * cofactor
+    value %= modulus
+    value[value > modulus // 2] -= modulus
+    return value.tolist()
 
 
-def _divide_sparse_object(dense, terms):
-    # sequential long division by a sparse monic factor (leading term q^0 = 1)
-    length = dense.shape[0]
-    out = [0] * length
-    tail = [(e, s) for e, s in terms if e > 0]
-    for n in range(length):
-        acc = int(dense[n])
-        for e, s in tail:
-            if e > n:
-                break
-            acc -= s * out[n - e]
-        out[n] = acc
-    arr = np.zeros(length, dtype=object)
-    arr[:] = out
-    return arr
-
-
-def eta_product_qexpansion(recipe, n_max):
-    """Coefficients of q^0..q^{n_max} of prod_d eta(d z)^{e_d} / q^{v}... shifted.
-
-    Returns the coefficients of the full eta quotient including its leading
-    power q^v, i.e. index n holds the coefficient of q^n; entries below the
-    vanishing order v are zero.  Exact integers throughout.
-    """
+def _eta_passes(recipe, n_max):
+    """The vanishing order v, the sparse passes (terms, divide) that expand
+    the quotient over q^v through q^(n_max - v), and a bound on its
+    coefficients: the product of the truncated factors' l1 norms.  Exponents
+    are summed per divisor first.  The inverse of prod (1 - q^{dn})^k has
+    m + 1 = (n_max - v) // d + 1 terms, k-coloured partition counts below
+    exp(pi sqrt(2km/3)) (the proof of Apostol, Thm 14.5, with k colours)."""
     num = sum(d * e for d, e in recipe)
     if num <= 0 or num % 24 != 0:
         raise RecipeError(f"vanishing order {num}/24 is not a positive integer")
-    v = num // 24
-    length = n_max - v + 1
-    if length <= 0:
-        return [0] * (n_max + 1)
-    factor_apps = []
-    for d, e in sorted(recipe):
+    if any(d < 1 for d, _ in recipe):
+        raise RecipeError(f"eta divisors must be positive, got {recipe}")
+    v, net = num // 24, {d: sum(e for dd, e in recipe if dd == d) for d, _ in recipe}
+    top, passes, bound = max(n_max - v, 0), [], 1
+    for d, e in sorted(net.items()):
+        pent = _pentagonal_terms(top, step=d)
         if e > 0:
-            # apply (1-q^{dn})^3 blocks in single sparse passes, remainder
-            # as plain pentagonal factors
+            # each (1 - q^{dn})^3 block applies in one sparse pass
             cubes, rest = divmod(e, 3)
-            cube = _cube_terms(length - 1, step=d)
-            factor_apps.extend([(cube, True)] * cubes)
-            if rest:
-                terms = _pentagonal_terms(length - 1, step=d)
-                factor_apps.extend([(terms, True)] * rest)
-        else:
-            terms = _pentagonal_terms(length - 1, step=d)
-            factor_apps.extend([(terms, False)] * abs(e))
+            cube = _cube_terms(top, step=d)
+            passes += [(cube, False)] * cubes + [(pent, False)] * rest
+            bound *= sum(abs(c) for _, c in cube) ** cubes * len(pent) ** rest
+        elif e < 0:
+            bits = math.pi * math.sqrt(-2 * e * (top // d) / 3) / math.log(2)
+            passes += [(pent, True)] * -e
+            bound *= (top // d + 1) << math.ceil(bits * (1 + 1e-9))
+    return v, passes, bound
 
-    dense = None
-    try:
-        dense = np.zeros(length, dtype=np.int64)
-        dense[0] = 1
-        mag = np.zeros(length)
-        mag[0] = 1.0
-        for terms, positive in factor_apps:
-            if not positive:
-                raise _Int64Overflow  # divisions go straight to the exact path
-            dense, mag = _apply_sparse_int64(dense, mag, terms)
-        series = [int(c) for c in dense]
-    except _Int64Overflow:
-        dense = np.zeros(length, dtype=object)
-        dense[:] = 0
-        dense[0] = 1
-        for terms, positive in factor_apps:
-            if positive:
-                dense = _apply_sparse_object(dense, terms)
+
+def _apply_sparse(rows, terms, moduli):
+    # in place, one modulus at a time; residues stay below 2^31 and a pass's
+    # sum |c| below 2^32, so no int64 sum can overflow before the reduction
+    for row, p in zip(rows, moduli):
+        new = np.zeros_like(row)
+        for e, c in terms:
+            if c == 1:
+                new[e:] += row[: len(row) - e]
+            elif c == -1:
+                new[e:] -= row[: len(row) - e]
             else:
-                dense = _divide_sparse_object(dense, terms)
-        series = [int(c) for c in dense]
-    return [0] * v + series
+                new[e:] += c * row[: len(row) - e]
+        np.remainder(new, p, out=row)
+    return rows
+
+
+def _divide_sparse(rows, terms, moduli):
+    # long division by a pentagonal factor (constant term 1, the rest +-1),
+    # one coefficient per step, vectorised across the moduli
+    exps, signs = np.array(terms[1:], dtype=np.int64).reshape(-1, 2).T
+    out = np.stack(rows, axis=1)
+    reach = np.searchsorted(exps, np.arange(len(out)), side="right")
+    for n in range(1, len(out)):
+        out[n] = (out[n] - signs[: reach[n]] @ out[n - exps[: reach[n]]]) % moduli
+    return list(out.T.copy())
+
+
+def eta_bound(recipe, n_max):
+    """A bound on the absolute values of the eta quotient's coefficients."""
+    return _eta_passes(recipe, n_max)[2]
+
+
+def _eta_residues(recipe, n_max, moduli):
+    """Coefficients of q^0..q^n_max of the eta quotient modulo each of
+    ``moduli`` (primes below 2^31): one int64 array per modulus."""
+    v, passes, _ = _eta_passes(recipe, n_max)
+    moduli = np.array(moduli, dtype=np.int64)
+    rows = [np.eye(1, n_max + 1, v, dtype=np.int64)[0] for _ in moduli]  # q^v
+    for terms, divide in passes:
+        rows = (_divide_sparse if divide else _apply_sparse)(rows, terms, moduli)
+    return rows
+
+
+def eta_combination(terms, n_max):
+    """Exact coefficients of q^0..q^n_max of sum_i c_i prod_d eta(d z)^{e_d}
+    over the (integer c_i, recipe) pairs in ``terms``; entries below every
+    vanishing order are zero.  The sum is formed on residues modulo primes
+    covering sum_i |c_i| eta_bound(recipe_i) and lifted once."""
+    moduli = _crt_moduli(sum(abs(c) * eta_bound(recipe, n_max) for c, recipe in terms))
+    total = [0] * len(moduli)
+    for c, recipe in terms:
+        rows = _eta_residues(recipe, n_max, moduli)
+        total = [(t + c % p * row) % p for t, row, p in zip(total, rows, moduli)]
+    return _crt_lift(total, moduli)
+
+
+def eta_product_qexpansion(recipe, n_max):
+    """Exact coefficients of q^0..q^{n_max} of prod_d eta(d z)^{e_d}; entries
+    below the vanishing order are zero."""
+    return eta_combination([(1, recipe)], n_max)
 
 
 def expand_eta_quotient(descriptor, n_max):
-    """Expand the descriptor's eta recipe into a coefficient table.
-
-    The product over the recipe factors is carried out with exact integer
-    arithmetic; evaluation order does not affect the result.
-    """
+    """Expand the descriptor's eta recipe into an exact coefficient table."""
     if descriptor.eta_recipe is None:
         raise RecipeError(f"descriptor {descriptor.label!r} carries no eta recipe")
     if n_max < 1:
@@ -362,10 +358,21 @@ _HEADER_RE = re.compile(r"^label=(?P<label>\S+)\s+k=(?P<k>\d+)\s+N=(?P<N>\d+)\s*
 
 
 def write_coefficient_file(path, table):
-    """Write a table in the standard line format (see load_coefficient_file)."""
+    """Write a table in the standard line format (see load_coefficient_file)
+    through a fsynced temp file renamed over ``path``: never a partial file."""
+    path = Path(path)
     lines = [f"label={table.descriptor.label} k={table.descriptor.weight} N={table.descriptor.level}"]
     lines.extend(f"{n} {table.a_int(n)}" for n in range(1, table.bound + 1))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_coefficient_file(path):

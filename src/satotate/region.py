@@ -19,6 +19,7 @@ algebraic curve, its degree; vertical lines are exempt).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -763,7 +764,10 @@ def m_of_x(x, conductor_product):
     return math.sqrt(math.sqrt(log_x) / math.log(inner))
 
 
+@functools.cache
 def _pi_x(x):
+    # memoised per x, not the sieve: envelope modes share pi(x) without
+    # keeping a 10^8 sieve alive
     if x <= 1e8:
         from . import counting
 

@@ -28,10 +28,13 @@ def naive_product_series(bound):
 
 
 def naive_eta_qexpansion(recipe, n_max):
-    """Coefficients of q^0..q^n_max of the eta quotient, dense and direct."""
+    """Coefficients of q^0..q^n_max of the eta quotient, dense and direct;
+    negative exponents divide by dense long division."""
     v, rem = divmod(sum(d * e for d, e in recipe), 24)
     assert rem == 0
     length = n_max - v + 1
+    if length <= 0:
+        return [0] * (n_max + 1)
     series = [1] + [0] * (length - 1)
 
     def mul(a, b):
@@ -43,6 +46,13 @@ def naive_eta_qexpansion(recipe, n_max):
                         out[i + j] += ai * bj
         return out
 
+    def div(a, b):
+        assert b[0] == 1
+        out = []
+        for n in range(length):
+            out.append(a[n] - sum(b[i] * out[n - i] for i in range(1, n + 1)))
+        return out
+
     for d, e in recipe:
         base = [0] * length
         base[0] = 1
@@ -51,8 +61,8 @@ def naive_eta_qexpansion(recipe, n_max):
             for idx in range(length - d * n):
                 new[idx + d * n] -= base[idx]
             base = new
-        for _ in range(e):
-            series = mul(series, base)
+        for _ in range(abs(e)):
+            series = mul(series, base) if e > 0 else div(series, base)
     return [0] * v + series
 
 

@@ -229,6 +229,9 @@ def test_runconfig_validation(tmp_path):
         ["measure", "--poly-interval", "0,0,0,0,1,0", "--lift", "1"],
         ["bracket", "--sign-product", "2,2", "--m", "16,x"],
         ["density", "--mn", "1,x", "--x-max", "100"],
+        ["expand", "--eta", "1:4:5", "--n", "9"],
+        ["expand", "--eta", "1:x", "--n", "9"],
+        ["expand", "--eta", "1:4,5", "--n", "9"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):

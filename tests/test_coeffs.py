@@ -1,13 +1,18 @@
 import math
+import os
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from satotate import bundled
+from satotate import bundled, coeffs
 from satotate.coeffs import (
     CoefficientTable,
     NewformDescriptor,
     Source,
+    eta_bound,
     eta_product_qexpansion,
     expand_eta_quotient,
     fetch_remote,
@@ -110,12 +115,60 @@ def test_eta_wide_integers_beyond_int64():
 
 
 def test_eta_negative_exponent_division():
-    # eta^36 / eta^12 must reproduce eta^24 exactly, exercising the
-    # sparse-division path
+    # eta^36 / eta^12 must reproduce eta^24 exactly (the exponents cancel
+    # per divisor before any pass runs)
     combined = eta_product_qexpansion(((1, 36), (1, -12)), 12)
     plain = eta_product_qexpansion(((1, 24),), 12)
     assert combined == plain
     assert tuple(plain[1:11]) == oracles.TAU_REF
+    # eta(2z)^16 / eta(z)^8 divides for real; its a-priori bound is far
+    # beyond 2^62, so the lift needs many moduli
+    recipe = ((2, 16), (1, -8))
+    assert eta_bound(recipe, 200) > 2**150
+    assert eta_product_qexpansion(recipe, 200) == oracles.naive_eta_qexpansion(recipe, 200)
+
+
+_DIVISORS = (1, 2, 3, 4, 6)
+_EXPONENTS = tuple(e for e in range(-4, 13) if e)
+
+
+@st.composite
+def eta_recipes(draw):
+    recipe = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_DIVISORS), st.sampled_from(_EXPONENTS)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # close the vanishing order to a multiple of 24; no single factor
+    # reaches a gap of 13, 17 or 19, so (6, 2) first shifts it by 12
+    while gap := -sum(d * e for d, e in recipe) % 24:
+        fits = [(d, e) for d in _DIVISORS for e in _EXPONENTS if d * e % 24 == gap]
+        recipe.append(draw(st.sampled_from(fits or [(6, 2)])))
+    assume(sum(d * e for d, e in recipe) > 0)
+    return tuple(recipe)
+
+
+@settings(max_examples=80, deadline=None)
+@given(eta_recipes(), st.integers(1, 40))
+def test_eta_engine_matches_dense_oracle(recipe, n_max):
+    expected = oracles.naive_eta_qexpansion(recipe, n_max)
+    assert max(abs(c) for c in expected) <= eta_bound(recipe, n_max)
+    assert eta_product_qexpansion(recipe, n_max) == expected
+
+
+def test_crt_lift_inverts_residues():
+    # for each modulus count, the largest bound it covers, with values spread
+    # over all of it: the int64 lift (two moduli) runs close to 2^63 there
+    for count in range(1, 13):
+        moduli = coeffs._crt_moduli(2 ** (31 * count))[:count]
+        bound = (math.prod(moduli) - 3) // 2
+        assert coeffs._crt_moduli(bound) == moduli
+        rnd = random.Random(count)
+        values = [rnd.randint(-bound, bound) for _ in range(500)] + [bound, -bound, 0]
+        residues = [np.array([v % p for v in values], dtype=np.int64) for p in moduli]
+        assert coeffs._crt_lift(residues, moduli) == values, count
 
 
 def test_descriptor_validation():
@@ -188,6 +241,21 @@ def test_file_round_trip(tmp_path, f54_table):
     loaded = load_coefficient_file(path)
     assert loaded.raw == f54_table.raw
     assert loaded.descriptor.weight == 4 and loaded.descriptor.level == 5
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, f54_table):
+    path = tmp_path / "f54.txt"
+    write_coefficient_file(path, CoefficientTable(F54, f54_table.raw[:20]))
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        write_coefficient_file(path, f54_table)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f54.txt"]
 
 
 def test_file_golden_66(tmp_path):

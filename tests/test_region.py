@@ -308,21 +308,20 @@ def test_envelope_ratio_decreasing():
         assert r[-1] < r[0], mode
 
 
-def test_envelope_ratio_sieves_once_per_call(monkeypatch):
-    from satotate import counting
+def test_envelope_ratio_sieves_once_per_x(monkeypatch):
+    from satotate import counting, region
     from satotate.region import ENVELOPE_MODES, ErrorEnvelope
 
     x = 10**4
     pi_x = counting.sieve(x).count()
     envs = [ErrorEnvelope(mode, 4, 6, 5, 6, 10.0, 5, 4) for mode in ENVELOPE_MODES]
     expected = [env.value(x) / pi_x for env in envs]
+    region._pi_x.cache_clear()
     bounds = []
     real = counting.sieve
     monkeypatch.setattr(counting, "sieve", lambda bound: bounds.append(bound) or real(bound))
-    for env, want in zip(envs, expected):
-        bounds.clear()
-        assert env.ratio(x) == want
-        assert bounds == [x]
+    assert [env.ratio(x) for env in envs] == expected
+    assert bounds == [x]
 
 
 def test_envelope_validation():
