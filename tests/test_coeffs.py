@@ -300,6 +300,71 @@ def test_file_comments(tmp_path):
     assert load_coefficient_file(path).raw == (1, 0)
 
 
+_HEAD = "label=5.4.a.a k=4 N=5\n"
+_BODY = "1 1\n2 -4\n3 2\n4 8\n5 -5\n6 -8\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("# written by hand\n\n" + _HEAD + _BODY, id="comment-before-header"),
+        pytest.param(_HEAD + _BODY.replace("\n", "  # note\n"), id="trailing-comments"),
+        pytest.param("\n" + _HEAD + "\n" + _BODY.replace("\n", "\n \n\n"), id="blank-lines"),
+        pytest.param(_HEAD + _BODY.replace(" ", "\t"), id="tabs"),
+        pytest.param(_HEAD + _BODY.replace("\n", " \t \n"), id="trailing-spaces"),
+        pytest.param((_HEAD + _BODY).replace("\n", "\r\n"), id="crlf"),
+        pytest.param(_HEAD + "+1 +1\n2 -4\n003 2\n4 8\n5 -5\n6 -8\n", id="signs-and-zeros"),
+    ],
+)
+def test_file_format_accepted(tmp_path, text):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    table = load_coefficient_file(path)
+    assert table.raw == (1, -4, 2, 8, -5, -8)
+    assert (table.descriptor.label, table.descriptor.weight, table.descriptor.level) == ("5.4.a.a", 4, 5)
+
+
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        pytest.param(_HEAD + "1 1\n2 -4 0\n", ParseError, 3, id="three-fields"),
+        pytest.param(_HEAD + "1 1\n2\n", ParseError, 3, id="one-field"),
+        pytest.param(_HEAD + "1 1\n2.0 -4\n", ParseError, 3, id="float-index"),
+        pytest.param(_HEAD + "1 1\n2 -4.0\n", ParseError, 3, id="float-value"),
+        pytest.param(_HEAD + "1 1\n2e0 -4\n", ParseError, 3, id="exponent-index"),
+        pytest.param(_HEAD + "1 1\n2 1e3\n", ParseError, 3, id="exponent-value"),
+        pytest.param(_HEAD + "1 1\n--2 -4\n", ParseError, 3, id="double-sign-index"),
+        pytest.param(_HEAD + "1 1\n2 --5\n", ParseError, 3, id="double-sign-value"),
+        pytest.param(_HEAD + "1 1\n2 -4\n4 8\n", GapError, 4, id="gap"),
+        pytest.param(_HEAD + "1 1\n2 -4\n2 -4\n3 2\n", GapError, 4, id="duplicate"),
+        pytest.param(_HEAD + "2 -4\n", GapError, 2, id="no-first-index"),
+        pytest.param("# c\n\n" + _HEAD + "1 1\n\n# c\n2 -4 0\n", ParseError, 7, id="line-counts-comments"),
+        pytest.param("label 5.4.a.a k=4 N=5\n1 1\n", ParseError, 1, id="bad-header"),
+        pytest.param("# c\nlabel=5.4.a.a k=four N=5\n1 1\n", ParseError, 2, id="bad-header-after-comment"),
+        pytest.param("# only a comment\n", ParseError, 1, id="no-header"),
+        pytest.param(_HEAD, GapError, None, id="empty-body"),
+        pytest.param(_HEAD + "# c\n\n", GapError, None, id="comment-only-body"),
+    ],
+)
+def test_file_format_rejected(tmp_path, text, error, line):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as excinfo:
+        load_coefficient_file(path)
+    assert excinfo.type is error
+    assert excinfo.value.line_number == line
+
+
+def test_file_round_trip_beyond_int64(tmp_path):
+    table = bundled.bundled_table("1.12.a.a", 4000)
+    assert max(abs(c) for c in table.raw) > 2**63
+    path = tmp_path / "delta.txt"
+    write_coefficient_file(path, table)
+    loaded = load_coefficient_file(path)
+    assert loaded.raw == table.raw
+    assert all(type(c) is int for c in loaded.raw)
+
+
 # -- remote fetch ----------------------------------------------------------------------
 
 
