@@ -17,13 +17,14 @@ Tornaria and Watkins, "Congruent number theta coefficients to 10^12"
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
-import time
 import urllib.error
 import urllib.request
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -102,11 +103,12 @@ def _validate_recipe(recipe, weight, level):
 
 
 class CoefficientTable:
-    """Immutable table of exact integers A(1..bound) for one newform."""
+    """Immutable table of exact integers A(1..bound) for one newform;
+    ``raw`` holds Python ints, A(1) first."""
 
     def __init__(self, descriptor, raw, check=True):
         self.descriptor = descriptor
-        self._raw = tuple(int(c) for c in raw)  # A(1) first
+        self._raw = tuple(raw)
         self.bound = len(self._raw)
         self._norm_cache = {}
         if check:
@@ -361,12 +363,12 @@ def write_coefficient_file(path, table):
     """Write a table in the standard line format (see load_coefficient_file)
     through a fsynced temp file renamed over ``path``: never a partial file."""
     path = Path(path)
-    lines = [f"label={table.descriptor.label} k={table.descriptor.weight} N={table.descriptor.level}"]
-    lines.extend(f"{n} {table.a_int(n)}" for n in range(1, table.bound + 1))
+    d = table.descriptor
+    rows = "".join(f"{n} {a}\n" for n, a in enumerate(table.raw, 1))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"label={d.label} k={d.weight} N={d.level}\n{rows}")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -380,40 +382,64 @@ def load_coefficient_file(path):
 
     Format (UTF-8 text): a header line ``label=<text> k=<int> N=<int>``
     followed by one ``<n> <A(n)>`` line per index, ascending and contiguous
-    from 1.  ``#`` starts a comment.  All table invariants are checked.
+    from 1.  Fields are an optional sign and ASCII digits, separated by
+    whitespace.  ``#`` starts a comment, blank lines are skipped, and every
+    line ends in a newline, so a file cut short is refused.  All table
+    invariants are checked.
     """
-    path = Path(path)
-    header = None
-    entries = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if header is None:
-                m = _HEADER_RE.match(line)
-                if not m:
-                    raise ParseError(f"bad header {line!r}", lineno)
-                header = (m.group("label"), int(m.group("k")), int(m.group("N")))
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected '<n> <A(n)>', got {line!r}", lineno)
+    with open(path, "rb") as binary, io.TextIOWrapper(binary, encoding="utf-8") as fh:
+        binary.seek(max(binary.seek(0, os.SEEK_END) - 1, 0))
+        terminated = binary.read(1) in (b"\n", b"\r")
+        binary.seek(0)
+        header_line, header = _read_header(fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body; refused below
             try:
-                n, a = int(parts[0]), int(parts[1])
+                rows = np.loadtxt(fh, dtype=[("n", np.int64), ("a", object)], comments="#", ndmin=1)
+                values = rows["a"].tolist()
+                raw = tuple(map(int, values))
             except ValueError:
-                raise ParseError(f"non-integer entry {line!r}", lineno) from None
-            expected = len(entries) + 1
-            if n != expected:
-                raise GapError(f"expected index {expected}, got {n}", lineno)
-            entries.append(a)
-    if header is None:
-        raise ParseError("missing header line", 1)
-    if not entries:
+                _raise_at_first_bad_line(path, header_line)
+    digits = "".join(values)  # int() also takes '_' and non-ASCII digits
+    contiguous = np.array_equal(rows["n"], np.arange(1, len(raw) + 1))
+    if not (terminated and contiguous and digits.isascii() and "_" not in digits):
+        _raise_at_first_bad_line(path, header_line)
+    if not raw:
         raise GapError("no coefficient lines (A(1) missing)")
     label, k, N = header
     descriptor = NewformDescriptor(label=label, weight=k, level=N, source=Source.FILE)
-    return CoefficientTable(descriptor, entries)
+    return CoefficientTable(descriptor, raw)
+
+
+def _read_header(fh):
+    """The line number and (label, k, N) of the first non-blank line."""
+    for lineno, rawline in enumerate(fh, start=1):
+        line = rawline.split("#", 1)[0].strip()
+        if line:
+            m = _HEADER_RE.match(line)
+            if not m:
+                raise ParseError(f"bad header {line!r}", lineno)
+            return lineno, (m.group("label"), int(m.group("k")), int(m.group("N")))
+    raise ParseError("missing header line", 1)
+
+
+def _raise_at_first_bad_line(path, header_line):
+    """Raise the error of the first line after the header that breaks the
+    file format: the error path of load_coefficient_file, which finds the
+    line number only once the whole-body parse has failed."""
+    expected = 1
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split("#", 1)[0].split() if lineno > header_line else ()
+            if fields:
+                if len(fields) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
+                    raise ParseError(f"expected '<n> <A(n)>', got {line.strip()!r}", lineno)
+                if int(fields[0]) != expected:
+                    raise GapError(f"expected index {expected}, got {fields[0]}", lineno)
+                expected += 1
+            if not line.endswith("\n"):
+                raise ParseError("no newline at the end of the last line (truncated file?)", lineno)
+    raise ParseError(f"malformed coefficient file {path}")
 
 
 # -- remote fetch ----------------------------------------------------------------
@@ -435,32 +461,6 @@ def default_cache_dir():
     if env:
         return Path(env)
     return Path.home() / ".cache" / "satotate"
-
-
-class _CacheLock:
-    """Advisory lock file serializing cache writes."""
-
-    def __init__(self, target, timeout=30.0):
-        self.path = Path(str(target) + ".lock")
-        self.timeout = timeout
-        self._fd = None
-
-    def __enter__(self):
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                return self
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise NetworkError(f"stale cache lock {self.path}") from None
-                time.sleep(0.05)
-
-    def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-        self.path.unlink(missing_ok=True)
-        return False
 
 
 def _truncate_table(table, n_max):
@@ -503,8 +503,7 @@ def fetch_remote(label, n_max, base_url=DEFAULT_BASE_URL, cache_dir=None, timeou
     N, k = parse_label(label)
     descriptor = NewformDescriptor(label=label, weight=k, level=N, source=Source.REMOTE)
     table = CoefficientTable(descriptor, coeffs[:n_max])
-    with _CacheLock(cache_file):
-        write_coefficient_file(cache_file, table)
+    write_coefficient_file(cache_file, table)
     return table
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from satotate import cli, coeffs, counting, region
+from satotate import bundled, cli, coeffs, counting, region
 from satotate.cli import RunConfig, load_config, main, resolve_table
 
 
@@ -189,6 +189,15 @@ def test_fetch_unknown_label_exit_code(tmp_path, capsys, coeff_server):
         capsys,
     )
     assert code == 3
+
+
+def test_truncated_cache_file_exit_code(tmp_path, capsys):
+    bundled.seed_cache(tmp_path, 30)
+    path = tmp_path / "6.6.a.a.txt"
+    path.write_bytes(path.read_bytes()[:-3])  # cut inside the last line
+    code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", "30"], capsys)
+    assert code == 3
+    assert "line 31" in err and "truncated" in err
 
 
 def test_config_file_parsing(tmp_path):

@@ -344,6 +344,15 @@ def test_file_format_accepted(tmp_path, text):
         pytest.param("# only a comment\n", ParseError, 1, id="no-header"),
         pytest.param(_HEAD, GapError, None, id="empty-body"),
         pytest.param(_HEAD + "# c\n\n", GapError, None, id="comment-only-body"),
+        # int() takes these; the format does not
+        pytest.param(_HEAD + "1 1\n2 -4\n3 2\n4 8\n5 -5\n6 -8\n7 6\n8 0\n9 -2_3\n", ParseError, 10, id="underscore-value"),
+        pytest.param(_HEAD + "1 1\n\u0662 -4\n", ParseError, 3, id="non-ascii-index"),
+        pytest.param(_HEAD + "1 1\n2 -\u0664\n", ParseError, 3, id="non-ascii-value"),
+        # a file cut short: the last line has no newline
+        pytest.param(_HEAD + "1 1\n2 -4", ParseError, 3, id="unterminated-last-line"),
+        pytest.param(_HEAD + "1 1\n2 -4\n# c", ParseError, 4, id="unterminated-comment"),
+        pytest.param(_HEAD + "1 1\n2 -4\n3", ParseError, 4, id="cut-after-index"),
+        pytest.param(_HEAD.rstrip("\n"), ParseError, 1, id="unterminated-header"),
     ],
 )
 def test_file_format_rejected(tmp_path, text, error, line):
@@ -353,6 +362,26 @@ def test_file_format_rejected(tmp_path, text, error, line):
         load_coefficient_file(path)
     assert excinfo.type is error
     assert excinfo.value.line_number == line
+
+
+def test_truncated_file_never_loads_wrong_values(tmp_path):
+    # cut the file at every byte offset: each cut is refused, or it ends on
+    # a line boundary and loads a correct prefix of the table
+    table = bundled.bundled_table("6.6.a.a", 60)
+    full = tmp_path / "full.txt"
+    write_coefficient_file(full, table)
+    data = full.read_bytes()
+    path = tmp_path / "cut.txt"
+    loaded = 0
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        try:
+            prefix = load_coefficient_file(path).raw
+        except ParseError:
+            continue
+        assert prefix == table.raw[: len(prefix)], cut
+        loaded += 1
+    assert loaded == table.bound
 
 
 def test_file_round_trip_beyond_int64(tmp_path):
@@ -393,6 +422,16 @@ def test_fetch_unknown_label(tmp_path, coeff_server):
     server, base = coeff_server
     with pytest.raises(NotFoundError):
         fetch_remote("99.99.z.z", 9, base_url=base, cache_dir=tmp_path)
+
+
+def test_leftover_lock_file_does_not_block_fetch(tmp_path, coeff_server):
+    # a "<label>.txt.lock" left by a crashed writer is ignored: cache writes
+    # are atomic renames and need no lock
+    server, base = coeff_server
+    (tmp_path / "5.4.a.a.txt.lock").touch()
+    table = fetch_remote("5.4.a.a", 9, base_url=base, cache_dir=tmp_path, timeout=5)
+    assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
+    assert load_coefficient_file(tmp_path / "5.4.a.a.txt").raw == table.raw
 
 
 def test_fetch_network_error(tmp_path):
