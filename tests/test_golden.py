@@ -4,13 +4,17 @@ The README promises byte-identical CSV/SVG re-runs; these sha256 digests
 were recorded from the outputs of the same commands before the prime-pair
 pipeline was consolidated, so any refactor that changes a single byte of a
 figure, a density/dominance CSV (including its envelope column) or a grid
-bracket fails here.
+bracket fails here.  The certified-measure CSV and the number of cells the
+quadtree classifies at each level were recorded the same way before the
+quadtree's cell geometry was reorganised.
 """
 
 import hashlib
 
 import pytest
 
+from satotate import measures, region
+from satotate.bipoly import Poly2
 from satotate.cli import main
 
 PAIR = ["--f", "5.4.a.a", "--fp", "6.6.a.a", "--x-max", "3000"]
@@ -21,6 +25,7 @@ COMMANDS = {
     "density": ["density", *PAIR, *MN],
     "dominance": ["dominance", *PAIR, *MN],
     "bracket": ["bracket", "--poly-interval", "0,-1,1", "--lift", "1,3", "--m", "16,32"],
+    "measure": ["measure", "--disk", "--target", "1e-4"],
 }
 
 DIGESTS = {
@@ -39,6 +44,21 @@ DIGESTS = {
     "bracket/bracket_poly-interval[0.0,inf](1,3).csv": (
         "5c72d5ecdc94464d0cac9bbed59ce445ea5fbdc63c7a6b94bb0dd54496eb379b"
     ),
+    "measure/measure.csv": "4835921c03a5eaf95c5f157c786c5905085305d7a55e45b31bf370303b78bc3f",
+}
+
+# cells classified at each quadtree level (the sizes handed to leaf_statuses)
+QUADTREE_LEVELS = {
+    "disk(1)@1e-4": (
+        lambda: region.disk(1),
+        1e-4,
+        [1, 4, 16, 16, 48, 80, 176, 336, 688, 1360, 2736, 5456, 10928, 21840, 43696, 87376, 174768],
+    ),
+    "poly(2,3)@1e-3": (
+        lambda: region.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), 2, 3),
+        1e-3,
+        [1, 4, 16, 64, 128, 240, 464, 904, 1704, 3392, 6792, 13536, 26984, 53880],
+    ),
 }
 
 
@@ -46,6 +66,9 @@ DIGESTS = {
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     for name, argv in COMMANDS.items():
+        if name == "measure":
+            argv = [*argv, "--out-csv", str(root / name / "measure.csv")]
+            (root / name).mkdir()
         code = main(["--cache-dir", str(root / "cache"), "--out", str(root / name), *argv])
         assert code == 0, name
     return root
@@ -63,3 +86,18 @@ def test_outputs_match_recorded_digests(outputs, command):
     for path in expected:
         digest = hashlib.sha256((outputs / path).read_bytes()).hexdigest()
         assert digest == DIGESTS[path], path
+
+
+@pytest.mark.parametrize("name", sorted(QUADTREE_LEVELS))
+def test_quadtree_classifies_recorded_cells_per_level(monkeypatch, name):
+    build, target, expected = QUADTREE_LEVELS[name]
+    sizes = []
+    real = measures.leaf_statuses
+
+    def spy(leaves, u_lo, u_hi, v_lo, v_hi):
+        sizes.append(int(u_lo.size))
+        return real(leaves, u_lo, u_hi, v_lo, v_hi)
+
+    monkeypatch.setattr(measures, "leaf_statuses", spy)
+    measures.mu_jst_region(build(), target)
+    assert sizes == expected
