@@ -28,6 +28,7 @@ from .counting import (
     default_checkpoints,
     dominance_density_series,
     first_sign_change,
+    prime_count,
     sieve,
     sign_density_series,
     symmetry_class,

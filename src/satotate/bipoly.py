@@ -205,9 +205,11 @@ class Poly2:
         powers of v.
         """
         mat, _ = self._matrices()
-        u_values = np.asarray(u_values, dtype=float)
-        upow = np.vander(u_values, mat.shape[0], increasing=True)
-        return upow @ mat
+        u_col = np.asarray(u_values, dtype=float)[:, None]
+        out = np.broadcast_to(mat[-1], (u_col.shape[0], mat.shape[1]))
+        for row in mat[-2::-1]:
+            out = out * u_col + row
+        return np.ascontiguousarray(out)
 
     # -- interval arithmetic ---------------------------------------------------
 
@@ -217,20 +219,23 @@ class Poly2:
         All four bounds are broadcastable arrays; returns (lo, hi) padded by a
         rounding margin so definite-sign conclusions are conservative.
         """
-        u_lo = np.asarray(u_lo, dtype=float)
-        u_hi = np.asarray(u_hi, dtype=float)
-        v_lo = np.asarray(v_lo, dtype=float)
-        v_hi = np.asarray(v_hi, dtype=float)
-        shape = np.broadcast(u_lo, u_hi, v_lo, v_hi).shape
+        return self._interval_eval(_Powers(u_lo, u_hi), _Powers(v_lo, v_hi))
+
+    def _interval_eval(self, u_pows, v_pows):
+        shape = np.broadcast(u_pows.lo, u_pows.hi, v_pows.lo, v_pows.hi).shape
         lo = np.zeros(shape)
         hi = np.zeros(shape)
         mag = np.zeros(shape)
-        u_abs = np.maximum(np.abs(u_lo), np.abs(u_hi))
-        v_abs = np.maximum(np.abs(v_lo), np.abs(v_hi))
         for (i, j), c in self.coeffs.items():
-            plo, phi = _pow_interval(u_lo, u_hi, i)
-            qlo, qhi = _pow_interval(v_lo, v_hi, j)
-            tlo, thi = _mul_interval(plo, phi, qlo, qhi)
+            plo, phi, p_abs = u_pows[i]
+            qlo, qhi, q_abs = v_pows[j]
+            # a factor [1, 1] leaves the other unchanged: skip the product
+            if i == 0:
+                tlo, thi = qlo, qhi
+            elif j == 0:
+                tlo, thi = plo, phi
+            else:
+                tlo, thi = _mul_interval(plo, phi, qlo, qhi)
             cf = float(c)
             if cf >= 0:
                 lo += cf * tlo
@@ -238,7 +243,7 @@ class Poly2:
             else:
                 lo += cf * thi
                 hi += cf * tlo
-            mag += abs(cf) * u_abs**i * v_abs**j
+            mag += abs(cf) * p_abs * q_abs
         pad = _IV_PAD * mag + 1e-300
         return lo - pad, hi + pad
 
@@ -286,32 +291,42 @@ class Poly2:
         enclosures stay sharp where the polynomial vanishes to high order and
         the plain monomial bound would need much smaller boxes.
         """
-        nlo, nhi = self.interval_eval_cells(u_lo, u_hi, v_lo, v_hi)
+        u_pows, v_pows = _Powers(u_lo, u_hi), _Powers(v_lo, v_hi)
+        nlo, nhi = self._interval_eval(u_pows, v_pows)
         if not (self.depends_on_u() or self.depends_on_v()):
             return nlo, nhi
-        u_lo = np.asarray(u_lo, dtype=float)
-        u_hi = np.asarray(u_hi, dtype=float)
-        v_lo = np.asarray(v_lo, dtype=float)
-        v_hi = np.asarray(v_hi, dtype=float)
+        u_lo, u_hi, v_lo, v_hi = u_pows.lo, u_pows.hi, v_pows.lo, v_pows.hi
         uc, vc = 0.5 * (u_lo + u_hi), 0.5 * (v_lo + v_hi)
         fc = self.eval_float(uc, vc)
         rad = _IV_PAD * self.eval_abs_float(np.abs(uc), np.abs(vc)) + 1e-300
         hu, hv = 0.5 * (u_hi - u_lo), 0.5 * (v_hi - v_lo)
         du = self.derivative("u")
         if not du.is_zero:
-            dlo, dhi = du.interval_eval_cells(u_lo, u_hi, v_lo, v_hi)
+            dlo, dhi = du._interval_eval(u_pows, v_pows)
             rad = rad + np.maximum(np.abs(dlo), np.abs(dhi)) * hu
         dv = self.derivative("v")
         if not dv.is_zero:
-            dlo, dhi = dv.interval_eval_cells(u_lo, u_hi, v_lo, v_hi)
+            dlo, dhi = dv._interval_eval(u_pows, v_pows)
             rad = rad + np.maximum(np.abs(dlo), np.abs(dhi)) * hv
         return np.maximum(nlo, fc - rad), np.minimum(nhi, fc + rad)
 
 
+class _Powers(dict):
+    """Per-exponent cache of (lo, hi, max |x|^k) over the intervals [lo, hi];
+    shared by a polynomial and its derivatives over the same boxes."""
+
+    def __init__(self, lo, hi):
+        super().__init__({0: (1.0, 1.0, 1.0)})
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.abs = np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+    def __missing__(self, k):
+        self[k] = (*_pow_interval(self.lo, self.hi, k), self.abs**k)
+        return self[k]
+
+
 def _pow_interval(lo, hi, k):
-    if k == 0:
-        one = np.ones_like(lo)
-        return one, one
     if k == 1:
         return lo, hi
     plo, phi = lo**k, hi**k

@@ -356,7 +356,7 @@ def expand_eta_quotient(descriptor, n_max):
 
 # -- file format ----------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"^label=(?P<label>\S+)\s+k=(?P<k>\d+)\s+N=(?P<N>\d+)\s*$")
+_HEADER_RE = re.compile(r"^label=(?P<label>\S+)\s+k=(?P<k>\d+)\s+N=(?P<N>\d+)\s*$", re.ASCII)
 
 
 def write_coefficient_file(path, table):
@@ -387,19 +387,22 @@ def load_coefficient_file(path):
     line ends in a newline, so a file cut short is refused.  All table
     invariants are checked.
     """
-    with open(path, "rb") as binary, io.TextIOWrapper(binary, encoding="utf-8") as fh:
-        binary.seek(max(binary.seek(0, os.SEEK_END) - 1, 0))
-        terminated = binary.read(1) in (b"\n", b"\r")
-        binary.seek(0)
-        header_line, header = _read_header(fh)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body; refused below
-            try:
-                rows = np.loadtxt(fh, dtype=[("n", np.int64), ("a", object)], comments="#", ndmin=1)
-                values = rows["a"].tolist()
-                raw = tuple(map(int, values))
-            except ValueError:
-                _raise_at_first_bad_line(path, header_line)
+    try:
+        with open(path, "rb") as binary, io.TextIOWrapper(binary, encoding="utf-8") as fh:
+            binary.seek(max(binary.seek(0, os.SEEK_END) - 1, 0))
+            terminated = binary.read(1) in (b"\n", b"\r")
+            binary.seek(0)
+            header_line, header = _read_header(fh)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body; refused below
+                try:
+                    rows = np.loadtxt(fh, dtype=[("n", np.int64), ("a", object)], comments="#", ndmin=1)
+                    values = rows["a"].tolist()
+                    raw = tuple(map(int, values))
+                except ValueError:  # UnicodeDecodeError included
+                    _raise_at_first_bad_line(path, header_line)
+    except UnicodeDecodeError:  # while reading the header
+        _raise_at_first_bad_line(path)
     digits = "".join(values)  # int() also takes '_' and non-ASCII digits
     contiguous = np.array_equal(rows["n"], np.arange(1, len(raw) + 1))
     if not (terminated and contiguous and digits.isascii() and "_" not in digits):
@@ -416,21 +419,34 @@ def _read_header(fh):
     for lineno, rawline in enumerate(fh, start=1):
         line = rawline.split("#", 1)[0].strip()
         if line:
-            m = _HEADER_RE.match(line)
-            if not m:
-                raise ParseError(f"bad header {line!r}", lineno)
-            return lineno, (m.group("label"), int(m.group("k")), int(m.group("N")))
+            return lineno, _parse_header(line, lineno)
     raise ParseError("missing header line", 1)
 
 
-def _raise_at_first_bad_line(path, header_line):
-    """Raise the error of the first line after the header that breaks the
-    file format: the error path of load_coefficient_file, which finds the
-    line number only once the whole-body parse has failed."""
+def _parse_header(line, lineno):
+    m = _HEADER_RE.match(line)
+    if not m:
+        raise ParseError(f"bad header {line!r}", lineno)
+    return m.group("label"), int(m.group("k")), int(m.group("N"))
+
+
+def _raise_at_first_bad_line(path, header_line=None):
+    """Raise the error of the first line that breaks the file format: the
+    error path of load_coefficient_file, which finds the line number only
+    once the whole-body parse has failed.  Without ``header_line`` (the
+    header could not be decoded) the header is found and checked here."""
     expected = 1
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.split("#", 1)[0].split() if lineno > header_line else ()
+            try:
+                line.encode("utf-8")  # undecodable bytes became lone surrogates
+            except UnicodeEncodeError:
+                raise ParseError("not UTF-8 text", lineno) from None
+            content = line.split("#", 1)[0]
+            if header_line is None and content.strip():
+                header_line = lineno
+                _parse_header(content.strip(), lineno)
+            fields = content.split() if header_line is not None and lineno > header_line else ()
             if fields:
                 if len(fields) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
                     raise ParseError(f"expected '<n> <A(n)>', got {line.strip()!r}", lineno)

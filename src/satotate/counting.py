@@ -76,6 +76,46 @@ def sieve(bound):
     return PrimeSieve(bound, np.flatnonzero(mask).astype(np.int64))
 
 
+#: largest x that prime_count accepts; its cost grows like x^(3/4)
+PRIME_COUNT_MAX = 10**11
+
+
+def prime_count(x):
+    """pi(x), exact, for integers 0 <= x <= 10^11, without listing the primes.
+
+    Lucy's form of Legendre's recursion (Lagarias, Miller & Odlyzko, 1985):
+    S(v) counts the integers in [2, v] with no prime factor below p, for
+    every v among the values floor(x/k).  Sieving by each prime p <= sqrt(x)
+    updates S(v) -= S(v//p) - S(p-1) for all v >= p^2 at once.  The values
+    floor(x/k) for k <= sqrt(x) live in ``large[k]``, the rest in
+    ``small[v]``; every update reads only values from before the current p,
+    so one vectorised step per prime is exact.  O(x^(3/4)) time and
+    O(sqrt(x)) memory.
+    """
+    x = int(x)
+    if x > PRIME_COUNT_MAX:
+        raise BudgetError(f"prime_count bound {x} exceeds the 10^11 budget")
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] = S(v) = v - 1
+    ks = np.arange(1, r + 1, dtype=np.int64)
+    large = np.empty(r + 1, dtype=np.int64)  # large[k] = S(x // k)
+    large[1:] = x // ks - 1
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        below = small[p - 1]
+        p2 = p * p
+        k_max = min(r, x // p2)  # large[k] changes while x // k >= p^2
+        k_in = min(k_max, r // p)  # x // (k p) is in large[] while k p <= r
+        large[1 : k_in + 1] -= large[p : p * k_in + 1 : p] - below
+        large[k_in + 1 : k_max + 1] -= small[x // (ks[k_in:k_max] * p)] - below
+        if p2 <= r:
+            small[p2:] -= small[np.arange(p2, r + 1) // p] - below
+    return int(large[1])
+
+
 def default_checkpoints(x_max, count=20, x_min=1000):
     """Geometric checkpoint grid, deduplicated, ending exactly at x_max."""
     if x_max < 2:

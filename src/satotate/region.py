@@ -766,12 +766,11 @@ def m_of_x(x, conductor_product):
 
 @functools.cache
 def _pi_x(x):
-    # memoised per x, not the sieve: envelope modes share pi(x) without
-    # keeping a 10^8 sieve alive
-    if x <= 1e8:
-        from . import counting
+    # memoised per x, so the envelope modes share one prime count
+    from . import counting
 
-        return counting.sieve(int(x)).count()
+    if x <= counting.PRIME_COUNT_MAX:
+        return counting.prime_count(int(x))
     from scipy.special import expi
 
     return float(expi(math.log(x)))  # logarithmic-integral approximation
@@ -820,8 +819,9 @@ def error_envelope(mode, x, k, k_prime, level, level_prime, length, alpha, beta,
     GRH13:  L a x^(17/18) log(K x)^(1/9) / (log x)^(2/3)
     GRH12:  L a b x^(11/12) log(K x)^(1/6) / (log x)^(1/2)
 
-    pi(x) may be supplied by the caller; otherwise it is the exact sieve
-    count up to 10^8 and the logarithmic-integral approximation beyond.
+    pi(x) may be supplied by the caller; otherwise it is exact up to 10^11
+    (``counting.prime_count``, which lists no primes) and the
+    logarithmic-integral approximation beyond.
     """
     if mode not in ENVELOPE_MODES:
         raise DomainError(f"unknown envelope mode {mode!r}")

@@ -200,6 +200,17 @@ def test_truncated_cache_file_exit_code(tmp_path, capsys):
     assert "line 31" in err and "truncated" in err
 
 
+def test_non_utf8_cache_file_exit_code(tmp_path, capsys):
+    bundled.seed_cache(tmp_path, 30)
+    path = tmp_path / "6.6.a.a.txt"
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = lines[3] + b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", "2"], capsys)
+    assert code == 3
+    assert "line 4" in err and "UTF-8" in err
+
+
 def test_config_file_parsing(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(

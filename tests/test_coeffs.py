@@ -353,6 +353,7 @@ def test_file_format_accepted(tmp_path, text):
         pytest.param(_HEAD + "1 1\n2 -4\n# c", ParseError, 4, id="unterminated-comment"),
         pytest.param(_HEAD + "1 1\n2 -4\n3", ParseError, 4, id="cut-after-index"),
         pytest.param(_HEAD.rstrip("\n"), ParseError, 1, id="unterminated-header"),
+        pytest.param("label=5.4.a.a k=\u0664 N=5\n1 1\n", ParseError, 1, id="non-ascii-header-digit"),
     ],
 )
 def test_file_format_rejected(tmp_path, text, error, line):
@@ -361,6 +362,28 @@ def test_file_format_rejected(tmp_path, text, error, line):
     with pytest.raises(ParseError) as excinfo:
         load_coefficient_file(path)
     assert excinfo.type is error
+    assert excinfo.value.line_number == line
+
+
+_LONG_BODY = "".join(f"{n} 0\n" for n in range(1, 2001))  # past the first 8 KiB read
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        pytest.param(_HEAD.encode() + b"1 1\n2 -\xff4\n", 3, id="value"),
+        pytest.param(_HEAD.encode() + b"1 1\n# \xff\n2 -4\n", 3, id="comment"),
+        pytest.param(b"label=5.4.a.\xff k=4 N=5\n1 1\n", 1, id="header"),
+        pytest.param(b"# \xc3\n" + _HEAD.encode() + b"1 1\n", 1, id="comment-before-header"),
+        pytest.param(_HEAD.encode() + _LONG_BODY.encode() + b"2001 \xff\n", 2002, id="late-line"),
+    ],
+)
+def test_file_not_utf8_rejected(tmp_path, data, line):
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as excinfo:
+        load_coefficient_file(path)
+    assert excinfo.type is ParseError
     assert excinfo.value.line_number == line
 
 

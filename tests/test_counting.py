@@ -15,6 +15,7 @@ from satotate.counting import (
     dominance_density_series,
     dominance_prediction,
     first_sign_change,
+    prime_count,
     sieve,
     sign_density_series,
     symmetry_class,
@@ -44,6 +45,50 @@ def test_sieve_against_segmented_oracle():
 def test_sieve_budget():
     with pytest.raises(BudgetError):
         sieve(10**8 + 1)
+
+
+# -- prime counting ------------------------------------------------------------------
+
+#: pi(10^k), the published prime counts
+PUBLISHED_PI = {
+    1: 4, 2: 25, 3: 168, 4: 1229, 5: 9592, 6: 78498, 7: 664579,
+    8: 5761455, 9: 50847534, 10: 455052511,
+}
+
+
+def test_prime_count_matches_sieve_below_3000():
+    assert [prime_count(x) for x in range(3001)] == [sieve(x).count() for x in range(3001)]
+
+
+@pytest.fixture(scope="module")
+def primes_to_1e7():
+    return sieve(10**7)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=st.integers(min_value=0, max_value=10**7))
+@example(x=10**7)
+@example(x=9_999_991)  # the largest prime below 10^7
+@example(x=3137**2)  # the square of the largest prime below sqrt(10^7)
+def test_prime_count_matches_sieve_up_to_1e7(primes_to_1e7, x):
+    assert prime_count(x) == primes_to_1e7.pi(x)
+
+
+@pytest.mark.parametrize("k", sorted(PUBLISHED_PI))
+def test_prime_count_published_powers_of_ten(k):
+    assert prime_count(10**k) == PUBLISHED_PI[k]
+
+
+def test_prime_count_budget():
+    with pytest.raises(BudgetError):
+        prime_count(10**11 + 1)
+
+
+def test_envelope_pi_is_exact_through_1e11():
+    region._pi_x.cache_clear()
+    assert region._pi_x(1e11) == 4_118_054_813
+    # beyond 10^11 the logarithmic integral, a float within 1e-5 of pi(10^12)
+    assert region._pi_x(1e12) == pytest.approx(37_607_912_018, rel=1e-5)
 
 
 def test_checkpoints():

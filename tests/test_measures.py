@@ -184,3 +184,17 @@ def test_poly_positive_symmetric_is_half():
     P = Poly2({(3, 0): 1, (0, 3): -1})
     mv = mu_jst_region(region.poly_positive(P, 2, 2), 1e-3)
     assert mv.value == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: region.disk(1), lambda: region.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), 2, 3)],
+    ids=["disk", "poly(2,3)"],
+)
+def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build):
+    from satotate import measures
+
+    reg = build()
+    reference = mu_jst_region(reg, 1e-3)
+    monkeypatch.setattr(measures, "_CELL_BLOCK", 1000)
+    assert mu_jst_region(reg, 1e-3) == reference

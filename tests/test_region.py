@@ -308,20 +308,20 @@ def test_envelope_ratio_decreasing():
         assert r[-1] < r[0], mode
 
 
-def test_envelope_ratio_sieves_once_per_x(monkeypatch):
+def test_envelope_ratio_counts_primes_once_per_x(monkeypatch):
     from satotate import counting, region
     from satotate.region import ENVELOPE_MODES, ErrorEnvelope
 
-    x = 10**4
-    pi_x = counting.sieve(x).count()
+    xs = [10**4, 10**5]
     envs = [ErrorEnvelope(mode, 4, 6, 5, 6, 10.0, 5, 4) for mode in ENVELOPE_MODES]
-    expected = [env.value(x) / pi_x for env in envs]
+    expected = [env.value(x) / counting.sieve(x).count() for x in xs for env in envs]
     region._pi_x.cache_clear()
-    bounds = []
-    real = counting.sieve
-    monkeypatch.setattr(counting, "sieve", lambda bound: bounds.append(bound) or real(bound))
-    assert [env.ratio(x) for env in envs] == expected
-    assert bounds == [x]
+    counted = []
+    real = counting.prime_count
+    monkeypatch.setattr(counting, "prime_count", lambda x: counted.append(x) or real(x))
+    monkeypatch.setattr(counting, "sieve", lambda bound: pytest.fail("pi(x) must not sieve"))
+    assert [env.ratio(x) for x in xs for env in envs] == expected
+    assert counted == xs
 
 
 def test_envelope_validation():
