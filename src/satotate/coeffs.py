@@ -387,22 +387,20 @@ def load_coefficient_file(path):
     line ends in a newline, so a file cut short is refused.  All table
     invariants are checked.
     """
-    try:
-        with open(path, "rb") as binary, io.TextIOWrapper(binary, encoding="utf-8") as fh:
-            binary.seek(max(binary.seek(0, os.SEEK_END) - 1, 0))
-            terminated = binary.read(1) in (b"\n", b"\r")
-            binary.seek(0)
-            header_line, header = _read_header(fh)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body; refused below
-                try:
-                    rows = np.loadtxt(fh, dtype=[("n", np.int64), ("a", object)], comments="#", ndmin=1)
-                    values = rows["a"].tolist()
-                    raw = tuple(map(int, values))
-                except ValueError:  # UnicodeDecodeError included
-                    _raise_at_first_bad_line(path, header_line)
-    except UnicodeDecodeError:  # while reading the header
-        _raise_at_first_bad_line(path)
+    with open(path, "rb") as binary, io.TextIOWrapper(binary, encoding="utf-8") as fh:
+        binary.seek(max(binary.seek(0, os.SEEK_END) - 1, 0))
+        terminated = binary.read(1) in (b"\n", b"\r")
+        binary.seek(0)
+        header_line = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body; refused below
+            try:
+                header_line, header = _read_header(fh)
+                rows = np.loadtxt(fh, dtype=[("n", np.int64), ("a", object)], comments="#", ndmin=1)
+                values = rows["a"].tolist()
+                raw = tuple(map(int, values))
+            except ValueError:  # UnicodeDecodeError included
+                _raise_at_first_bad_line(path, header_line)
     digits = "".join(values)  # int() also takes '_' and non-ASCII digits
     contiguous = np.array_equal(rows["n"], np.arange(1, len(raw) + 1))
     if not (terminated and contiguous and digits.isascii() and "_" not in digits):
@@ -430,10 +428,10 @@ def _parse_header(line, lineno):
     return m.group("label"), int(m.group("k")), int(m.group("N"))
 
 
-def _raise_at_first_bad_line(path, header_line=None):
+def _raise_at_first_bad_line(path, header_line):
     """Raise the error of the first line that breaks the file format: the
     error path of load_coefficient_file, which finds the line number only
-    once the whole-body parse has failed.  Without ``header_line`` (the
+    once the whole-body parse has failed.  With ``header_line`` None (the
     header could not be decoded) the header is found and checked here."""
     expected = 1
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
