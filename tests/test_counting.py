@@ -65,7 +65,7 @@ def primes_to_1e7():
     return sieve(10**7)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(x=st.integers(min_value=0, max_value=10**7))
 @example(x=10**7)
 @example(x=9_999_991)  # the largest prime below 10^7

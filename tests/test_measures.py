@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from satotate import region
+from satotate import measures, region
 from satotate.bipoly import Poly2
 from satotate.chebyshev import eval_u
 from satotate.errors import BudgetError, DomainError, InvariantError
@@ -192,8 +192,6 @@ def test_poly_positive_symmetric_is_half():
     ids=["disk", "poly(2,3)"],
 )
 def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build):
-    from satotate import measures
-
     reg = build()
     reference = mu_jst_region(reg, 1e-3)
     monkeypatch.setattr(measures, "_CELL_BLOCK", 1000)
