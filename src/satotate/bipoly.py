@@ -213,14 +213,6 @@ class Poly2:
 
     # -- interval arithmetic ---------------------------------------------------
 
-    def interval_eval_cells(self, u_lo, u_hi, v_lo, v_hi):
-        """Enclosure of P over axis-aligned boxes, vectorised over cells.
-
-        All four bounds are broadcastable arrays; returns (lo, hi) padded by a
-        rounding margin so definite-sign conclusions are conservative.
-        """
-        return self._interval_eval(_Powers(u_lo, u_hi), _Powers(v_lo, v_hi))
-
     def _interval_eval(self, u_pows, v_pows):
         shape = np.broadcast(u_pows.lo, u_pows.hi, v_pows.lo, v_pows.hi).shape
         lo = np.zeros(shape)

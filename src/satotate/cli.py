@@ -68,6 +68,8 @@ class RunConfig:
     def validate(self):
         if not 2 <= self.x_max <= 10**8:
             raise ConfigError(f"x_max must be in [2, 1e8], got {self.x_max}")
+        if self.checkpoints < 1:
+            raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
         if not self.mn:
             raise ConfigError("at least one (m, n) pair is required")
         out = Path(self.out)
@@ -283,10 +285,9 @@ def cmd_measure(cfg, args):
 def _pair_frame(cfg, args):
     """Resolve the command's two tables and checkpoint grid, and build its one
     pair frame; every series of the command reduces this frame."""
-    x_max = args.x_max or cfg.x_max
-    table_f = resolve_table(args.f or cfg.f, x_max, cfg.cache_dir, cfg.base_url)
-    table_fp = resolve_table(args.fp or cfg.fp, x_max, cfg.cache_dir, cfg.base_url)
-    checkpoints = counting.default_checkpoints(x_max, cfg.checkpoints)
+    table_f = resolve_table(args.f or cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    table_fp = resolve_table(args.fp or cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    checkpoints = counting.default_checkpoints(cfg.x_max, cfg.checkpoints)
     return counting.pair_frame(table_f, table_fp, max(checkpoints)), checkpoints
 
 
@@ -356,9 +357,8 @@ def cmd_figures(cfg, args):
 
 
 def cmd_first_sign(cfg, args):
-    x_max = args.x_max or cfg.x_max
-    table_f = resolve_table(args.f or cfg.f, x_max, cfg.cache_dir, cfg.base_url)
-    table_fp = resolve_table(args.fp or cfg.fp, x_max, cfg.cache_dir, cfg.base_url)
+    table_f = resolve_table(args.f or cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    table_fp = resolve_table(args.fp or cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
     pairs = _parse_mn(args.mn) if args.mn else cfg.mn
     for m, n in pairs:
         for rule in counting.EXCLUSION_RULES:
@@ -483,6 +483,8 @@ def main(argv=None):
             cfg.out = args.out
         if args.seedless:
             cfg.budget = None
+        if getattr(args, "x_max", None) is not None:
+            cfg.x_max = args.x_max
         cfg.validate()
         return args.func(cfg, args)
     except _USAGE_ERRORS as exc:

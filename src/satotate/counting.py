@@ -395,15 +395,12 @@ def count_in_region(table_f, table_fp, stat_region, x):
     statuses = []
     for leaf in stat_region.leaves:
         vals = np.asarray(leaf.poly.eval_float(*frame.values))
-        st = np.where(leaf.holds(vals), 1, -1).astype(np.int8)
+        st = leaf.status(vals)
         st[np.abs(vals) <= _GUARD] = 0
         statuses.append(st)
     tree = stat_region.tree_status(statuses, shape=frame.primes.shape)
     undecided = np.flatnonzero(tree == 0)
-    exact = [
-        np.where(leaf.holds(frame.exact_signs(leaf.poly, undecided)), 1, -1).astype(np.int8)
-        for leaf in stat_region.leaves
-    ]
+    exact = [leaf.status(frame.exact_signs(leaf.poly, undecided)) for leaf in stat_region.leaves]
     settled = stat_region.tree_status(exact, shape=undecided.shape)
     return int((tree == 1).sum()) + int((settled == 1).sum())
 

@@ -143,7 +143,7 @@ _MIN_WIDTH = 1e-13
 _GL2_NODES = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
 
 
-def mu_jst_region(region, target_abs_error, budget=10_000_000, polish=True):
+def mu_jst_region(region, target_abs_error, budget=10_000_000):
     """Joint Sato-Tate measure of a polynomial region with a certified bracket.
 
     The region is partitioned into cells in the angle coordinates; every cell
@@ -163,7 +163,7 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000, polish=True):
         raise DomainError(f"target_abs_error must be >= {_MIN_TARGET}")
     if region.is_separable:
         return _tensor_bracket(region, target_abs_error)
-    return _quadtree_bracket(region, target_abs_error, budget, polish)
+    return _quadtree_bracket(region, target_abs_error, budget)
 
 
 #: cells per block in leaf_statuses and _polish_cells; bounds their working
@@ -253,7 +253,7 @@ def _angle_ends(t):
     return np.stack([t, 2.0 * np.cos(t), _angle_mass(t)])
 
 
-def _quadtree_bracket(region, target, budget, polish):
+def _quadtree_bracket(region, target, budget):
     # a cell is [t_lo, t_hi] x [s_lo, s_hi] in the angles; each bound is an
     # _angle_ends record, computed once where the bound first appears and
     # carried to the children.  The cell maps to the (u, v) box
@@ -264,7 +264,7 @@ def _quadtree_bracket(region, target, budget, polish):
     processed = 0
     for _ in range(_MAX_DEPTH):
         statuses = leaf_statuses(region.leaves, t_hi[1], t_lo[1], s_hi[1], s_lo[1])
-        tree = region.tree_status(statuses)
+        tree = region.tree_status(statuses, t_lo.shape[1:])
         mass = (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
         processed += tree.size
         # index arrays: take() gathers far faster than boolean masks
@@ -284,7 +284,7 @@ def _quadtree_bracket(region, target, budget, polish):
         s_mid = _angle_ends(0.5 * (s_lo[0] + s_hi[0]))
         t_lo, t_hi = np.hstack((t_lo, t_mid, t_lo, t_mid)), np.hstack((t_mid, t_hi, t_mid, t_hi))
         s_lo, s_hi = np.hstack((s_lo, s_lo, s_mid, s_mid)), np.hstack((s_mid, s_mid, s_hi, s_hi))
-    estimate = _polish_cells(region, t_lo, t_hi, s_lo, s_hi) if (polish and t_lo.shape[1]) else 0.5 * und
+    estimate = _polish_cells(region, t_lo, t_hi, s_lo, s_hi) if t_lo.shape[1] else 0.5 * und
     value = min(1.0, inside + min(estimate, und))
     abs_error = max(value - inside, inside + und - value) + 1e-15
     return MeasureValue(value, min(abs_error, 1.0))

@@ -1,6 +1,8 @@
 """Polynomial regions of [-2,2]^2 and the certified grid approximation.
 
-A region is a conjunction/disjunction tree of polynomial sign constraints.
+A region is a tree of polynomial sign constraints, evaluated in three-valued
+logic: "and" is the minimum, "or" the maximum, and a sign pattern the product
+of its factors' signs.
 The grid engine partitions the square into m^2 boxes along lines at
 -2 + 4*tau*i/m (tau slightly above 1 so that the boxes are marginally wider
 than 4/m), classifies every box by interval arithmetic as interior/exterior/
@@ -39,7 +41,7 @@ from .errors import (
     TraceError,
 )
 
-_OPS = (">", ">=", "<", "<=")
+_HOLDS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
 _OP_COMPLEMENT = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
 
 
@@ -51,25 +53,27 @@ class Constraint:
     op: str
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if self.op not in _HOLDS:
             raise DomainError(f"unknown comparison {self.op!r}")
         if self.poly.is_zero:
             raise DegenerateError("constraint polynomial is identically zero")
 
-    def holds(self, value):
-        if self.op == ">":
-            return value > 0
-        if self.op == ">=":
-            return value >= 0
-        if self.op == "<":
-            return value < 0
-        return value <= 0
+    def status(self, value):
+        """int8 status of the polynomial's point values: +1 where the
+        constraint holds, 0 where it fails at an exact zero, -1 elsewhere.
+
+        A sign node needs the 0.  Under "and" and "or" it changes no
+        membership: whether a node is +1 depends only on which leaves are +1.
+        """
+        value = np.asarray(value)
+        return np.where(_HOLDS[self.op](value, 0), 1, np.where(value == 0, 0, -1)).astype(np.int8)
 
 
 class PolynomialRegion:
     """A subset of [-2,2]^2 cut out by polynomial constraints.
 
-    ``tree`` nodes are ("leaf", index), ("and", children) or ("or", children).
+    ``tree`` nodes are ("leaf", index), ("and", children), ("or", children)
+    or ("sign", target, children) with target +1 or -1.
     """
 
     def __init__(self, constraints, tree=None, label="region"):
@@ -107,35 +111,25 @@ class PolynomialRegion:
 
     # -- membership -------------------------------------------------------------
 
-    def tree_status(self, statuses, shape=None):
-        """Three-valued tree evaluation over broadcastable int8 status arrays."""
-        if shape is None:
-            if statuses:
-                shape = np.broadcast(*statuses).shape if len(statuses) > 1 else statuses[0].shape
-            else:
-                shape = ()
+    def tree_status(self, statuses, shape):
+        """Three-valued tree evaluation over int8 status arrays that
+        broadcast to ``shape``.
+
+        Statuses are +1 (true), -1 (false) and 0 (undecided).  In Kleene's
+        strong logic "and" is the minimum and "or" the maximum; a sign node
+        is its target times the product of its children's statuses.
+        """
 
         def rec(node):
             kind = node[0]
             if kind == "leaf":
                 return np.broadcast_to(statuses[node[1]], shape)
+            if kind == "sign":
+                return node[1] * functools.reduce(np.multiply, map(rec, node[2]))
             parts = [rec(child) for child in node[1]]
             if not parts:
-                fill = 1 if kind == "and" else -1
-                return np.full(shape, fill, dtype=np.int8)
-            if kind == "and":
-                neg = np.zeros(shape, dtype=bool)
-                pos = np.ones(shape, dtype=bool)
-                for p in parts:
-                    neg |= p == -1
-                    pos &= p == 1
-                return np.where(neg, -1, np.where(pos, 1, 0)).astype(np.int8)
-            pos = np.zeros(shape, dtype=bool)
-            neg = np.ones(shape, dtype=bool)
-            for p in parts:
-                pos |= p == 1
-                neg &= p == -1
-            return np.where(pos, 1, np.where(neg, -1, 0)).astype(np.int8)
+                return np.full(shape, 1 if kind == "and" else -1, dtype=np.int8)
+            return functools.reduce(np.minimum if kind == "and" else np.maximum, parts)
 
         return rec(self.tree)
 
@@ -143,36 +137,31 @@ class PolynomialRegion:
         """Vectorized float membership (no guard band)."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        statuses = []
-        for leaf in self.leaves:
-            val = leaf.poly.eval_float(u, v)
-            statuses.append(np.where(leaf.holds(val), 1, -1).astype(np.int8))
+        statuses = [leaf.status(leaf.poly.eval_float(u, v)) for leaf in self.leaves]
         return self.tree_status(statuses, shape=np.broadcast(u, v).shape) == 1
 
-    def contains(self, u, v, guard=0.0):
-        """Membership of a single point; returns True/False, or None when a
-        constraint value falls inside the guard band."""
-        statuses = []
-        for leaf in self.leaves:
-            val = leaf.poly.eval_float(u, v)
-            if abs(val) <= guard:
-                statuses.append(np.int8(0))
-            else:
-                statuses.append(np.int8(1 if leaf.holds(val) else -1))
-        out = int(self.tree_status([np.asarray(s) for s in statuses], shape=()))
-        return None if out == 0 else out == 1
-
     def complement(self):
-        """Region with the complementary membership (boundary excluded)."""
+        """Region with the complementary membership (boundary excluded).
+
+        "and" and "or" swap and their leaves flip; a sign node keeps its
+        factors and negates its target.
+        """
+        flipped = set()
 
         def flip(node):
             if node[0] == "leaf":
+                flipped.add(node[1])
                 return node
+            if node[0] == "sign":
+                return ("sign", -node[1], node[2])
             return ("or" if node[0] == "and" else "and", tuple(flip(c) for c in node[1]))
 
-        flipped_leaves = tuple(Constraint(c.poly, _OP_COMPLEMENT[c.op]) for c in self.leaves)
-        region = PolynomialRegion(flipped_leaves, flip(self.tree), label=f"not({self.label})")
-        return region
+        tree = flip(self.tree)
+        leaves = tuple(
+            Constraint(c.poly, _OP_COMPLEMENT[c.op]) if i in flipped else c
+            for i, c in enumerate(self.leaves)
+        )
+        return PolynomialRegion(leaves, tree, label=f"not({self.label})")
 
     # -- boundary bookkeeping -----------------------------------------------------
 
@@ -248,17 +237,8 @@ def sign_product(m, n, sign=1):
     """
     if m == 0 and n == 0:
         raise DomainError("(m, n) = (0, 0) has constant sign")
-    su = Poly2.from_univariate(s_poly(m), "u") if m > 0 else None
-    sv = Poly2.from_univariate(s_poly(n), "v") if n > 0 else None
-    tag = "+" if sign > 0 else "-"
-    label = f"sign[{m},{n}]{tag}"
-    if su is None or sv is None:
-        poly = sv if su is None else su
-        return PolynomialRegion(
-            (Constraint(poly, ">" if sign > 0 else "<"),), label=label
-        )
-    cons, tree = _sign_pattern_tree((su, sv), 1 if sign > 0 else -1, strict=True)
-    return PolynomialRegion(cons, tree, label=label)
+    factors = [Poly2.from_univariate(s_poly(ell), axis) for ell, axis in ((m, "u"), (n, "v")) if ell > 0]
+    return _sign_pattern(factors, sign, f"sign[{m},{n}]{'+' if sign > 0 else '-'}")
 
 
 def region_from_poly_interval(P, interval, m, n):
@@ -320,26 +300,13 @@ def _sympy_factors(poly):
     return csign, out
 
 
-def _sign_pattern_tree(factor_polys, target_sign, strict):
-    """Or/And tree selecting sign vectors whose product matches target_sign."""
-    k = len(factor_polys)
-    pos_op = ">" if strict else ">="
-    neg_op = "<" if strict else "<="
-    constraints = []
-    branches = []
-    for bits in range(1 << k):
-        signs = [1 if (bits >> t) & 1 == 0 else -1 for t in range(k)]
-        prod = 1
-        for s in signs:
-            prod *= s
-        if prod != target_sign:
-            continue
-        leaf_ids = []
-        for poly, s in zip(factor_polys, signs):
-            constraints.append(Constraint(poly, pos_op if s > 0 else neg_op))
-            leaf_ids.append(len(constraints) - 1)
-        branches.append(("and", tuple(("leaf", i) for i in leaf_ids)))
-    return tuple(constraints), ("or", tuple(branches))
+def _sign_pattern(factors, sign, label):
+    """Region where the product of the factor polynomials has the sign of
+    ``sign``: one ">" leaf per factor under a single sign node, so the
+    product is never expanded.  Zeros of a factor belong to neither sign."""
+    leaves = tuple(Constraint(poly, ">") for poly in factors)
+    tree = ("sign", 1 if sign > 0 else -1, tuple(("leaf", i) for i in range(len(leaves))))
+    return PolynomialRegion(leaves, tree, label=label)
 
 
 def poly_positive(P, m, n, sign=1):
@@ -347,12 +314,12 @@ def poly_positive(P, m, n, sign=1):
 
     When the composed polynomial factors as A(u)*B(v) the region is built
     from the univariate factors (exact tensor brackets).  Otherwise it is
-    split into irreducible factors and the sign condition becomes an Or over
-    admissible factor-sign patterns: interval arithmetic certifies each
-    factor near its own zero set far faster than the expanded product, whose
-    enclosures degenerate wherever several factors vanish together.  Factors
-    of even multiplicity cannot change the sign off a measure-zero set and
-    are dropped from the tree.
+    split into irreducible factors and the sign condition becomes one sign
+    node over them: interval arithmetic certifies each factor near its own
+    zero set far faster than the expanded product, whose enclosures
+    degenerate wherever several factors vanish together.  Factors of even
+    multiplicity cannot change the sign off a measure-zero set and are
+    dropped.
     """
     if P.is_constant():
         raise DomainError("P must be non-constant")
@@ -367,8 +334,7 @@ def poly_positive(P, m, n, sign=1):
         pa = Poly2.from_univariate(a_coeffs, "u")
         pb = Poly2.from_univariate(b_coeffs, "v")
         if not (pa.is_constant() or pb.is_constant()):
-            cons, tree = _sign_pattern_tree((pa, pb), 1 if sign > 0 else -1, strict=True)
-            return PolynomialRegion(cons, tree, label=label)
+            return _sign_pattern((pa, pb), sign, label)
     csign, parts = _sympy_factors(composed)
     odd = [poly for poly, mult in parts if mult % 2 == 1]
     target = (1 if sign > 0 else -1) * csign
@@ -379,8 +345,7 @@ def poly_positive(P, m, n, sign=1):
         return PolynomialRegion(
             (Constraint(composed, op),), ("or", ()), label=label
         )
-    cons, tree = _sign_pattern_tree(odd, target, strict=True)
-    return PolynomialRegion(cons, tree, label=label)
+    return _sign_pattern(odd, target, label)
 
 
 # -- grid ------------------------------------------------------------------------
@@ -447,10 +412,6 @@ class GridApproximation:
     @property
     def interior_boxes(self):
         return {tuple(ij) for ij in np.argwhere(self.status == 1)}
-
-    @property
-    def boundary_boxes(self):
-        return {tuple(ij) for ij in np.argwhere(self.status == 0)}
 
     def exterior_mass(self):
         grid_mu = _box_mass(self.grid)
@@ -890,7 +851,7 @@ def parse_region_file(path):
                 bound = Fraction(tokens[bound_at + 1])
             except (ValueError, IndexError, ZeroDivisionError) as exc:
                 raise ParseError(str(exc), lineno) from None
-            if op not in _OPS:
+            if op not in _HOLDS:
                 raise ParseError(f"unknown comparison {op!r}", lineno)
             try:
                 poly = graded_lex_poly(coeff_tokens) - Poly2.constant(bound)

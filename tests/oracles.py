@@ -199,3 +199,38 @@ def exact_pair_values(table_f, table_fp, P, m, n, x):
             sum(sympy.Rational(c.numerator, c.denominator) * s**i * t**j for (i, j), c in P.coeffs.items())
         )
     return values
+
+
+def sign_pattern_or_of_and(k, target):
+    """The Or-of-And expansion of "the product of k factors has sign target":
+    one And per sign vector whose product is target, each of its leaves a
+    strict sign condition on one factor, k * 2^(k-1) leaves in all.
+
+    Returns (leaves, tree): each leaf is (factor index, +1 for "> 0" or -1
+    for "< 0"), and tree is built from ("leaf", i), ("and", children) and
+    ("or", children).
+    """
+    leaves, branches = [], []
+    for bits in range(1 << k):
+        signs = [1 if (bits >> t) & 1 == 0 else -1 for t in range(k)]
+        if math.prod(signs) != target:
+            continue
+        ids = []
+        for factor, s in enumerate(signs):
+            leaves.append((factor, s))
+            ids.append(len(leaves) - 1)
+        branches.append(("and", tuple(("leaf", i) for i in ids)))
+    return leaves, ("or", tuple(branches))
+
+
+def kleene(tree, leaf_status):
+    """Scalar three-valued evaluation of an and/or tree: "and" is -1 when a
+    child is -1, else 1 when every child is 1, else 0; "or" is the dual.
+    ``leaf_status(i)`` gives leaf i's status in {-1, 0, 1}."""
+    kind = tree[0]
+    if kind == "leaf":
+        return leaf_status(tree[1])
+    vals = [kleene(child, leaf_status) for child in tree[1]]
+    if kind == "and":
+        return -1 if -1 in vals else (1 if all(v == 1 for v in vals) else 0)
+    return 1 if 1 in vals else (-1 if all(v == -1 for v in vals) else 0)

@@ -109,6 +109,42 @@ def test_figures_empty_checkpoints_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_figures_writes_png_when_matplotlib_imports(tmp_path, capsys):
+    pytest.importorskip("matplotlib")
+    args = ["--out", str(tmp_path), "figures", "--f", "1.12.a.a", "--fp", "5.4.a.a", "--x-max", "1500"]
+    assert run(args, capsys)[0] == 0
+    for name in ("figure1.png", "figure2.png"):
+        assert (tmp_path / name).read_bytes().startswith(b"\x89PNG"), name
+
+
+def _refuse_tables(monkeypatch):
+    # a valid run would resolve tables; an out-of-range one must stop before
+    def refuse(*args):
+        raise AssertionError("resolve_table ran on an invalid configuration")
+
+    monkeypatch.setattr(cli, "resolve_table", refuse)
+
+
+@pytest.mark.parametrize("command", ["density", "figures", "first-sign"])
+@pytest.mark.parametrize("x_max", ["0", str(10**8 + 1)])
+def test_x_max_flag_is_validated(tmp_path, capsys, monkeypatch, command, x_max):
+    _refuse_tables(monkeypatch)
+    code, _, err = run(["--out", str(tmp_path), command, "--x-max", x_max], capsys)
+    assert code == 2
+    assert "x_max" in err
+
+
+@pytest.mark.parametrize("count", [-1, 0])
+def test_config_checkpoints_must_be_positive(tmp_path, capsys, monkeypatch, count):
+    _refuse_tables(monkeypatch)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"checkpoints = {count}\n")
+    code, _, err = run(["--config", str(cfg_file), "--out", str(tmp_path), "density"], capsys)
+    assert code == 2
+    assert "checkpoints" in err
+    assert "Traceback" not in err
+
+
 def test_fetch_requires_label(tmp_path, capsys):
     code, _, err = run(["--cache-dir", str(tmp_path), "fetch", "--n", "10"], capsys)
     assert code == 2

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
+from satotate import region
 from satotate.bipoly import Poly2, compose_bivariate
+from satotate.counting import count_in_region
 from satotate.errors import (
     BudgetError,
     DegenerateError,
@@ -25,6 +29,7 @@ from satotate.region import (
     half_plane_u_positive,
     m_of_x,
     parse_region_file,
+    poly_positive,
     rect,
     region_from_poly_interval,
     sign_product,
@@ -226,14 +231,14 @@ def test_trace_components():
 def test_region_from_poly_interval_product():
     reg = region_from_poly_interval(Poly2({(1, 1): 1}), Interval(0, math.inf, False, True), 1, 1)
     assert reg.beta == 2
-    assert reg.contains(1.0, 1.0) is True
-    assert reg.contains(1.0, -1.0) is False
+    assert reg.contains_many(1.0, 1.0)
+    assert not reg.contains_many(1.0, -1.0)
 
 
 def test_region_from_poly_interval_linear():
     reg = region_from_poly_interval(Poly2({(1, 0): 1, (0, 1): -1}), Interval(0, math.inf, False, True), 1, 1)
     assert reg.beta == 1
-    assert reg.contains(1.5, 0.0) is True
+    assert reg.contains_many(1.5, 0.0)
 
 
 def test_region_from_poly_interval_degree_four():
@@ -259,12 +264,19 @@ def test_region_file_parsing(tmp_path):
     # u^2 + v^2 < 1 in graded-lex coefficients: 1; u, v; u^2, uv, v^2
     path.write_text("# unit disk\npoly 0 0 0 1 0 1 cmp < bound 1\n")
     reg = parse_region_file(path)
-    assert reg.contains(0.1, 0.1) is True
-    assert reg.contains(1.5, 0.0) is False
+    assert reg.contains_many(0.1, 0.1)
+    assert not reg.contains_many(1.5, 0.0)
     bad = tmp_path / "bad.txt"
     bad.write_text("poly 1 0 cmp ?? bound 0\n")
     with pytest.raises(ParseError):
         parse_region_file(bad)
+
+
+def test_region_with_many_leaves_is_measured():
+    # numpy broadcasts at most 32 (numpy 1.x) or 64 arrays in one call
+    disks = [Constraint(Poly2({(2, 0): 1, (0, 2): 1, (0, 0): -1 - i}), "<") for i in range(70)]
+    mv = mu_jst_region(region.PolynomialRegion(disks), 1e-2)
+    assert abs(mv.value - oracles.disk_measure(1.0)) <= mv.abs_error
 
 
 @pytest.mark.parametrize(
@@ -359,3 +371,122 @@ def test_grh_crossover_exists():
     for x in (x_star, 10 * x_star, 100 * x_star):
         gr, un = pair(x)
         assert gr < un
+
+
+# -- sign patterns against the Or-of-And expansion ---------------------------------------
+
+_U, _V = Poly2({(1, 0): 1}), Poly2({(0, 1): 1})
+_QUARTERS = st.integers(-8, 8).map(lambda q: Fraction(q, 4))
+
+
+def _pattern_pair(factors, target):
+    """The sign-pattern region and the Or-of-And reference for its factors."""
+    leaves, tree = oracles.sign_pattern_or_of_and(len(factors), target)
+    return region._sign_pattern(factors, target, "pattern"), leaves, tree
+
+
+def _reference_member(leaves, tree, values):
+    # the expansion's leaves are strict: a factor's zero fails either sign
+    def status(i):
+        factor, s = leaves[i]
+        return 1 if s * values[factor] > 0 else -1
+
+    return oracles.kleene(tree, status) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.sampled_from([1, -1]),
+    statuses=st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(st.integers(-1, 1), min_size=k, max_size=k), min_size=1, max_size=12)
+    ),
+)
+def test_sign_node_matches_or_of_and_on_interval_statuses(target, statuses):
+    # interval statuses are antisymmetric: "< 0" holds where "> 0" fails
+    k = len(statuses[0])
+    reg, leaves, tree = _pattern_pair([_U - Poly2.constant(i) for i in range(k)], target)
+    columns = [np.array([row[f] for row in statuses], dtype=np.int8) for f in range(k)]
+    expected = [oracles.kleene(tree, lambda i: leaves[i][1] * row[leaves[i][0]]) for row in statuses]
+    shape = (len(statuses),)
+    assert reg.tree_status(columns, shape).tolist() == expected
+    assert reg.complement().tree_status(columns, shape).tolist() == [-e for e in expected]
+    expansion = region.PolynomialRegion(
+        [Constraint(reg.leaves[f].poly, ">" if s > 0 else "<") for f, s in leaves], tree
+    )
+    leaf_columns = [s * columns[f] for f, s in leaves]
+    assert expansion.tree_status(leaf_columns, shape).tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from([1, -1]),
+    factors=st.lists(st.tuples(_QUARTERS, _QUARTERS, _QUARTERS), min_size=1, max_size=4),
+    points=st.lists(st.tuples(_QUARTERS, _QUARTERS), min_size=1, max_size=20),
+)
+# a point on the zero line of one factor
+@example(target=1, factors=[(1, 0, 0), (0, 1, 0)], points=[(0, 1), (1, 1), (-1, -1), (1, -1)])
+def test_sign_pattern_membership_matches_or_of_and(target, factors, points):
+    # linear factors with quarter-integer coefficients at quarter-integer
+    # points: float evaluation is exact and zeros of a factor are frequent
+    polys = [a * _U + b * _V + Poly2.constant(c) for a, b, c in factors]
+    assume(not any(p.is_zero for p in polys))
+    reg, leaves, tree = _pattern_pair(polys, target)
+    values = [[a * u + b * v + c for a, b, c in factors] for u, v in points]
+    us = np.array([float(u) for u, _ in points])
+    vs = np.array([float(v) for _, v in points])
+    assert reg.contains_many(us, vs).tolist() == [_reference_member(leaves, tree, x) for x in values]
+    # the complement is the opposite sign: zeros of a factor are in neither
+    leaves, tree = oracles.sign_pattern_or_of_and(len(factors), -target)
+    expected = [_reference_member(leaves, tree, x) for x in values]
+    assert reg.complement().contains_many(us, vs).tolist() == expected
+
+
+_SELF_TIE = _U - _V  # vanishes at every prime of a self pair
+_S3 = Poly2({(3, 0): 1, (1, 0): -2})  # 5.4.a.a has a(2) = -sqrt(2), a zero of S_3
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    target=st.sampled_from([1, -1]),
+    factors=st.lists(
+        st.one_of(
+            st.sampled_from([_SELF_TIE, _S3, _U + _V]),
+            st.tuples(*[st.integers(-2, 2)] * 6).map(
+                lambda c: Poly2(dict(zip(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), c)))
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    pair=st.sampled_from([(1, 1), (0, 1), (1, 2)]),
+    x=st.integers(2, 800),
+)
+@example(target=1, factors=[_SELF_TIE, _U], pair=(1, 1), x=300)
+@example(target=-1, factors=[_S3, _V], pair=(1, 2), x=50)
+def test_sign_pattern_counts_match_or_of_and(delta_table, f54_table, f66_table, target, factors, pair, x):
+    assume(not any(p.is_zero for p in factors))
+    tables = (delta_table, f54_table, f66_table)
+    tf, tfp = tables[pair[0]], tables[pair[1]]
+    reg, leaves, tree = _pattern_pair(factors, target)
+    values = [oracles.exact_pair_values(tf, tfp, poly, 1, 1, x) for poly in factors]
+    expected = sum(
+        _reference_member(leaves, tree, [vals[p] for vals in values]) for p in values[0]
+    )
+    assert count_in_region(tf, tfp, reg, x) == expected
+
+
+@pytest.mark.parametrize(
+    "P, k",
+    [
+        (_U * _V, 2),  # rank one: u and v
+        ((_U - _V) * (_U + _V), 2),
+        (_U * _V * (_U - _V), 3),
+        (_U * _V * (_U - _V) * (_U + _V), 4),
+        ((_U - _V) * (_U - _V) * (_U + _V), 1),  # the square drops out
+    ],
+)
+def test_poly_positive_has_one_leaf_per_odd_factor(P, k):
+    for sign in (1, -1):
+        reg = poly_positive(P, 1, 1, sign)
+        assert len(reg.leaves) == k
+        assert len(reg.curves) == k
