@@ -88,15 +88,15 @@ def build_6_6_a_a(n_max):
     The solved weights are cleared to integers over a common denominator,
     the integer combination is expanded exactly, then divided back."""
     length = max(n_max, 9)
-    prefixes = [eta_product_qexpansion(recipe, 3) for recipe in _LEVEL6_BASIS]
+    prefixes = [eta_product_qexpansion(recipe, 3).tolist() for recipe in _LEVEL6_BASIS]
     weights = _solve_level6_combination(prefixes, (0,) + SNAPSHOT_6_6_A_A)
     denominator = math.lcm(*(w.denominator for w in weights))
     ints = [int(w * denominator) for w in weights]
     lifted = eta_combination(list(zip(ints, _LEVEL6_BASIS)), length)
-    if any(value % denominator for value in lifted):
+    if (lifted % denominator).any():
         raise InvariantError("non-integral coefficient in the level-6 combination")
-    combo = [value // denominator for value in lifted[1:]]
-    if tuple(combo[:9]) != SNAPSHOT_6_6_A_A:
+    combo = lifted[1:] // denominator
+    if tuple(combo[:9].tolist()) != SNAPSHOT_6_6_A_A:
         raise InvariantError("level-6 combination does not match the snapshot expansion")
     return CoefficientTable(descriptor_for("6.6.a.a"), combo[:n_max])
 

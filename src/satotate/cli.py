@@ -66,6 +66,8 @@ class RunConfig:
     budget: int | None = 10_000_000
 
     def validate(self):
+        if not (self.f and self.fp):
+            raise ConfigError(f"table labels must not be empty, got f={self.f!r} fp={self.fp!r}")
         if not 2 <= self.x_max <= 10**8:
             raise ConfigError(f"x_max must be in [2, 1e8], got {self.x_max}")
         if self.checkpoints < 1:
@@ -285,8 +287,8 @@ def cmd_measure(cfg, args):
 def _pair_frame(cfg, args):
     """Resolve the command's two tables and checkpoint grid, and build its one
     pair frame; every series of the command reduces this frame."""
-    table_f = resolve_table(args.f or cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
-    table_fp = resolve_table(args.fp or cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    table_f = resolve_table(cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    table_fp = resolve_table(cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
     checkpoints = counting.default_checkpoints(cfg.x_max, cfg.checkpoints)
     return counting.pair_frame(table_f, table_fp, max(checkpoints)), checkpoints
 
@@ -357,8 +359,8 @@ def cmd_figures(cfg, args):
 
 
 def cmd_first_sign(cfg, args):
-    table_f = resolve_table(args.f or cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
-    table_fp = resolve_table(args.fp or cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    table_f = resolve_table(cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    table_fp = resolve_table(cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
     pairs = _parse_mn(args.mn) if args.mn else cfg.mn
     for m, n in pairs:
         for rule in counting.EXCLUSION_RULES:
@@ -483,8 +485,9 @@ def main(argv=None):
             cfg.out = args.out
         if args.seedless:
             cfg.budget = None
-        if getattr(args, "x_max", None) is not None:
-            cfg.x_max = args.x_max
+        for key in ("f", "fp", "x_max"):
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
         cfg.validate()
         return args.func(cfg, args)
     except _USAGE_ERRORS as exc:

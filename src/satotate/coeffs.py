@@ -102,24 +102,48 @@ def _validate_recipe(recipe, weight, level):
         )
 
 
+#: The int64 range; a table outside it is stored as exact Python ints.
+_INT64 = np.iinfo(np.int64)
+
+
+def _exact_array(values):
+    """Exact integers as one array: int64 when every value fits, else an
+    object array of Python ints.  An int64 array is returned as it is."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    values = np.asarray(values, dtype=object)
+    if not values.size or (_INT64.min <= values.min() and values.max() <= _INT64.max):
+        return values.astype(np.int64)
+    return values
+
+
 class CoefficientTable:
-    """Immutable table of exact integers A(1..bound) for one newform;
-    ``raw`` holds Python ints, A(1) first."""
+    """Immutable table of exact integers A(1..bound) for one newform, A(1)
+    first.  They are stored as one array (see ``_exact_array``); ``raw``
+    returns them as a tuple of Python ints."""
 
     def __init__(self, descriptor, raw, check=True):
         self.descriptor = descriptor
-        self._raw = tuple(raw)
-        self.bound = len(self._raw)
+        self._values = _exact_array(raw)
+        self._values.flags.writeable = False
+        self.bound = len(self._values)
         self._norm_cache = {}
         if check:
             self._validate()
 
     def _validate(self):
-        if self.bound < 1 or self._raw[0] != 1:
+        if self.bound < 1 or self._values[0] != 1:
             raise InvariantError("A(1) must equal 1")
         k, N = self.descriptor.weight, self.descriptor.level
-        for p in sieve(self.bound).primes.tolist():
-            A = self._raw[p - 1]
+        primes = sieve(self.bound).primes
+        # a float pre-screen of Deligne's bound |A(p)| <= 2 p^{(k-1)/2}; the
+        # suspects and the primes dividing N are decided exactly below
+        try:
+            suspect = np.abs(self._normalized(primes)) > 2 - 1e-6
+        except OverflowError:  # an exact value beyond the float range
+            suspect = np.ones(primes.size, dtype=bool)
+        for p in primes[suspect | (N % primes == 0)].tolist():
+            A = self.a_int(p)
             if N % p != 0:
                 # Deligne: |a(p)| <= 2, i.e. A(p)^2 <= 4 p^{k-1}, exactly
                 if A * A > 4 * p ** (k - 1):
@@ -137,14 +161,14 @@ class CoefficientTable:
                     )
 
     def a_int(self, n):
-        """Exact integer A(n) for 1 <= n <= bound."""
+        """Exact integer A(n) for 1 <= n <= bound, as a Python int."""
         if not 1 <= n <= self.bound:
             raise OutOfRangeError(f"n={n} outside table range 1..{self.bound}")
-        return self._raw[n - 1]
+        return int(self._values[n - 1])
 
     @property
     def raw(self):
-        return self._raw
+        return tuple(self._values.tolist())
 
     def normalized_prime_value(self, p):
         """Deligne-normalized a(p) = A(p) / p^{(k-1)/2} as a float; memoized."""
@@ -153,18 +177,22 @@ class CoefficientTable:
             return cached
         if p > self.bound:
             raise OutOfRangeError(f"p={p} exceeds table bound {self.bound}")
-        value = self._raw[p - 1] / p ** ((self.descriptor.weight - 1) / 2)
+        value = int(self._values[p - 1]) / p ** ((self.descriptor.weight - 1) / 2)
         self._norm_cache[p] = value
         return value
 
     def normalized_values(self, primes):
-        """Vectorized a(p) for an integer array of primes within the bound."""
+        """Vectorized a(p) for an integer array of primes within the bound;
+        each A(p) is rounded to a float once, as float(A(p)) would."""
         primes = np.asarray(primes, dtype=np.int64)
         if primes.size and int(primes.max()) > self.bound:
             raise OutOfRangeError(
                 f"prime {int(primes.max())} exceeds table bound {self.bound}"
             )
-        A = np.array([float(self._raw[p - 1]) for p in primes])
+        return self._normalized(primes)
+
+    def _normalized(self, primes):
+        A = self._values[primes - 1].astype(float)
         return A / np.power(primes.astype(float), (self.descriptor.weight - 1) / 2)
 
     def __repr__(self):
@@ -233,8 +261,8 @@ def _crt_moduli(bound):
 
 
 def _crt_lift(residues, moduli):
-    """Python ints of absolute value below prod(moduli) / 2 with the given
-    residues (one int64 array per modulus)."""
+    """The integers of absolute value below prod(moduli) / 2 with the given
+    residues (one int64 array per modulus), as an ``_exact_array``."""
     modulus = math.prod(moduli)
     # int64 while a sum of len(moduli) terms below modulus cannot overflow
     dtype = np.int64 if len(moduli) * modulus < 2**63 else object
@@ -244,7 +272,7 @@ def _crt_lift(residues, moduli):
         value += (row * pow(cofactor, -1, p) % p).astype(value.dtype) * cofactor
     value %= modulus
     value[value > modulus // 2] -= modulus
-    return value.tolist()
+    return _exact_array(value)
 
 
 def _eta_passes(recipe, n_max):
@@ -321,9 +349,10 @@ def _eta_residues(recipe, n_max, moduli):
 
 def eta_combination(terms, n_max):
     """Exact coefficients of q^0..q^n_max of sum_i c_i prod_d eta(d z)^{e_d}
-    over the (integer c_i, recipe) pairs in ``terms``; entries below every
-    vanishing order are zero.  The sum is formed on residues modulo primes
-    covering sum_i |c_i| eta_bound(recipe_i) and lifted once."""
+    over the (integer c_i, recipe) pairs in ``terms``, as an ``_exact_array``;
+    entries below every vanishing order are zero.  The sum is formed on
+    residues modulo primes covering sum_i |c_i| eta_bound(recipe_i) and
+    lifted once."""
     moduli = _crt_moduli(sum(abs(c) * eta_bound(recipe, n_max) for c, recipe in terms))
     total = [0] * len(moduli)
     for c, recipe in terms:
@@ -333,8 +362,8 @@ def eta_combination(terms, n_max):
 
 
 def eta_product_qexpansion(recipe, n_max):
-    """Exact coefficients of q^0..q^{n_max} of prod_d eta(d z)^{e_d}; entries
-    below the vanishing order are zero."""
+    """Exact coefficients of q^0..q^{n_max} of prod_d eta(d z)^{e_d}, as an
+    ``_exact_array``; entries below the vanishing order are zero."""
     return eta_combination([(1, recipe)], n_max)
 
 
@@ -345,13 +374,12 @@ def expand_eta_quotient(descriptor, n_max):
     if n_max < 1:
         raise RecipeError(f"n_max must be >= 1, got {n_max}")
     full = eta_product_qexpansion(descriptor.eta_recipe, n_max)
-    raw = full[1 : n_max + 1]
-    if not raw or raw[0] != 1:
+    if full[1] != 1:
         raise InvariantError(
             f"recipe for {descriptor.label!r} does not produce a normalized "
             f"expansion starting q + ..."
         )
-    return CoefficientTable(descriptor, raw)
+    return CoefficientTable(descriptor, full[1:])
 
 
 # -- file format ----------------------------------------------------------------
@@ -364,7 +392,7 @@ def write_coefficient_file(path, table):
     through a fsynced temp file renamed over ``path``: never a partial file."""
     path = Path(path)
     d = table.descriptor
-    rows = "".join(f"{n} {a}\n" for n, a in enumerate(table.raw, 1))
+    rows = "".join(f"{n} {a}\n" for n, a in enumerate(table._values.tolist(), 1))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
@@ -394,22 +422,37 @@ def load_coefficient_file(path):
         header_line = None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty body; refused below
+            # numpy 1.x parses a field that is not an int64 as a float and
+            # truncates it (so 5.0 and 1e3 load, and 2^63 wraps), warning
+            # once: make that warning fail the parse
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             try:
                 header_line, header = _read_header(fh)
-                rows = np.loadtxt(fh, dtype=[("n", np.int64), ("a", object)], comments="#", ndmin=1)
-                values = rows["a"].tolist()
-                raw = tuple(map(int, values))
-            except ValueError:  # UnicodeDecodeError included
+                try:
+                    rows = _load_body(fh, np.int64)
+                    values = rows["a"].copy()  # contiguous, without the n column
+                except (ValueError, DeprecationWarning):
+                    # a value beyond int64, or a malformed line: read A(n) as text
+                    fh.seek(0)
+                    _read_header(fh)
+                    rows = _load_body(fh, object)
+                    digits = "".join(rows["a"])  # int() also takes '_' and non-ASCII digits
+                    if not digits.isascii() or "_" in digits:
+                        raise ValueError("a field that is not an optional sign and ASCII digits")
+                    values = list(map(int, rows["a"]))
+            except (ValueError, DeprecationWarning):  # UnicodeDecodeError included
                 _raise_at_first_bad_line(path, header_line)
-    digits = "".join(values)  # int() also takes '_' and non-ASCII digits
-    contiguous = np.array_equal(rows["n"], np.arange(1, len(raw) + 1))
-    if not (terminated and contiguous and digits.isascii() and "_" not in digits):
+    if not (terminated and np.array_equal(rows["n"], np.arange(1, len(rows) + 1))):
         _raise_at_first_bad_line(path, header_line)
-    if not raw:
+    if not len(rows):
         raise GapError("no coefficient lines (A(1) missing)")
     label, k, N = header
     descriptor = NewformDescriptor(label=label, weight=k, level=N, source=Source.FILE)
-    return CoefficientTable(descriptor, raw)
+    return CoefficientTable(descriptor, values)
+
+
+def _load_body(fh, value_dtype):
+    return np.loadtxt(fh, dtype=[("n", np.int64), ("a", value_dtype)], comments="#", ndmin=1)
 
 
 def _read_header(fh):
@@ -480,7 +523,7 @@ def default_cache_dir():
 def _truncate_table(table, n_max):
     if table.bound == n_max:
         return table
-    return CoefficientTable(table.descriptor, table.raw[:n_max], check=False)
+    return CoefficientTable(table.descriptor, table._values[:n_max], check=False)
 
 
 def fetch_remote(label, n_max, base_url=DEFAULT_BASE_URL, cache_dir=None, timeout=30.0):
@@ -522,12 +565,18 @@ def fetch_remote(label, n_max, base_url=DEFAULT_BASE_URL, cache_dir=None, timeou
 
 
 def _parse_remote_body(body):
+    """The integers of a remote payload: a JSON array of integers, or text
+    fields of the file grammar (an optional sign and ASCII digits) separated
+    by whitespace or commas.  Anything else, bools and floats included, is
+    refused."""
     body = body.strip()
     try:
         data = json.loads(body)
     except json.JSONDecodeError:
         data = body.replace(",", " ").split()
-    try:
-        return [int(x) for x in data]
-    except (TypeError, ValueError):
-        raise ParseError("remote payload is not an integer list") from None
+        if all(re.fullmatch(r"[+-]?[0-9]+", field) for field in data):
+            return [int(field) for field in data]
+    else:
+        if isinstance(data, list) and all(type(x) is int for x in data):
+            return data
+    raise ParseError("remote payload is not an integer list")

@@ -48,10 +48,20 @@ class _QExpansionHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def coeff_server():
-    """Local HTTP server implementing the q-expansion URL template."""
-    server = HTTPServer(("127.0.0.1", 0), _QExpansionHandler)
+class _PayloadHandler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        body = self.server.payload.encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def _serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
     server.hits = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -60,3 +70,15 @@ def coeff_server():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+
+
+@pytest.fixture()
+def coeff_server():
+    """Local HTTP server implementing the q-expansion URL template."""
+    yield from _serve(_QExpansionHandler)
+
+
+@pytest.fixture()
+def payload_server():
+    """Local HTTP server answering every GET with ``server.payload``."""
+    yield from _serve(_PayloadHandler)

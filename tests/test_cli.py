@@ -145,6 +145,40 @@ def test_config_checkpoints_must_be_positive(tmp_path, capsys, monkeypatch, coun
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["density", "figures", "first-sign"])
+@pytest.mark.parametrize("flag", ["--f", "--fp"])
+def test_empty_label_flag_is_refused(tmp_path, capsys, monkeypatch, command, flag):
+    _refuse_tables(monkeypatch)
+    code, _, err = run(["--out", str(tmp_path), command, flag, ""], capsys)
+    assert code == 2
+    assert "labels must not be empty" in err
+
+
+@pytest.mark.parametrize("key", ["f", "fp"])
+def test_empty_label_in_config_is_refused(tmp_path, capsys, monkeypatch, key):
+    _refuse_tables(monkeypatch)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} =\n")
+    code, _, err = run(["--config", str(cfg_file), "--out", str(tmp_path), "figures"], capsys)
+    assert code == 2
+    assert "labels must not be empty" in err
+
+
+def test_label_flags_override_config(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def record(label, n_max, *rest):
+        seen.append(label)
+        return bundled.bundled_table(label, n_max)
+
+    monkeypatch.setattr(cli, "resolve_table", record)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("f = 1.12.a.a\nfp = 1.12.a.a\n")
+    argv = ["--config", str(cfg_file), "--out", str(tmp_path), "first-sign", "--fp", "5.4.a.a", "--x-max", "100"]
+    assert run(argv, capsys)[0] == 0
+    assert seen == ["1.12.a.a", "5.4.a.a"]
+
+
 def test_fetch_requires_label(tmp_path, capsys):
     code, _, err = run(["--cache-dir", str(tmp_path), "fetch", "--n", "10"], capsys)
     assert code == 2

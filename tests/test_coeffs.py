@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from satotate import bundled, coeffs
+from satotate import bundled, cli, coeffs
 from satotate.coeffs import (
     CoefficientTable,
     NewformDescriptor,
@@ -119,13 +119,13 @@ def test_eta_negative_exponent_division():
     # per divisor before any pass runs)
     combined = eta_product_qexpansion(((1, 36), (1, -12)), 12)
     plain = eta_product_qexpansion(((1, 24),), 12)
-    assert combined == plain
-    assert tuple(plain[1:11]) == oracles.TAU_REF
+    assert combined.tolist() == plain.tolist()
+    assert tuple(plain[1:11].tolist()) == oracles.TAU_REF
     # eta(2z)^16 / eta(z)^8 divides for real; its a-priori bound is far
     # beyond 2^62, so the lift needs many moduli
     recipe = ((2, 16), (1, -8))
     assert eta_bound(recipe, 200) > 2**150
-    assert eta_product_qexpansion(recipe, 200) == oracles.naive_eta_qexpansion(recipe, 200)
+    assert eta_product_qexpansion(recipe, 200).tolist() == oracles.naive_eta_qexpansion(recipe, 200)
 
 
 _DIVISORS = (1, 2, 3, 4, 6)
@@ -155,7 +155,7 @@ def eta_recipes(draw):
 def test_eta_engine_matches_dense_oracle(recipe, n_max):
     expected = oracles.naive_eta_qexpansion(recipe, n_max)
     assert max(abs(c) for c in expected) <= eta_bound(recipe, n_max)
-    assert eta_product_qexpansion(recipe, n_max) == expected
+    assert eta_product_qexpansion(recipe, n_max).tolist() == expected
 
 
 def test_crt_lift_inverts_residues():
@@ -168,7 +168,7 @@ def test_crt_lift_inverts_residues():
         rnd = random.Random(count)
         values = [rnd.randint(-bound, bound) for _ in range(500)] + [bound, -bound, 0]
         residues = [np.array([v % p for v in values], dtype=np.int64) for p in moduli]
-        assert coeffs._crt_lift(residues, moduli) == values, count
+        assert coeffs._crt_lift(residues, moduli).tolist() == values, count
 
 
 def test_descriptor_validation():
@@ -232,6 +232,28 @@ def test_memoization(f54_table):
     assert f54_table._norm_cache[11] == v1
 
 
+@pytest.mark.parametrize("table", ["f54_table", "f66_table", "delta_table"])
+def test_normalized_values_match_float_loop(request, table):
+    # the gather rounds each A(p) to a float once, as float(int) does; 1.12.a.a
+    # is stored as exact Python ints, the other two as int64
+    table = request.getfixturevalue(table)
+    primes = coeffs.sieve(table.bound).primes
+    e = (table.descriptor.weight - 1) / 2
+    loop = np.array([float(table.a_int(p)) for p in primes.tolist()]) / np.power(primes.astype(float), e)
+    assert table.normalized_values(primes).tobytes() == loop.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**54), 2**54))
+def test_normalized_values_round_beyond_2_53(A2):
+    # at weight 108, |A(2)| <= 2 * 2^53.5 is an int64 that a float may not
+    # hold exactly; the int64 -> float cast must round as float(int) does
+    table = CoefficientTable(NewformDescriptor("t", 108, 1), [1, A2, 0])
+    assert table._values.dtype == np.int64
+    assert table.normalized_values([2])[0] == float(A2) / 2**53.5
+    assert table.normalized_prime_value(2) == float(A2) / 2**53.5
+
+
 # -- file format ---------------------------------------------------------------------
 
 
@@ -292,6 +314,29 @@ def test_file_deligne_violation(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvariantError):
         load_coefficient_file(path)
+
+
+def test_file_value_beyond_float_range(tmp_path):
+    # the float pre-screen of the Deligne bound cannot hold A(2); the exact
+    # check refuses it
+    path = tmp_path / "huge.txt"
+    path.write_text(f"label=t k=4 N=7\n1 1\n2 {10**400}\n")
+    with pytest.raises(InvariantError, match=r"\|A\(2\)\|"):
+        load_coefficient_file(path)
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_deligne_bound_is_exact_beyond_float_precision(excess):
+    # A(809)^2 - 4 * 809^11 is far below a float's precision: the ratio reads
+    # 2.0 either way, and only the exact re-check tells the two apart
+    A = math.isqrt(4 * 809**11) + excess
+    values = [1] + [0] * 807 + [A]
+    assert abs(float(A) / 809**5.5 - 2) < 1e-15
+    if excess:
+        with pytest.raises(InvariantError, match=r"\|A\(809\)\|"):
+            CoefficientTable(NewformDescriptor("t", 12, 1), values)
+    else:
+        assert CoefficientTable(NewformDescriptor("t", 12, 1), values).a_int(809) == A
 
 
 def test_file_comments(tmp_path):
@@ -417,6 +462,68 @@ def test_file_round_trip_beyond_int64(tmp_path):
     assert all(type(c) is int for c in loaded.raw)
 
 
+_INT64_EDGES = (2**63 - 1, -(2**63 - 1), -(2**63), 2**63, -(2**63) - 1, 2**70, -(2**70))
+
+
+@st.composite
+def edge_tables(draw):
+    # A(p) = 0 passes every prime check, so the composite entries are free
+    primes = set(coeffs.sieve(40).primes.tolist())
+    entries = st.one_of(st.integers(-99, 99), st.sampled_from(_INT64_EDGES))
+    return [1] + [0 if n in primes else draw(entries) for n in range(2, draw(st.integers(1, 40)) + 1)]
+
+
+def _fits_int64(values):
+    return all(-(2**63) <= v < 2**63 for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_tables(), st.integers(1, 40))
+def test_table_round_trip_int64_or_exact(tmp_path_factory, values, cut):
+    path = tmp_path_factory.mktemp("round") / "t.txt"
+    write_coefficient_file(path, CoefficientTable(NewformDescriptor("t", 2, 1), values))
+    loaded = load_coefficient_file(path)
+    truncated = coeffs._truncate_table(loaded, min(cut, loaded.bound))
+    for table, expected in ((loaded, values), (truncated, values[:cut])):
+        assert table.raw == tuple(expected)
+        assert table._values.dtype == (np.int64 if _fits_int64(expected) else object)
+        assert all(type(v) is int for v in table.raw)
+        assert all(type(table.a_int(n)) is int for n in range(1, table.bound + 1))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "exact"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("+5", 5, id="plus-sign"),
+        pytest.param("1_0", None, id="underscore"),
+        pytest.param("\u0664", None, id="arabic-indic-digit"),
+        pytest.param("\uff15", None, id="fullwidth-digit"),
+        pytest.param("5.0", None, id="float"),
+        pytest.param("0x5", None, id="hex"),
+    ],
+)
+def test_int64_field_grammar(tmp_path, capsys, field, value, wide):
+    # the same grammar on both parses: a wide table (A(4) = 2^70) fails the
+    # int64 parse and is read again as exact integers
+    path = tmp_path / "7.4.x.y.txt"
+    tail = f"4 {2**70}\n" if wide else ""
+    path.write_bytes(f"label=7.4.x.y k=4 N=7\n1 1\n2 {field}\n3 0\n{tail}".encode())
+    argv = ["--cache-dir", str(tmp_path), "expand", "--label", "7.4.x.y", "--n", "3"]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if value is None:
+        with pytest.raises(ParseError) as excinfo:
+            load_coefficient_file(path)
+        assert excinfo.value.line_number == 3
+        assert code == 3 and "line 3" in err
+    else:
+        table = load_coefficient_file(path)
+        assert table.a_int(2) == value
+        assert table._values.dtype == (object if wide else np.int64)
+        assert code == 0 and f"2 {value}" in out.splitlines()
+
+
 # -- remote fetch ----------------------------------------------------------------------
 
 
@@ -460,6 +567,42 @@ def test_leftover_lock_file_does_not_block_fetch(tmp_path, coeff_server):
 def test_fetch_network_error(tmp_path):
     with pytest.raises(NetworkError):
         fetch_remote("5.4.a.a", 9, base_url="http://127.0.0.1:9", cache_dir=tmp_path, timeout=0.5)
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        pytest.param("[1, -4, 2]", [1, -4, 2], id="json"),
+        pytest.param(f"[1, {2**70}]", [1, 2**70], id="json-wide"),
+        pytest.param(" 1, -4\n+2 ", [1, -4, 2], id="text"),
+        pytest.param("[1, true, 2]", None, id="json-bool"),
+        pytest.param("[1.9, 2]", None, id="json-float"),
+        pytest.param("[1, 2.0]", None, id="json-integral-float"),
+        pytest.param('["1", "1_0"]', None, id="json-strings"),
+        pytest.param('{"a": 1}', None, id="json-object"),
+        pytest.param("7", None, id="json-scalar"),
+        pytest.param("1 \u0664 5", None, id="text-non-ascii-digit"),
+        pytest.param("1 1_0", None, id="text-underscore"),
+        pytest.param("1 2.0", None, id="text-float"),
+    ],
+)
+def test_parse_remote_body(body, expected):
+    if expected is None:
+        with pytest.raises(ParseError):
+            coeffs._parse_remote_body(body)
+    else:
+        assert coeffs._parse_remote_body(body) == expected
+
+
+def test_fetch_refuses_bool_payload(tmp_path, capsys, payload_server):
+    server, base = payload_server
+    server.payload = "[1, true, 0]"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"base_url = {base}\n")
+    argv = ["--config", str(cfg), "--cache-dir", str(tmp_path), "fetch", "--label", "7.4.x.y", "--n", "3"]
+    assert cli.main(argv) == 3
+    assert "not an integer list" in capsys.readouterr().err
+    assert not (tmp_path / "7.4.x.y.txt").exists()
 
 
 # -- bundled reconstruction ---------------------------------------------------------------
