@@ -26,6 +26,7 @@ from .coeffs import (
     CoefficientTable,
     NewformDescriptor,
     Source,
+    eta_bound,
     eta_combination,
     eta_product_qexpansion,
     expand_eta_quotient,
@@ -83,16 +84,40 @@ def _solve_level6_combination(series, target):
     return [rows[r][size] for r in range(size)]
 
 
-def build_6_6_a_a(n_max):
-    """Reconstruct 6.6.a.a up to n_max; exact integers, fully re-verified.
-    The solved weights are cleared to integers over a common denominator,
-    the integer combination is expanded exactly, then divided back."""
-    length = max(n_max, 9)
+def newform_bound(weight, n_max, denominator=1):
+    """denominator * 2 n_max^(k/2): a bound on denominator * |A(n)| for
+    n <= n_max and any newform of weight k, by Deligne's bound
+    |A(n)| <= d(n) n^((k-1)/2) and d(n) <= 2 sqrt(n) (divisors pair off
+    around sqrt(n))."""
+    return denominator * 2 * n_max ** (weight // 2)
+
+
+def _level6_combination():
+    """The denominator and the integer (weight, recipe) terms of the level-6
+    combination: the solved rational weights cleared to integers."""
     prefixes = [eta_product_qexpansion(recipe, 3).tolist() for recipe in _LEVEL6_BASIS]
     weights = _solve_level6_combination(prefixes, (0,) + SNAPSHOT_6_6_A_A)
     denominator = math.lcm(*(w.denominator for w in weights))
-    ints = [int(w * denominator) for w in weights]
-    lifted = eta_combination(list(zip(ints, _LEVEL6_BASIS)), length)
+    return denominator, [(int(w * denominator), recipe) for w, recipe in zip(weights, _LEVEL6_BASIS)]
+
+
+def build_6_6_a_a(n_max):
+    """Reconstruct 6.6.a.a up to n_max; exact integers, fully re-verified.
+    The integer combination is expanded exactly, then divided back by the
+    denominator.
+
+    Its moduli cover the newform bound, not the l1 bound of the eta
+    factors.  That is sound: the coefficients of q^1..q^9 obey the l1 bound
+    through q^9, which the moduli also cover, so they lift exactly; their
+    match with the snapshot goes past the Sturm bound (6), so it proves the
+    combination equal to denominator * 6.6.a.a; hence every coefficient obeys
+    Deligne's bound and lifts exactly too.  A failed match raises before any
+    coefficient beyond q^9 is used."""
+    length = max(n_max, 9)
+    denominator, terms = _level6_combination()
+    sturm = sum(abs(c) * eta_bound(recipe, 9) for c, recipe in terms)
+    bound = max(newform_bound(6, length, denominator), sturm)
+    lifted = eta_combination(terms, length, bound)
     if (lifted % denominator).any():
         raise InvariantError("non-integral coefficient in the level-6 combination")
     combo = lifted[1:] // denominator
@@ -102,9 +127,13 @@ def build_6_6_a_a(n_max):
 
 
 def bundled_table(label, n_max):
-    """Coefficient table for a bundled label, computed entirely offline."""
+    """Coefficient table for a bundled label, computed entirely offline.
+    5.4.a.a and 1.12.a.a are their eta quotients, each the one normalized
+    cusp form of a space of dimension 1 (S_4(Gamma_0(5)) and S_12(SL_2(Z))),
+    so the newform bound sizes their moduli."""
     if label in ETA_RECIPES:
-        return expand_eta_quotient(descriptor_for(label), n_max)
+        k = _WEIGHT_LEVEL[label][0]
+        return expand_eta_quotient(descriptor_for(label), n_max, newform_bound(k, n_max))
     if label == "6.6.a.a":
         return build_6_6_a_a(n_max)
     raise NotFoundError(f"no bundled data for label {label!r}")

@@ -39,6 +39,8 @@ def render_svg(path, xs, series_list, title, xlabel, ylabel):
     y_lo, y_hi = _nice_ylim(series_list)
     lx = [math.log10(x) for x in xs]
     x_lo, x_hi = min(lx), max(lx)
+    if x_hi == x_lo:  # a one-point grid: centre it in one decade
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

@@ -13,6 +13,24 @@ an a-priori bound on the final coefficients, so the lift is exact however
 far they outgrow 64 bits (weight 12 does, well below n = 10^4).  See Hart,
 Tornaria and Watkins, "Congruent number theta coefficients to 10^12"
 (ANTS IX, 2010) for multi-modular series arithmetic.
+
+The bound is one of two.  The l1 bound, the product of the truncated eta
+factors' l1 norms, holds for every recipe; user recipes (``expand --eta``,
+``expand_eta_quotient`` on a user descriptor) use it.  The newform bound
+denominator * 2 n_max^(k/2), from Deligne's |A(n)| <= d(n) n^((k-1)/2) and
+d(n) <= 2 sqrt(n), holds only for a multiple of a newform, and only
+``bundled`` passes it, for forms proven to be newforms: 5.4.a.a and 1.12.a.a
+span spaces of dimension 1, and 6.6.a.a's combination is proven by its
+snapshot match.  That proof runs on the same residues: the moduli also cover
+the l1 bound through q^9, so q^1..q^9 lift exactly; agreement there is past
+the Sturm bound (6), so the combination is the newform; so every coefficient
+obeys Deligne's bound and lifts exactly.  At n = 10^5 the newform bound is
+about 51 bits against the l1 bound's 87, two primes instead of three.
+
+A recipe whose divisors share a factor g > 1 is its primitive recipe (the
+divisors divided by g) read at q^g, so each primitive product is expanded
+once per combination: eta(2z)^6 eta(6z)^6 reuses the expansion of
+eta(z)^6 eta(3z)^6 on every second coefficient.
 """
 
 from __future__ import annotations
@@ -89,7 +107,7 @@ class NewformDescriptor:
 def _validate_recipe(recipe, weight, level):
     if not recipe:
         raise RecipeError("empty eta recipe")
-    _eta_passes(recipe, 0)  # the engine's checks of the divisors and the vanishing order
+    _eta_shape(recipe)  # the engine's checks of the divisors and the vanishing order
     for d, e in recipe:
         if e == 0:
             raise RecipeError("zero exponent in eta recipe")
@@ -275,21 +293,33 @@ def _crt_lift(residues, moduli):
     return _exact_array(value)
 
 
-def _eta_passes(recipe, n_max):
-    """The vanishing order v, the sparse passes (terms, divide) that expand
-    the quotient over q^v through q^(n_max - v), and a bound on its
-    coefficients: the product of the truncated factors' l1 norms.  Exponents
-    are summed per divisor first.  The inverse of prod (1 - q^{dn})^k has
-    m + 1 = (n_max - v) // d + 1 terms, k-coloured partition counts below
-    exp(pi sqrt(2km/3)) (the proof of Apostol, Thm 14.5, with k colours)."""
+def _eta_shape(recipe):
+    """Check an eta recipe and split it as q^v P(q^g).  P is the product of
+    the truncated (1 - q^{dn})^{e_d} over its *primitive* recipe: the net
+    exponent e_d of each divisor g*d, summed per divisor, where g is the gcd
+    of the divisors whose net exponent is not zero.  Returns v, g and the
+    primitive recipe as sorted (d, e_d) pairs."""
     num = sum(d * e for d, e in recipe)
     if num <= 0 or num % 24 != 0:
         raise RecipeError(f"vanishing order {num}/24 is not a positive integer")
     if any(d < 1 for d, _ in recipe):
         raise RecipeError(f"eta divisors must be positive, got {recipe}")
-    v, net = num // 24, {d: sum(e for dd, e in recipe if dd == d) for d, _ in recipe}
-    top, passes, bound = max(n_max - v, 0), [], 1
-    for d, e in sorted(net.items()):
+    net = {}
+    for d, e in recipe:
+        net[d] = net.get(d, 0) + e
+    g = math.gcd(*(d for d, e in net.items() if e))
+    return num // 24, g, tuple(sorted((d // g, e) for d, e in net.items() if e))
+
+
+def _product_passes(primitive, top):
+    """The sparse passes (terms, divide) that expand the product of a
+    primitive recipe through q^top, and a bound on its coefficients: the
+    product of the truncated factors' l1 norms.  The inverse of
+    prod (1 - q^{dn})^k has m + 1 = top // d + 1 terms, k-coloured partition
+    counts below exp(pi sqrt(2km/3)) (the proof of Apostol, Thm 14.5, with
+    k colours)."""
+    passes, bound = [], 1
+    for d, e in primitive:
         pent = _pentagonal_terms(top, step=d)
         if e > 0:
             # each (1 - q^{dn})^3 block applies in one sparse pass
@@ -297,16 +327,17 @@ def _eta_passes(recipe, n_max):
             cube = _cube_terms(top, step=d)
             passes += [(cube, False)] * cubes + [(pent, False)] * rest
             bound *= sum(abs(c) for _, c in cube) ** cubes * len(pent) ** rest
-        elif e < 0:
+        else:
             bits = math.pi * math.sqrt(-2 * e * (top // d) / 3) / math.log(2)
             passes += [(pent, True)] * -e
             bound *= (top // d + 1) << math.ceil(bits * (1 + 1e-9))
-    return v, passes, bound
+    return passes, bound
 
 
 def _apply_sparse(rows, terms, moduli):
-    # in place, one modulus at a time; residues stay below 2^31 and a pass's
-    # sum |c| below 2^32, so no int64 sum can overflow before the reduction
+    # in place, one modulus at a time (a row stays in cache); residues stay
+    # below 2^31 and a pass's sum |c| below 2^32, so no int64 sum can
+    # overflow before the reduction
     for row, p in zip(rows, moduli):
         new = np.zeros_like(row)
         for e, c in terms:
@@ -324,56 +355,84 @@ def _divide_sparse(rows, terms, moduli):
     # long division by a pentagonal factor (constant term 1, the rest +-1),
     # one coefficient per step, vectorised across the moduli
     exps, signs = np.array(terms[1:], dtype=np.int64).reshape(-1, 2).T
-    out = np.stack(rows, axis=1)
+    out = rows.T.copy()
     reach = np.searchsorted(exps, np.arange(len(out)), side="right")
     for n in range(1, len(out)):
         out[n] = (out[n] - signs[: reach[n]] @ out[n - exps[: reach[n]]]) % moduli
-    return list(out.T.copy())
+    return out.T.copy()
 
 
 def eta_bound(recipe, n_max):
-    """A bound on the absolute values of the eta quotient's coefficients."""
-    return _eta_passes(recipe, n_max)[2]
+    """A bound on the absolute values of the eta quotient's coefficients
+    through q^n_max: the l1 bound of ``_product_passes``.  Dilating a recipe
+    by g leaves it unchanged, since (n_max - v) // (g d) = ((n_max - v) // g) // d."""
+    v, g, primitive = _eta_shape(recipe)
+    return _product_passes(primitive, max(n_max - v, 0) // g)[1]
 
 
-def _eta_residues(recipe, n_max, moduli):
-    """Coefficients of q^0..q^n_max of the eta quotient modulo each of
-    ``moduli`` (primes below 2^31): one int64 array per modulus."""
-    v, passes, _ = _eta_passes(recipe, n_max)
-    moduli = np.array(moduli, dtype=np.int64)
-    rows = [np.eye(1, n_max + 1, v, dtype=np.int64)[0] for _ in moduli]  # q^v
-    for terms, divide in passes:
+def _product_residues(primitive, top, moduli):
+    """Coefficients of q^0..q^top of a primitive recipe's product modulo
+    each of ``moduli`` (an int64 array of primes below 2^31), one row per
+    modulus."""
+    rows = np.zeros((len(moduli), top + 1), dtype=np.int64)
+    rows[:, 0] = 1
+    for terms, divide in _product_passes(primitive, top)[0]:
         rows = (_divide_sparse if divide else _apply_sparse)(rows, terms, moduli)
     return rows
 
 
-def eta_combination(terms, n_max):
+def eta_combination(terms, n_max, bound=None):
     """Exact coefficients of q^0..q^n_max of sum_i c_i prod_d eta(d z)^{e_d}
     over the (integer c_i, recipe) pairs in ``terms``, as an ``_exact_array``;
-    entries below every vanishing order are zero.  The sum is formed on
-    residues modulo primes covering sum_i |c_i| eta_bound(recipe_i) and
-    lifted once."""
-    moduli = _crt_moduli(sum(abs(c) * eta_bound(recipe, n_max) for c, recipe in terms))
-    total = [0] * len(moduli)
-    for c, recipe in terms:
-        rows = _eta_residues(recipe, n_max, moduli)
-        total = [(t + c % p * row) % p for t, row, p in zip(total, rows, moduli)]
-    return _crt_lift(total, moduli)
+    entries below every vanishing order are zero.
+
+    The sum is formed on residues modulo the fewest primes whose product
+    covers ``bound``, and lifted once.  ``bound`` must bound the absolute
+    values of the sum's coefficients through q^n_max.  By default it is the
+    l1 bound sum_i |c_i| eta_bound(recipe_i, n_max), which holds for every
+    recipe.  A caller that has proved the sum to be a known multiple of a
+    newform may pass Deligne's bound instead (see ``bundled``); a bound that
+    is too small gives wrong coefficients, not an error.
+
+    Each primitive product (see ``_eta_shape``) is expanded once, to the
+    length its longest use needs: a recipe whose divisors share a factor g
+    is its primitive recipe read at q^g, so eta(2z)^6 eta(6z)^6 is the
+    product of eta(z)^6 eta(3z)^6 placed on every second coefficient.
+    """
+    shapes = [(c, *_eta_shape(recipe)) for c, recipe in terms]
+    if bound is None:
+        bound = sum(abs(c) * eta_bound(recipe, n_max) for c, recipe in terms)
+    primes = _crt_moduli(bound)
+    moduli = np.array(primes, dtype=np.int64)
+    shapes = [shape for shape in shapes if shape[1] <= n_max]  # the rest are 0 here
+    tops = {}
+    for _, v, g, primitive in shapes:
+        tops[primitive] = max(tops.get(primitive, 0), (n_max - v) // g)
+    products = {primitive: _product_residues(primitive, top, moduli) for primitive, top in tops.items()}
+    total = np.zeros((len(moduli), n_max + 1), dtype=np.int64)
+    for c, v, g, primitive in shapes:
+        # residues below 2^31 on both sides: the product stays inside int64
+        weight = np.array([[c % p] for p in primes], dtype=np.int64)
+        total[:, v::g] += weight * products[primitive][:, : (n_max - v) // g + 1]
+        total[:, v::g] %= moduli[:, None]
+    return _crt_lift(total, primes)
 
 
-def eta_product_qexpansion(recipe, n_max):
+def eta_product_qexpansion(recipe, n_max, bound=None):
     """Exact coefficients of q^0..q^{n_max} of prod_d eta(d z)^{e_d}, as an
-    ``_exact_array``; entries below the vanishing order are zero."""
-    return eta_combination([(1, recipe)], n_max)
+    ``_exact_array``; entries below the vanishing order are zero.  ``bound``
+    is as in ``eta_combination``."""
+    return eta_combination([(1, recipe)], n_max, bound)
 
 
-def expand_eta_quotient(descriptor, n_max):
-    """Expand the descriptor's eta recipe into an exact coefficient table."""
+def expand_eta_quotient(descriptor, n_max, bound=None):
+    """Expand the descriptor's eta recipe into an exact coefficient table;
+    ``bound`` is as in ``eta_combination``."""
     if descriptor.eta_recipe is None:
         raise RecipeError(f"descriptor {descriptor.label!r} carries no eta recipe")
     if n_max < 1:
         raise RecipeError(f"n_max must be >= 1, got {n_max}")
-    full = eta_product_qexpansion(descriptor.eta_recipe, n_max)
+    full = eta_product_qexpansion(descriptor.eta_recipe, n_max, bound)
     if full[1] != 1:
         raise InvariantError(
             f"recipe for {descriptor.label!r} does not produce a normalized "
@@ -392,7 +451,11 @@ def write_coefficient_file(path, table):
     through a fsynced temp file renamed over ``path``: never a partial file."""
     path = Path(path)
     d = table.descriptor
-    rows = "".join(f"{n} {a}\n" for n, a in enumerate(table._values.tolist(), 1))
+    # one format call over the interleaved (n, A(n)) items
+    items = [0] * (2 * table.bound)
+    items[::2] = range(1, table.bound + 1)
+    items[1::2] = table._values.tolist()
+    rows = ("{} {}\n" * table.bound).format(*items)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:

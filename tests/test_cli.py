@@ -109,6 +109,20 @@ def test_figures_empty_checkpoints_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x_max", [2, 1000])
+def test_figures_one_checkpoint(tmp_path, capsys, x_max):
+    # up to x = 1000 the checkpoint grid is the one point x_max: the charts
+    # centre it in a one-decade x range
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "--out", str(tmp_path), "figures", "--x-max", str(x_max)]
+    code, _, _ = run(args, capsys)
+    assert code == 0
+    rows = (tmp_path / "figure1.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith(f"{x_max},")
+    svg = (tmp_path / "figure2.svg").read_text()
+    assert svg.count('<polyline points="355.00,') == 3
+
+
 def test_figures_writes_png_when_matplotlib_imports(tmp_path, capsys):
     pytest.importorskip("matplotlib")
     args = ["--out", str(tmp_path), "figures", "--f", "1.12.a.a", "--fp", "5.4.a.a", "--x-max", "1500"]

@@ -158,6 +158,93 @@ def test_eta_engine_matches_dense_oracle(recipe, n_max):
     assert eta_product_qexpansion(recipe, n_max).tolist() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    eta_recipes(),
+    st.sampled_from((2, 3, 6)),
+    st.integers(-9, 9).filter(bool),
+    st.integers(-9, 9),
+    st.booleans(),
+    st.integers(1, 40),
+)
+def test_dilated_recipes_reuse_the_primitive_expansion(recipe, g, c, c_prim, dilated_first, n_max):
+    # a recipe with divisors g*d is the primitive recipe read at q^g: alone,
+    # and beside the primitive recipe (which then shares its expansion), the
+    # combination matches the dense oracle in either order
+    dilated = tuple((g * d, e) for d, e in recipe)
+    terms = [(c, dilated)] + ([(c_prim, recipe)] if c_prim else [])
+    if not dilated_first:
+        terms.reverse()
+    expected = [0] * (n_max + 1)
+    for weight, r in terms:
+        for n, a in enumerate(oracles.naive_eta_qexpansion(r, n_max)):
+            expected[n] += weight * a
+    assert coeffs.eta_combination(terms, n_max).tolist() == expected
+
+
+def _spy_moduli(monkeypatch):
+    """Record (bound, moduli) for every choice of CRT moduli."""
+    calls, choose = [], coeffs._crt_moduli
+
+    def spy(bound):
+        calls.append((bound, choose(bound)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(coeffs, "_crt_moduli", spy)
+    return calls
+
+
+@pytest.mark.parametrize("label", [None, "5.4.a.a"])
+def test_user_expand_picks_moduli_by_the_l1_bound(monkeypatch, capsys, label):
+    # a recipe given on the command line, even under a bundled label, is not
+    # known to be a newform: its moduli cover the l1 bound of its factors
+    calls = _spy_moduli(monkeypatch)
+    argv = ["expand", "--eta", "1:4,5:4", "--n", "300"] + (["--label", label] if label else [])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [bound for bound, _ in calls] == [eta_bound(((1, 4), (5, 4)), 300)]
+
+
+def test_division_recipe_keeps_the_l1_bound(monkeypatch):
+    recipe = ((2, 16), (1, -8))
+    calls = _spy_moduli(monkeypatch)
+    assert eta_product_qexpansion(recipe, 300).tolist() == oracles.naive_eta_qexpansion(recipe, 300)
+    [(bound, moduli)] = calls
+    assert bound == eta_bound(recipe, 300) and len(moduli) > 2
+
+
+def test_level6_build_uses_two_moduli_at_1e5(monkeypatch):
+    calls = _spy_moduli(monkeypatch)
+    bundled.build_6_6_a_a(10**5)
+    bound, moduli = calls[-1]
+    assert bound == bundled.newform_bound(6, 10**5)
+    assert len(moduli) == 2
+    _, terms = bundled._level6_combination()
+    assert len(coeffs._crt_moduli(sum(abs(c) * eta_bound(r, 10**5) for c, r in terms))) == 3
+
+
+@pytest.mark.parametrize("label", ["5.4.a.a", "1.12.a.a"])
+@pytest.mark.parametrize("n_max", [1, 9, 250, 4000])
+def test_newform_bound_builds_equal_l1_builds(label, n_max):
+    descriptor = bundled.descriptor_for(label)
+    newform = bundled.bundled_table(label, n_max)
+    assert newform.raw == expand_eta_quotient(descriptor, n_max).raw
+    if label == "1.12.a.a" and n_max == 4000:
+        # past 2^63, on fewer moduli than the l1 bound asks for
+        assert max(map(abs, newform.raw)) > 2**63
+        k = descriptor.weight
+        l1 = eta_bound(descriptor.eta_recipe, n_max)
+        assert len(coeffs._crt_moduli(bundled.newform_bound(k, n_max))) < len(coeffs._crt_moduli(l1))
+
+
+@pytest.mark.parametrize("n_max", [1, 9, 10, 257, 5000])
+def test_level6_newform_bound_build_equals_l1_build(n_max):
+    denominator, terms = bundled._level6_combination()
+    length = max(n_max, 9)
+    l1 = coeffs.eta_combination(terms, length)[1 : n_max + 1] // denominator
+    assert bundled.build_6_6_a_a(n_max).raw == tuple(l1.tolist())
+
+
 def test_crt_lift_inverts_residues():
     # for each modulus count, the largest bound it covers, with values spread
     # over all of it: the int64 lift (two moduli) runs close to 2^63 there
