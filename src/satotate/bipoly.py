@@ -29,6 +29,20 @@ def _as_exact(c):
     raise TypeError(f"unsupported coefficient type {type(c)!r}")
 
 
+def _horner(mat, u, v):
+    """sum mat[i, j] u^i v^j at scalars or broadcastable arrays: row-wise
+    Horner in v, then Horner in u."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    acc = np.zeros(np.broadcast(u, v).shape)
+    for row in mat[::-1]:
+        rowval = np.zeros_like(acc)
+        for c in row[::-1]:
+            rowval = rowval * v + c
+        acc = acc * u + rowval
+    return float(acc) if acc.shape == () else acc
+
+
 class Poly2:
     """Polynomial in two variables (u, v) with exact coefficients."""
 
@@ -184,19 +198,7 @@ class Poly2:
 
     def eval_float(self, u, v):
         """Evaluate at scalars or broadcastable numpy arrays."""
-        mat, _ = self._matrices()
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        # row-wise Horner in v, then Horner in u
-        acc = np.zeros(np.broadcast(u, v).shape)
-        for row in mat[::-1]:
-            rowval = np.zeros_like(acc)
-            for c in row[::-1]:
-                rowval = rowval * v + c
-            acc = acc * u + rowval
-        if acc.shape == ():
-            return float(acc)
-        return acc
+        return _horner(self._matrices()[0], u, v)
 
     def v_coefficients_at(self, u_values):
         """Coefficients of P(u0, v) in v for an array of u0 values.
@@ -264,16 +266,7 @@ class Poly2:
 
     def eval_abs_float(self, u_abs, v_abs):
         """Sum of |c| u^i v^j at nonnegative arguments (magnitude bound)."""
-        _, mat = self._matrices()
-        u_abs = np.asarray(u_abs, dtype=float)
-        v_abs = np.asarray(v_abs, dtype=float)
-        acc = np.zeros(np.broadcast(u_abs, v_abs).shape)
-        for row in mat[::-1]:
-            rowval = np.zeros_like(acc)
-            for c in row[::-1]:
-                rowval = rowval * v_abs + c
-            acc = acc * u_abs + rowval
-        return float(acc) if acc.shape == () else acc
+        return _horner(self._matrices()[1], u_abs, v_abs)
 
     def interval_enclosure_cells(self, u_lo, u_hi, v_lo, v_hi):
         """Tightened enclosure: monomial intervals intersected with the

@@ -130,19 +130,17 @@ def _parse_mn(text):
 
 
 def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL):
-    """Obtain a coefficient table: eta recipe, then cache file, then the
-    bundled offline constructor, then the remote fetcher."""
-    if label in bundled.ETA_RECIPES:
-        return bundled.bundled_table(label, n_max)
+    """Obtain a coefficient table, the same way for every label: the cache
+    file when it holds n_max coefficients, else the bundled offline
+    constructor for a bundled label, else the remote fetcher.  A corrupt
+    cache file raises (exit 3); it is never skipped."""
     cache_dir = Path(cache_dir) if cache_dir else coeffs.default_cache_dir()
-    cache_file = cache_dir / f"{label}.txt"
-    if cache_file.exists():
-        table = coeffs.load_coefficient_file(cache_file)
-        if table.bound >= n_max:
-            return coeffs._truncate_table(table, n_max)
-    if label in bundled.BUNDLED_LABELS:
+    table = coeffs.cached_table(label, n_max, cache_dir)
+    if table is not None:
+        return table
+    if label in bundled.BUNDLED_FORMS:
         return bundled.bundled_table(label, n_max)
-    return coeffs.fetch_remote(label, n_max, base_url=base_url, cache_dir=cache_dir)
+    return coeffs.download_table(label, n_max, base_url, cache_dir)
 
 
 # -- region flags ------------------------------------------------------------------
@@ -205,18 +203,14 @@ def cmd_expand(cfg, args):
             )
         except ValueError:
             raise ConfigError(f"--eta: expected divisor:exponent pairs, got {args.eta!r}") from None
-        if args.label and args.label in bundled.ETA_RECIPES:
-            descriptor = bundled.descriptor_for(args.label)
-        else:
-            weight = args.weight or sum(e for _, e in recipe) // 2
-            level = args.level or max(d for d, _ in recipe)
-            descriptor = coeffs.NewformDescriptor(
-                label=args.label or f"eta.{args.eta}",
-                weight=weight,
-                level=level,
-                eta_recipe=recipe,
-                source=coeffs.Source.ETA_QUOTIENT,
-            )
+        # --label only names the recipe, bundled or not
+        descriptor = coeffs.NewformDescriptor(
+            label=args.label or f"eta.{args.eta}",
+            weight=args.weight or sum(e for _, e in recipe) // 2,
+            level=args.level or max(d for d, _ in recipe),
+            eta_recipe=recipe,
+            source=coeffs.Source.ETA_QUOTIENT,
+        )
         table = coeffs.expand_eta_quotient(descriptor, args.n)
     elif args.label:
         table = resolve_table(args.label, args.n, cfg.cache_dir, cfg.base_url)
@@ -270,21 +264,28 @@ def cmd_measure(cfg, args):
         print(f"closed form d({m},{n}) = {closed:.9f}   |difference| = {abs(closed - mv.value):.2e}")
         if (m, n) == (2, 2):
             print(_D22_FLAG)
-    for m_res in resolutions:
-        approx = region.classify_boxes(reg, m_res)
-        n_obs, bound = region.boundary_bound_check(reg, m_res, approx)
-        merge = region.strip_merge(reg, m_res, approx)
+    for m_res, approx, n_obs, bound, strips in _grid_brackets(reg, resolutions):
         print(
             f"m={m_res:4d}  bracket=[{approx.mu_low:.9f}, {approx.mu_high:.9f}] "
             f"width={approx.mu_high - approx.mu_low:.3g}  N={n_obs} (bound {bound:.0f})  "
-            f"max strip components={int(merge.per_strip_counts.max(initial=0))}"
+            f"max strip components={strips}"
         )
     if args.out_csv:
         Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
-def _pair_frame(cfg, args):
+def _grid_brackets(reg, resolutions):
+    """For each grid resolution m: m, the grid bracket, the boundary box
+    count and its bound, and the most components of one strip."""
+    for m_res in resolutions:
+        approx = region.classify_boxes(reg, m_res)
+        n_obs, bound = region.boundary_bound_check(reg, m_res, approx)
+        merge = region.strip_merge(reg, m_res, approx)
+        yield m_res, approx, n_obs, bound, int(merge.per_strip_counts.max(initial=0))
+
+
+def _pair_frame(cfg):
     """Resolve the command's two tables and checkpoint grid, and build its one
     pair frame; every series of the command reduces this frame."""
     table_f = resolve_table(cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
@@ -295,7 +296,7 @@ def _pair_frame(cfg, args):
 
 def _series_commands(cfg, args, kind):
     pairs = _parse_mn(args.mn) if args.mn else cfg.mn
-    frame, checkpoints = _pair_frame(cfg, args)
+    frame, checkpoints = _pair_frame(cfg)
     out = Path(cfg.out)
     builder = (
         counting.sign_density_series if kind == "density" else counting.dominance_density_series
@@ -322,7 +323,7 @@ def cmd_figures(cfg, args):
 
     The figures carry no envelope column, so their densities are read
     straight from the pair frame."""
-    frame, checkpoints = _pair_frame(cfg, args)
+    frame, checkpoints = _pair_frame(cfg)
     out = Path(cfg.out)
     label_f, label_fp = (t.descriptor.label for t in frame.tables)
 
@@ -389,18 +390,16 @@ def cmd_bracket(cfg, args):
     reg = _region_from_args(args)
     out = Path(cfg.out)
     rows = ["m,mu_low,mu_high,width,boundary_count,area_bound,max_strip_components"]
-    for m_res in _parse_numbers(args.m or "16,32,64,128", "--m", int):
-        approx = region.classify_boxes(reg, m_res)
-        n_obs, bound = region.boundary_bound_check(reg, m_res, approx)
-        merge = region.strip_merge(reg, m_res, approx)
+    resolutions = _parse_numbers(args.m or "16,32,64,128", "--m", int)
+    for m_res, approx, n_obs, bound, strips in _grid_brackets(reg, resolutions):
         width = approx.mu_high - approx.mu_low
         print(
             f"m={m_res:4d}  [{approx.mu_low:.9f}, {approx.mu_high:.9f}]  width={width:.3g}  "
-            f"N={n_obs} <= {bound:.0f}  strip components <= {int(merge.per_strip_counts.max(initial=0))}"
+            f"N={n_obs} <= {bound:.0f}  strip components <= {strips}"
         )
         rows.append(
             f"{m_res},{approx.mu_low:.12g},{approx.mu_high:.12g},{width:.12g},"
-            f"{n_obs},{bound:.12g},{int(merge.per_strip_counts.max(initial=0))}"
+            f"{n_obs},{bound:.12g},{strips}"
         )
     (out / f"bracket_{reg.label.replace('/', '_')}.csv").write_text("\n".join(rows) + "\n", "utf-8")
     return 0

@@ -4,24 +4,27 @@ A table stores the integers A(n) appearing in the q-expansion
 f = sum A(n) q^n (so A(n) = a(n) * n^{(k-1)/2} with a(n) the Deligne-normalized
 eigenvalue) and lazily exposes a(p) = A(p) / p^{(k-1)/2} in floating point.
 
-Three acquisition paths: eta-quotient expansion (exact integer power-series
-arithmetic), file ingestion, and a caching HTTP client.  The expansion engine
-runs its sparse pentagonal and cube passes (and long division, for negative
-net exponents) on int64 residue arrays modulo a few primes below 2^31, and
-lifts once by the Chinese remainder theorem.  The number of primes comes from
-an a-priori bound on the final coefficients, so the lift is exact however
-far they outgrow 64 bits (weight 12 does, well below n = 10^4).  See Hart,
-Tornaria and Watkins, "Congruent number theta coefficients to 10^12"
-(ANTS IX, 2010) for multi-modular series arithmetic.
+Three sources of tables: eta-quotient expansion (exact integer power-series
+arithmetic), file ingestion, and an HTTP client.  ``cached_table`` is the one
+cache lookup: ``fetch_remote`` consults it before ``download_table``, and
+``cli.resolve_table`` before the bundled constructors and the download.
+
+The expansion engine runs its sparse pentagonal and cube passes (and long
+division, for negative net exponents) on int64 residue arrays modulo a few
+primes below 2^31, and lifts once by the Chinese remainder theorem.  The
+number of primes comes from an a-priori bound on the final coefficients, so
+the lift is exact however far they outgrow 64 bits (weight 12 does, well
+below n = 10^4).  See Hart, Tornaria and Watkins, "Congruent number theta
+coefficients to 10^12" (ANTS IX, 2010) for multi-modular series arithmetic.
 
 The bound is one of two.  The l1 bound, the product of the truncated eta
 factors' l1 norms, holds for every recipe; user recipes (``expand --eta``,
 ``expand_eta_quotient`` on a user descriptor) use it.  The newform bound
-denominator * 2 n_max^(k/2), from Deligne's |A(n)| <= d(n) n^((k-1)/2) and
-d(n) <= 2 sqrt(n), holds only for a multiple of a newform, and only
-``bundled`` passes it, for forms proven to be newforms: 5.4.a.a and 1.12.a.a
-span spaces of dimension 1, and 6.6.a.a's combination is proven by its
-snapshot match.  That proof runs on the same residues: the moduli also cover
+2 n_max^(k/2), from Deligne's |A(n)| <= d(n) n^((k-1)/2) and
+d(n) <= 2 sqrt(n), holds only for a newform, and only ``bundled`` passes
+it, for forms proven to be newforms: 5.4.a.a and 1.12.a.a span spaces of
+dimension 1, and 6.6.a.a's fixed combination is proven by its snapshot
+match.  That proof runs on the same residues: the moduli also cover
 the l1 bound through q^9, so q^1..q^9 lift exactly; agreement there is past
 the Sturm bound (6), so the combination is the newform; so every coefficient
 obeys Deligne's bound and lifts exactly.  At n = 10^5 the newform bound is
@@ -80,18 +83,13 @@ class Source(Enum):
 
 @dataclass(frozen=True)
 class NewformDescriptor:
-    """Identifying data for a normalized newform with trivial nebentypus.
-
-    ``non_cm`` is a user assertion; nothing here verifies CM status or
-    twist-inequivalence.
-    """
+    """Identifying data for a normalized newform with trivial nebentypus."""
 
     label: str
     weight: int
     level: int
     eta_recipe: tuple | None = None
     source: Source = Source.FILE
-    non_cm: bool = True
 
     def __post_init__(self):
         if self.weight < 2 or self.weight % 2 != 0:
@@ -145,7 +143,6 @@ class CoefficientTable:
         self._values = _exact_array(raw)
         self._values.flags.writeable = False
         self.bound = len(self._values)
-        self._norm_cache = {}
         if check:
             self._validate()
 
@@ -189,15 +186,10 @@ class CoefficientTable:
         return tuple(self._values.tolist())
 
     def normalized_prime_value(self, p):
-        """Deligne-normalized a(p) = A(p) / p^{(k-1)/2} as a float; memoized."""
-        cached = self._norm_cache.get(p)
-        if cached is not None:
-            return cached
+        """Deligne-normalized a(p) = A(p) / p^{(k-1)/2} as a float."""
         if p > self.bound:
             raise OutOfRangeError(f"p={p} exceeds table bound {self.bound}")
-        value = int(self._values[p - 1]) / p ** ((self.descriptor.weight - 1) / 2)
-        self._norm_cache[p] = value
-        return value
+        return int(self._values[p - 1]) / p ** ((self.descriptor.weight - 1) / 2)
 
     def normalized_values(self, primes):
         """Vectorized a(p) for an integer array of primes within the bound;
@@ -589,21 +581,35 @@ def _truncate_table(table, n_max):
     return CoefficientTable(table.descriptor, table._values[:n_max], check=False)
 
 
+def cached_table(label, n_max, cache_dir):
+    """The cached table of ``label`` cut to n_max, or None when the cache
+    file is missing or shorter.  A corrupt file raises, as on any load."""
+    cache_file = Path(cache_dir) / f"{label}.txt"
+    if not cache_file.exists():
+        return None
+    table = load_coefficient_file(cache_file)
+    return _truncate_table(table, n_max) if table.bound >= n_max else None
+
+
 def fetch_remote(label, n_max, base_url=DEFAULT_BASE_URL, cache_dir=None, timeout=30.0):
-    """Fetch a q-expansion over HTTP, persisting it to the local cache.
+    """A q-expansion from the local cache, else fetched over HTTP by
+    ``download_table``: a warm cache with enough coefficients skips the
+    network entirely."""
+    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
+    table = cached_table(label, n_max, cache_dir)
+    if table is not None:
+        return table
+    return download_table(label, n_max, base_url, cache_dir, timeout)
+
+
+def download_table(label, n_max, base_url, cache_dir, timeout=30.0):
+    """Fetch a q-expansion over HTTP, persisting it to the cache directory.
 
     GETs ``<base>/q_expansion/<label>?n=<n_max>`` and accepts either a JSON
-    array of integers or whitespace/comma separated text.  A warm cache with
-    enough coefficients skips the network entirely.
+    array of integers or whitespace/comma separated text.
     """
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
+    cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / f"{label}.txt"
-    if cache_file.exists():
-        table = load_coefficient_file(cache_file)
-        if table.bound >= n_max:
-            return _truncate_table(table, n_max)
-
     url = f"{base_url.rstrip('/')}/q_expansion/{label}?n={n_max}"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
@@ -623,7 +629,7 @@ def fetch_remote(label, n_max, base_url=DEFAULT_BASE_URL, cache_dir=None, timeou
     N, k = parse_label(label)
     descriptor = NewformDescriptor(label=label, weight=k, level=N, source=Source.REMOTE)
     table = CoefficientTable(descriptor, coeffs[:n_max])
-    write_coefficient_file(cache_file, table)
+    write_coefficient_file(cache_dir / f"{label}.txt", table)
     return table
 
 

@@ -26,6 +26,13 @@ def test_expand_delta_prefix(capsys):
     assert out.strip().splitlines()[1:] == ["1 1", "2 -24", "3 252"]
 
 
+def test_expand_eta_under_a_bundled_label_expands_the_given_recipe(capsys):
+    # --label only names the recipe: Delta's coefficients, not 5.4.a.a's
+    code, out, _ = run(["expand", "--eta", "1:24", "--label", "5.4.a.a", "--n", "3"], capsys)
+    assert code == 0
+    assert out.strip().splitlines() == ["label=5.4.a.a k=12 N=1", "1 1", "2 -24", "3 252"]
+
+
 def test_expand_usage_error(capsys):
     code, _, err = run(["expand", "--n", "9"], capsys)
     assert code == 2
@@ -293,6 +300,90 @@ def test_non_utf8_cache_file_exit_code(tmp_path, capsys):
     code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", "2"], capsys)
     assert code == 3
     assert "line 4" in err and "UTF-8" in err
+
+
+# -- one lookup order for every label: cache, bundled constructor, remote --------------
+
+_UNREACHABLE = "http://127.0.0.1:9"
+
+
+def _offline_config(tmp_path):
+    cfg_file = tmp_path / "offline.cfg"
+    cfg_file.write_text(f"base_url = {_UNREACHABLE}\n")
+    return str(cfg_file)
+
+
+def _refuse_network(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the network was touched")
+
+    monkeypatch.setattr(coeffs.urllib.request, "urlopen", refuse)
+
+
+def _count_loads(monkeypatch):
+    loads, load = [], coeffs.load_coefficient_file
+
+    def spy(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(coeffs, "load_coefficient_file", spy)
+    return loads
+
+
+def test_figures_on_a_seeded_cache_expands_no_eta_quotient(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    bundled.seed_cache(cache, 3000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eta combination was expanded")
+
+    monkeypatch.setattr(coeffs, "eta_combination", refuse)
+    monkeypatch.setattr(bundled, "eta_combination", refuse)
+    _refuse_network(monkeypatch)
+    loads = _count_loads(monkeypatch)
+    argv = ["--config", _offline_config(tmp_path), "--cache-dir", str(cache), "--out", str(tmp_path)]
+    code, _, err = run(argv + ["figures", "--x-max", "3000"], capsys)
+    assert code == 0, err
+    assert sorted(path.name for path in loads) == ["5.4.a.a.txt", "6.6.a.a.txt"]
+
+
+@pytest.mark.parametrize("label", ["5.4.a.a", "6.6.a.a", "1.12.a.a"])
+def test_short_cache_of_a_bundled_label_falls_back_to_the_constructor(tmp_path, monkeypatch, label):
+    coeffs.write_coefficient_file(tmp_path / f"{label}.txt", bundled.bundled_table(label, 30))
+    _refuse_network(monkeypatch)
+    loads = _count_loads(monkeypatch)
+    table = resolve_table(label, 60, cache_dir=tmp_path, base_url=_UNREACHABLE)
+    assert table.raw == bundled.bundled_table(label, 60).raw
+    assert len(loads) == 1
+
+
+def test_short_cache_is_read_once_on_the_way_to_the_remote(tmp_path, monkeypatch, payload_server):
+    server, base = payload_server
+    # 5.4.b.b is not bundled; its weight and level are those of 5.4.a.a,
+    # whose coefficients the server answers with
+    server.payload = str(list(bundled.bundled_table("5.4.a.a", 40).raw))
+    short = bundled.bundled_table("5.4.a.a", 10)
+    descriptor = coeffs.NewformDescriptor("5.4.b.b", 4, 5)
+    coeffs.write_coefficient_file(tmp_path / "5.4.b.b.txt", coeffs.CoefficientTable(descriptor, short.raw))
+    loads = _count_loads(monkeypatch)
+    table = resolve_table("5.4.b.b", 40, cache_dir=tmp_path, base_url=base)
+    assert table.raw == bundled.bundled_table("5.4.a.a", 40).raw
+    assert len(loads) == 1
+    assert coeffs.load_coefficient_file(tmp_path / "5.4.b.b.txt").bound == 40
+
+
+def test_corrupt_cache_file_of_an_eta_form_exits_3(tmp_path, capsys, monkeypatch):
+    # as for 6.6.a.a (test_truncated_cache_file_exit_code): refused, not rebuilt
+    cache = tmp_path / "cache"
+    bundled.seed_cache(cache, 3000)
+    path = cache / "5.4.a.a.txt"
+    path.write_bytes(path.read_bytes()[:-3])  # cut inside the last line
+    _refuse_network(monkeypatch)
+    argv = ["--config", _offline_config(tmp_path), "--cache-dir", str(cache), "--out", str(tmp_path)]
+    code, _, err = run(argv + ["figures", "--x-max", "3000"], capsys)
+    assert code == 3
+    assert "error: line 3001" in err
 
 
 def test_config_file_parsing(tmp_path):

@@ -219,7 +219,7 @@ def test_level6_build_uses_two_moduli_at_1e5(monkeypatch):
     bound, moduli = calls[-1]
     assert bound == bundled.newform_bound(6, 10**5)
     assert len(moduli) == 2
-    _, terms = bundled._level6_combination()
+    terms = bundled._LEVEL6_TERMS
     assert len(coeffs._crt_moduli(sum(abs(c) * eta_bound(r, 10**5) for c, r in terms))) == 3
 
 
@@ -239,9 +239,8 @@ def test_newform_bound_builds_equal_l1_builds(label, n_max):
 
 @pytest.mark.parametrize("n_max", [1, 9, 10, 257, 5000])
 def test_level6_newform_bound_build_equals_l1_build(n_max):
-    denominator, terms = bundled._level6_combination()
     length = max(n_max, 9)
-    l1 = coeffs.eta_combination(terms, length)[1 : n_max + 1] // denominator
+    l1 = coeffs.eta_combination(bundled._LEVEL6_TERMS, length)[1 : n_max + 1]
     assert bundled.build_6_6_a_a(n_max).raw == tuple(l1.tolist())
 
 
@@ -312,11 +311,6 @@ def test_normalized_prime_values(f54_table, f66_table):
 def test_normalized_zero_coefficient():
     table = CoefficientTable(NewformDescriptor("toy", 2, 33), [1, 0, 1])
     assert table.normalized_prime_value(2) == 0.0
-
-
-def test_memoization(f54_table):
-    v1 = f54_table.normalized_prime_value(11)
-    assert f54_table._norm_cache[11] == v1
 
 
 @pytest.mark.parametrize("table", ["f54_table", "f66_table", "delta_table"])
