@@ -132,15 +132,19 @@ def _parse_mn(text):
 def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL):
     """Obtain a coefficient table, the same way for every label: the cache
     file when it holds n_max coefficients, else the bundled offline
-    constructor for a bundled label, else the remote fetcher.  A corrupt
-    cache file raises (exit 3); it is never skipped."""
+    constructor for a bundled label, else the remote fetcher.  A table
+    built or downloaded here is written to the cache, so the next run finds
+    it there.  A corrupt cache file raises (exit 3); it is never skipped."""
     cache_dir = Path(cache_dir) if cache_dir else coeffs.default_cache_dir()
     table = coeffs.cached_table(label, n_max, cache_dir)
     if table is not None:
         return table
-    if label in bundled.BUNDLED_FORMS:
-        return bundled.bundled_table(label, n_max)
-    return coeffs.download_table(label, n_max, base_url, cache_dir)
+    if label not in bundled.BUNDLED_FORMS:
+        return coeffs.download_table(label, n_max, base_url, cache_dir)
+    table = bundled.bundled_table(label, n_max)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    coeffs.write_coefficient_file(cache_dir / f"{label}.txt", table)
+    return table
 
 
 # -- region flags ------------------------------------------------------------------

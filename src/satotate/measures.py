@@ -370,20 +370,21 @@ def _polish_block(region, polys, t_lo, t_hi, s_lo, s_hi):
     v_hi = np.concatenate([s_lo[1], s_lo[1]])[:, None]
     if polys:
         roots = np.concatenate([_real_roots_batched(p.v_coefficients_at(u_nodes)) for p in polys], axis=1)
-        roots = np.where((roots > v_lo) & (roots < v_hi), roots, np.nan)
+        # a root outside the section, or missing (NaN), becomes v_hi: it
+        # leaves trailing zero-length segments of mass exactly +0.0
+        roots = np.where((roots > v_lo) & (roots < v_hi), roots, v_hi)
+        if roots.shape[1] == 2:
+            roots = np.stack([np.minimum(roots[:, 0], roots[:, 1]), np.maximum(roots[:, 0], roots[:, 1])], axis=1)
+        else:
+            roots.sort(axis=1)
         breaks = np.concatenate([v_lo, roots, v_hi], axis=1)
     else:
         breaks = np.concatenate([v_lo, v_hi], axis=1)
-    breaks = np.sort(breaks, axis=1)  # NaNs sort to the end
     mids = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
-    valid = np.isfinite(mids)
-    member = np.zeros(mids.shape, dtype=bool)
-    if valid.any():
-        u_mat = np.broadcast_to(u_nodes[:, None], mids.shape)
-        member[valid] = region.contains_many(u_mat[valid], mids[valid])
-    f = st_antiderivative(np.where(np.isfinite(breaks), breaks, 0.0))
+    member = region.contains_many(np.broadcast_to(u_nodes[:, None], mids.shape), mids)
+    f = st_antiderivative(breaks)
     seg = f[:, 1:] - f[:, :-1]
-    node_mass = np.where(valid & member, seg, 0.0).sum(axis=1)
+    node_mass = np.where(member, seg, 0.0).sum(axis=1)
     density = (2.0 / math.pi) * np.sin(thetas) ** 2
     weighted = density * node_mass
     return half * (weighted[:n_cells] + weighted[n_cells:])

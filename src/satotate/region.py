@@ -277,10 +277,98 @@ def region_from_poly_interval(P, interval, m, n):
     )
 
 
-def _sympy_factors(poly):
-    """Exact irreducible factorization of a Poly2 over the rationals.
+def _factors(poly):
+    """Exact irreducible factorization of a Poly2 over the rationals:
+    (constant_sign, [(factor_poly2, multiplicity), ...]) in the
+    normalization of ``sympy.factor_list(expr, u, v)``.
 
-    Returns (constant_sign, [(factor_poly2, multiplicity), ...]).
+    The Newton-polygon certificate decides most boundary curves without
+    sympy; sympy factors whatever the certificate cannot decide.
+    """
+    return _newton_certificate(poly) or _sympy_factors(poly)
+
+
+def _newton_certificate(poly):
+    """(csign, [(primitive poly, 1)]) when the Newton polygon proves ``poly``
+    irreducible over Q, else None.
+
+    By Ostrowski's theorem Newt(gh) = Newt(g) + Newt(h).  A factor whose
+    polygon is a single point is a monomial, which a polynomial with a term
+    free of u and a term free of v does not have; so such a polynomial is
+    irreducible when its polygon is integrally indecomposable (S. Gao,
+    J. Algebra 237 (2001)).  The factor is returned primitive over Z with a
+    positive lex-leading coefficient (u before v), its terms in descending
+    lex order, exactly as sympy returns them; csign is the sign of that
+    coefficient in ``poly``.
+    """
+    keys = poly.coeffs
+    if not (any(i == 0 for i, _ in keys) and any(j == 0 for _, j in keys)):
+        return None
+    if not _integrally_indecomposable(_convex_hull(keys)):
+        return None
+    order = sorted(keys, reverse=True)
+    exact = [Fraction(poly.coeffs[key]) for key in order]
+    denom = math.lcm(*(c.denominator for c in exact))
+    ints = [c.numerator * (denom // c.denominator) for c in exact]
+    csign = 1 if ints[0] > 0 else -1
+    scale = csign * math.gcd(*ints)
+    return csign, [(Poly2({key: Fraction(c // scale) for key, c in zip(order, ints)}), 1)]
+
+
+def _convex_hull(points):
+    """Vertices of the convex hull of integer points, counter-clockwise and
+    without collinear points (Andrew's monotone chain); a segment gives its
+    two ends."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+def _integrally_indecomposable(hull):
+    """Whether the lattice polygon with these vertices is not a Minkowski
+    sum of two lattice polygons, neither a point.
+
+    Its boundary is a cycle of primitive steps: each edge is its primitive
+    vector repeated lattice-length times.  A summand's edges would be a
+    proper, non-empty sub-selection of these steps summing to zero; the
+    search for one runs over the set of partial sums.  A selection or its
+    complement holds the first step, so the first step is taken and only
+    "some step left out" is tracked.  A segment is two opposite edges, so it
+    is indecomposable exactly when its lattice length is 1.
+    """
+    if len(hull) < 2:
+        return False
+    edges = []
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        length = math.gcd(x1 - x0, y1 - y0)
+        edges.append(((x1 - x0) // length, (y1 - y0) // length, length))
+    (dx, dy, length), rest = edges[0], edges[1:]
+    sums = {(c * dx, c * dy, c < length) for c in range(1, length + 1)}
+    for dx, dy, length in rest:
+        sums = {
+            (x + c * dx, y + c * dy, left_out or c < length)
+            for x, y, left_out in sums
+            for c in range(length + 1)
+        }
+    return (0, 0, True) not in sums
+
+
+def _sympy_factors(poly):
+    """Exact irreducible factorization of a Poly2 over the rationals by
+    sympy.  Returns (constant_sign, [(factor_poly2, multiplicity), ...]).
     """
     import sympy
 
@@ -335,7 +423,7 @@ def poly_positive(P, m, n, sign=1):
         pb = Poly2.from_univariate(b_coeffs, "v")
         if not (pa.is_constant() or pb.is_constant()):
             return _sign_pattern((pa, pb), sign, label)
-    csign, parts = _sympy_factors(composed)
+    csign, parts = _factors(composed)
     odd = [poly for poly, mult in parts if mult % 2 == 1]
     target = (1 if sign > 0 else -1) * csign
     if not odd:

@@ -4,7 +4,14 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from satotate import bundled
+from satotate import bundled, coeffs
+
+
+@pytest.fixture(autouse=True)
+def _private_cache_dir(tmp_path_factory, monkeypatch):
+    """A run without --cache-dir uses a fresh cache of its own: a test never
+    reads the user's ~/.cache/satotate, nor writes tables built offline to it."""
+    monkeypatch.setenv(coeffs.CACHE_ENV_VAR, str(tmp_path_factory.mktemp("cache")))
 
 
 @pytest.fixture(scope="session")

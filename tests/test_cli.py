@@ -1,9 +1,16 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import satotate
 from satotate import bundled, cli, coeffs, counting, region
 from satotate.cli import RunConfig, load_config, main, resolve_table
+
+_SRC = str(Path(satotate.__file__).resolve().parents[1])
 
 
 def run(args, capsys):
@@ -356,6 +363,42 @@ def test_short_cache_of_a_bundled_label_falls_back_to_the_constructor(tmp_path, 
     table = resolve_table(label, 60, cache_dir=tmp_path, base_url=_UNREACHABLE)
     assert table.raw == bundled.bundled_table(label, 60).raw
     assert len(loads) == 1
+    assert coeffs.load_coefficient_file(tmp_path / f"{label}.txt").raw == table.raw
+
+
+def test_offline_builds_are_written_back_to_the_cache(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    bundled.seed_cache(cache, 1000)
+    _refuse_network(monkeypatch)
+    argv = ["--config", _offline_config(tmp_path), "--cache-dir", str(cache), "--out", str(tmp_path)]
+    code, _, err = run(argv + ["figures", "--x-max", "3000"], capsys)
+    assert code == 0, err
+    for label in ("5.4.a.a", "6.6.a.a"):
+        lines = (cache / f"{label}.txt").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 3000  # the header and n_max coefficients
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bundled table was rebuilt")
+
+    monkeypatch.setattr(bundled, "bundled_table", refuse)
+    code, _, err = run(argv + ["figures", "--x-max", "3000"], capsys)
+    assert code == 0, err
+
+
+def test_figures_imports_no_sympy(tmp_path):
+    # a fresh interpreter: this test process may have imported sympy already
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    bundled.seed_cache(cache, 3000)
+    script = (
+        "import sys\n"
+        "from satotate.cli import main\n"
+        f"code = main(['--cache-dir', {str(cache)!r}, '--out', {str(out)!r}, 'figures', '--x-max', '3000'])\n"
+        "sys.exit(code or ('sympy was imported' if 'sympy' in sys.modules else 0))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "figure2.csv").exists()
 
 
 def test_short_cache_is_read_once_on_the_way_to_the_remote(tmp_path, monkeypatch, payload_server):

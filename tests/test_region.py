@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from satotate import region
 from satotate.bipoly import Poly2, compose_bivariate
+from satotate.chebyshev import s_poly
 from satotate.counting import count_in_region
 from satotate.errors import (
     BudgetError,
@@ -483,10 +484,70 @@ def test_sign_pattern_counts_match_or_of_and(delta_table, f54_table, f66_table, 
         (_U * _V * (_U - _V), 3),
         (_U * _V * (_U - _V) * (_U + _V), 4),
         ((_U - _V) * (_U - _V) * (_U + _V), 1),  # the square drops out
+        (_U * _U - Poly2.constant(1), 2),  # B(v) = 1 is constant: factored
     ],
 )
 def test_poly_positive_has_one_leaf_per_odd_factor(P, k):
+    # reducible, so the Newton-polygon certificate must leave it to sympy
+    assert region._newton_certificate(P) is None
     for sign in (1, -1):
         reg = poly_positive(P, 1, 1, sign)
         assert len(reg.leaves) == k
         assert len(reg.curves) == k
+
+
+# -- the Newton-polygon irreducibility certificate ----------------------------------
+
+_COEFF = st.one_of(
+    st.integers(-30, 30).filter(bool),
+    st.fractions(-5, 5, max_denominator=12).filter(bool),
+)
+
+
+@st.composite
+def _no_monomial_factor_polys(draw):
+    """Poly2 with a term free of u and a term free of v, so that only the
+    polygon test decides whether the certificate fires."""
+    keys = draw(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=5))
+    keys |= {(draw(st.integers(0, 5)), 0), (0, draw(st.integers(0, 5)))}
+    return Poly2({key: draw(_COEFF) for key in keys})
+
+
+@st.composite
+def _lifted_polys(draw):
+    """P(S_m(u), S_n(v)) for a small P (the dominance P = v - u among them)
+    and m, n <= 12."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    P = draw(st.one_of(
+        st.just(_V - _U),
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFF, min_size=1, max_size=4).map(Poly2),
+    ))
+    return compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(poly=st.one_of(_no_monomial_factor_polys(), _lifted_polys()))
+@example(poly=compose_bivariate(_V - _U, list(s_poly(2)), list(s_poly(3))))  # figures' (2,3)
+@example(poly=Poly2({(0, 0): Fraction(-3, 4), (1, 2): Fraction(3, 2), (0, 1): 3}))
+def test_newton_certificate_matches_sympy_factor_list(poly):
+    certified = region._newton_certificate(poly)
+    if certified is None:
+        return
+    csign, parts = region._sympy_factors(poly)
+    assert certified[0] == csign
+    assert len(parts) == 1 and parts[0][1] == 1 and certified[1][0][1] == 1
+    # same terms in the same order: interval sums run in dict order
+    assert list(certified[1][0][0].coeffs.items()) == list(parts[0][0].coeffs.items())
+    assert all(type(c) is Fraction for c in certified[1][0][0].coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "poly, fires",
+    [
+        (_V - _U, True),  # a lattice segment of length 1
+        (compose_bivariate(_V - _U, list(s_poly(2)), list(s_poly(4))), False),  # irreducible, polygon splits
+        (Poly2({(2, 0): 1, (0, 3): -1, (0, 1): 2, (0, 0): -1}), True),  # S_2(u) - S_3(v)
+    ],
+)
+def test_newton_certificate_fires_only_on_indecomposable_polygons(poly, fires):
+    assert (region._newton_certificate(poly) is not None) == fires
