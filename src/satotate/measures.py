@@ -154,7 +154,9 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
     constraints are all univariate resolve through exact 1-D partitions
     (tight certificates); general boundaries additionally get a per-cell
     Gauss/root-counting estimate so the returned value is far more accurate
-    than the certificate.
+    than the certificate.  When u -> -u (or v -> -v) leaves every leaf
+    polynomial exactly unchanged, the subdivision runs on the half with
+    u >= 0 (v >= 0) and scales what it finds by 2 (4 for both).
 
     Raises BudgetError if the subdivision budget (number of classified cells,
     default 10^7, None = unlimited) runs out before the target is met.
@@ -258,24 +260,33 @@ def _quadtree_bracket(region, target, budget):
     # _angle_ends record, computed once where the bound first appears and
     # carried to the children.  The cell maps to the (u, v) box
     # [2 cos t_hi, 2 cos t_lo] x [2 cos s_hi, 2 cos s_lo], as cos decreases.
+    # u -> -u is t -> pi - t and preserves the measure, so a region it maps
+    # onto itself keeps only the level-1 cells with t <= pi/2 (v and s
+    # alike), and every mass found below level 0 is scaled by the fold 2 or
+    # 4, a power of two and so exact.
+    fold_u, fold_v = region.reflections
+    fold = 2 ** (fold_u + fold_v)
+    scale = 1.0
     t_lo, t_hi = _angle_ends(np.array([0.0])), _angle_ends(np.array([math.pi]))
     s_lo, s_hi = t_lo, t_hi
     inside = 0.0
     processed = 0
-    for _ in range(_MAX_DEPTH):
+    for level in range(_MAX_DEPTH):
         statuses = leaf_statuses(region.leaves, t_hi[1], t_lo[1], s_hi[1], s_lo[1])
         tree = region.tree_status(statuses, t_lo.shape[1:])
         mass = (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
         processed += tree.size
         # index arrays: take() gathers far faster than boolean masks
-        inside += float(mass.take(np.flatnonzero(tree == 1)).sum())
+        inside += scale * float(mass.take(np.flatnonzero(tree == 1)).sum())
         unk = np.flatnonzero(tree == 0)
-        und = float(mass.take(unk).sum())
+        und = scale * float(mass.take(unk).sum())
         t_lo, t_hi, s_lo, s_hi = (ends.take(unk, axis=1) for ends in (t_lo, t_hi, s_lo, s_hi))
         wide = (t_hi[0] - t_lo[0] > _MIN_WIDTH) | (s_hi[0] - s_lo[0] > _MIN_WIDTH)
         if und <= target or not wide.any():
             break
-        if budget is not None and processed + 4 * wide.size > budget:
+        # level 0 is the one square; the fold drops its mirrored children
+        children = 4 * wide.size if level else 4 // fold
+        if budget is not None and processed + children > budget:
             raise BudgetError(
                 f"cell budget {budget} exhausted at certified error {und:.3e} "
                 f"(target {target:.3e})"
@@ -284,8 +295,18 @@ def _quadtree_bracket(region, target, budget):
         s_mid = _angle_ends(0.5 * (s_lo[0] + s_hi[0]))
         t_lo, t_hi = np.hstack((t_lo, t_mid, t_lo, t_mid)), np.hstack((t_mid, t_hi, t_mid, t_hi))
         s_lo, s_hi = np.hstack((s_lo, s_lo, s_mid, s_mid)), np.hstack((s_mid, s_mid, s_hi, s_hi))
-    estimate = _polish_cells(region, t_lo, t_hi, s_lo, s_hi) if t_lo.shape[1] else 0.5 * und
+        if level == 0 and fold > 1:
+            keep = np.flatnonzero(~((fold_u & (t_lo[0] > 0)) | (fold_v & (s_lo[0] > 0))))
+            t_lo, t_hi, s_lo, s_hi = (ends.take(keep, axis=1) for ends in (t_lo, t_hi, s_lo, s_hi))
+            scale = float(fold)
+    if t_lo.shape[1]:
+        estimate = scale * _polish_cells(region, t_lo, t_hi, s_lo, s_hi)
+    else:
+        estimate = 0.5 * und
     value = min(1.0, inside + min(estimate, und))
+    # value +- abs_error must stay in [0, 1]: a value nearer 0 or 1 than an
+    # end of the certified bracket [inside, inside + und] moves inside it
+    value = min(max(value, 0.5 * min(1.0, inside + und)), 0.5 * (1.0 + inside))
     abs_error = max(value - inside, inside + und - value) + 1e-15
     return MeasureValue(value, min(abs_error, 1.0))
 

@@ -109,6 +109,15 @@ class PolynomialRegion:
     def leaf_axes(self):
         return self._axes
 
+    @functools.cached_property
+    def reflections(self):
+        """(u, v): whether u -> -u, resp. v -> -v, leaves every leaf
+        polynomial exactly unchanged, and so maps the region onto itself."""
+        return tuple(
+            all(c.poly.sign_flip(s, t) == c.poly for c in self.leaves)
+            for s, t in ((-1, 1), (1, -1))
+        )
+
     # -- membership -------------------------------------------------------------
 
     def tree_status(self, statuses, shape):
@@ -447,18 +456,10 @@ class GridLines:
     tau: float
     edges: np.ndarray = field(repr=False)
 
-    def box_index(self, x):
-        """Half-open assignment [lower, upper); the last box is closed at 2."""
-        i = int(np.searchsorted(self.edges, x, side="right")) - 1
-        return min(max(i, 0), self.m - 1)
-
 
 def build_grid(m):
-    """Grid lines with tau = 1 + 1/(2*sqrt(2)*m), inside (1, 1 + 1/(2m)).
-
-    Points landing exactly on an interior line belong to the upper box
-    (half-open rule); the closing line sits exactly at +2.
-    """
+    """Grid lines with tau = 1 + 1/(2*sqrt(2)*m), inside (1, 1 + 1/(2m));
+    the closing line sits exactly at +2."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     tau = 1.0 + 1.0 / (2.0 * math.sqrt(2.0) * m)
@@ -500,10 +501,6 @@ class GridApproximation:
     @property
     def interior_boxes(self):
         return {tuple(ij) for ij in np.argwhere(self.status == 1)}
-
-    def exterior_mass(self):
-        grid_mu = _box_mass(self.grid)
-        return float(grid_mu[self.status == -1].sum())
 
 
 def _box_mass(grid):

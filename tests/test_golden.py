@@ -6,7 +6,8 @@ pipeline was consolidated, so any refactor that changes a single byte of a
 figure, a density/dominance CSV (including its envelope column) or a grid
 bracket fails here.  The certified-measure CSV and the number of cells the
 quadtree classifies at each level were recorded the same way before the
-quadtree's cell geometry was reorganised.
+quadtree's cell geometry was reorganised; the cell counts were re-recorded
+when the quadtree began to fold regions by their reflection symmetries.
 """
 
 import hashlib
@@ -47,17 +48,19 @@ DIGESTS = {
     "measure/measure.csv": "4835921c03a5eaf95c5f157c786c5905085305d7a55e45b31bf370303b78bc3f",
 }
 
-# cells classified at each quadtree level (the sizes handed to leaf_statuses)
+# cells classified at each quadtree level (the sizes handed to leaf_statuses);
+# the disk is even in u and v and the (2,3) region in u, so below level 0
+# these are a quarter and a half of the unfolded tree's counts
 QUADTREE_LEVELS = {
     "disk(1)@1e-4": (
         lambda: region.disk(1),
         1e-4,
-        [1, 4, 16, 16, 48, 80, 176, 336, 688, 1360, 2736, 5456, 10928, 21840, 43696, 87376, 174768],
+        [1, 1, 4, 4, 12, 20, 44, 84, 172, 340, 684, 1364, 2732, 5460, 10924, 21844, 43692],
     ),
     "poly(2,3)@1e-3": (
         lambda: region.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), 2, 3),
         1e-3,
-        [1, 4, 16, 64, 128, 240, 464, 904, 1704, 3392, 6792, 13536, 26984, 53880],
+        [1, 2, 8, 32, 64, 120, 232, 452, 852, 1696, 3396, 6768, 13492, 26940],
     ),
 }
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from satotate import measures, region
 from satotate.bipoly import Poly2
@@ -16,6 +18,7 @@ from satotate.measures import (
     mu_jst_region,
     mu_st,
 )
+from satotate.region import Constraint, PolynomialRegion
 
 import oracles
 
@@ -196,3 +199,96 @@ def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build):
     reference = mu_jst_region(reg, 1e-3)
     monkeypatch.setattr(measures, "_CELL_BLOCK", 1000)
     assert mu_jst_region(reg, 1e-3) == reference
+
+
+# -- reflection folding -------------------------------------------------------------
+
+V_MINUS_U = Poly2({(0, 1): 1, (1, 0): -1})
+
+
+def test_reflections_of_named_regions():
+    assert region.disk(1).reflections == (True, True)
+    assert region.poly_positive(V_MINUS_U, 2, 3).reflections == (True, False)
+    # S_1 and S_3 are odd, so u -> -u moves the boundary S_n(v) = S_m(u)
+    assert not region.poly_positive(V_MINUS_U, 1, 2).reflections[0]
+    assert not region.poly_positive(V_MINUS_U, 3, 2).reflections[0]
+    assert region.disk(1).complement().reflections == (True, True)
+
+
+def test_one_uneven_leaf_anywhere_stops_the_fold_on_its_axis():
+    even = Constraint(Poly2({(2, 0): 1, (0, 2): 1, (0, 0): -1}), "<")
+    odd_in_u = Constraint(Poly2({(3, 0): 1, (0, 2): 1, (0, 0): -2}), ">")
+    odd_in_v = Constraint(Poly2({(2, 2): 1, (0, 1): 1}), ">")
+    deep = ("or", (("leaf", 0), ("and", (("leaf", 0), ("sign", 1, (("leaf", 1),))))))
+    assert PolynomialRegion((even, even), deep).reflections == (True, True)
+    assert PolynomialRegion((even, odd_in_u), deep).reflections == (False, True)
+    assert PolynomialRegion((even, odd_in_v), deep).reflections == (True, False)
+    # a leaf the tree never reads still counts
+    assert PolynomialRegion((even, odd_in_u), ("or", (("leaf", 0),))).reflections == (False, True)
+
+
+def test_bracket_near_zero_or_one_stays_in_the_unit_interval():
+    # u^2 v^2 > 0 off two lines: the polish puts the value at an end of the
+    # certified bracket, where value +- abs_error used to leave [0, 1]
+    reg = PolynomialRegion((Constraint(Poly2({(2, 2): 1}), ">"),))
+    for target in (1e-3, 1e-4):
+        for r, truth in ((reg, 1.0), (reg.complement(), 0.0)):
+            mv = mu_jst_region(r, target)
+            assert mv.lo <= truth <= mv.hi and mv.abs_error <= target
+
+
+@st.composite
+def _even_polys(draw):
+    """(P, fold_u, fold_v): P of degree <= 2 in each variable with small
+    integer coefficients, even in u when fold_u and in v when fold_v."""
+    fold_u, fold_v = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    monomials = [(i, j) for i in ((0, 2) if fold_u else (0, 1, 2)) for j in ((0, 2) if fold_v else (0, 1, 2))]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+    return Poly2(dict(zip(monomials, coeffs))), fold_u, fold_v
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_even_polys(), op=st.sampled_from([">", "<"]))
+def test_folded_measure_matches_unfolded(case, op):
+    poly, fold_u, fold_v = case
+    assume(poly.depends_on_u() and poly.depends_on_v())  # else no quadtree
+    folded = PolynomialRegion((Constraint(poly, op),))
+    assert folded.reflections[0] >= fold_u and folded.reflections[1] >= fold_v
+    # u + v + 5 > 0 holds on the whole square and is even in neither variable
+    whole = Constraint(Poly2({(1, 0): 1, (0, 1): 1, (0, 0): 5}), ">")
+    unfolded = PolynomialRegion((Constraint(poly, op), whole))
+    assert unfolded.reflections == (False, False)
+    a = mu_jst_region(folded, 1e-3)
+    b = mu_jst_region(unfolded, 1e-3)
+    assert a.value == pytest.approx(b.value, abs=1e-12)
+    assert a.lo <= b.value <= a.hi
+    assert b.lo <= a.value <= b.hi
+
+
+@pytest.mark.parametrize(
+    "build, target",
+    [(lambda: region.disk(1), 1e-4), (lambda: region.poly_positive(V_MINUS_U, 2, 3), 1e-3)],
+    ids=["disk", "poly(2,3)"],
+)
+def test_budget_counts_the_cells_classified(monkeypatch, build, target):
+    sizes = []
+    real = measures.leaf_statuses
+
+    def spy(leaves, u_lo, u_hi, v_lo, v_hi):
+        sizes.append(int(u_lo.size))
+        return real(leaves, u_lo, u_hi, v_lo, v_hi)
+
+    monkeypatch.setattr(measures, "leaf_statuses", spy)
+    reference = mu_jst_region(build(), target)
+    total = sum(sizes)
+    assert mu_jst_region(build(), target, budget=total) == reference
+    sizes.clear()
+    with pytest.raises(BudgetError):
+        mu_jst_region(build(), target, budget=total - 1)
+    assert sum(sizes) <= total - 1
+    # level 0 is one cell and the fold keeps one (disk) or two ((2,3)) of
+    # its four children, so a budget of 3 reaches level 1 on both
+    sizes.clear()
+    with pytest.raises(BudgetError):
+        mu_jst_region(build(), target, budget=3)
+    assert sizes[:2] == [1, 4 // 2 ** sum(build().reflections)]

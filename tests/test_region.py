@@ -73,13 +73,18 @@ def test_build_grid_monotone_closing():
         assert np.max(np.diff(g.edges)) <= 4 * g.tau / m + 1e-15
 
 
-def test_box_index_half_open():
-    g = build_grid(4)
-    for i in range(1, 4):
-        # a point exactly on an interior line belongs to the upper box
-        assert g.box_index(float(g.edges[i])) == i
-    assert g.box_index(-2.0) == 0
-    assert g.box_index(2.0) == 3
+def test_grid_lines_bound_the_classified_boxes():
+    # box i spans [edges[i], edges[i+1]]: the line u = edges[i] is the upper
+    # edge of box i - 1 and the lower edge of box i, -2 bounds box 0 only and
+    # the closing line +2 box m - 1 only
+    m = 4
+    g = build_grid(m)
+    u = Poly2({(1, 0): 1})
+    for i, edge in enumerate(g.edges):
+        line = Constraint(u - Poly2.constant(Fraction(float(edge))), ">")
+        status = classify_boxes(region.PolynomialRegion((line,)), m).status
+        expected = [-1 if r < i - 1 else 0 if r <= i else 1 for r in range(m)]
+        assert status.tolist() == [[s] * m for s in expected], i
 
 
 # -- classification --------------------------------------------------------------------
@@ -108,7 +113,10 @@ def test_classify_rect_m64_bracket():
     lo, hi = approx.bracket
     assert lo <= 0.370879 <= hi
     mass_t = hi - lo
-    grid_mass = 1.0 - lo - approx.exterior_mass()
+    # the complement's interior boxes are exactly this region's exterior ones
+    exterior = classify_boxes(rect(-1, 1, -1, 1).complement(), 64)
+    assert np.array_equal(exterior.status, -approx.status)
+    grid_mass = 1.0 - lo - exterior.mu_low
     assert mass_t == pytest.approx(grid_mass, abs=1e-9)
 
 
@@ -135,8 +143,10 @@ def test_bracket_width_scales_inverse_m():
 def test_disjoint_cover():
     for name, (factory, _) in REGIONS.items():
         approx = classify_boxes(factory(), 48)
+        exterior = classify_boxes(factory().complement(), 48)
+        assert np.array_equal(exterior.status, -approx.status), name
         lo, hi = approx.bracket
-        total = lo + (hi - lo) + approx.exterior_mass()
+        total = lo + (hi - lo) + exterior.mu_low
         assert total == pytest.approx(1.0, abs=1e-9), name
 
 
