@@ -44,7 +44,6 @@ import math
 import os
 import re
 import urllib.error
-import urllib.request
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -461,14 +460,14 @@ def write_coefficient_file(path, table):
 
 
 def load_coefficient_file(path):
-    """Read a coefficient file.
+    r"""Read a coefficient file.
 
     Format (UTF-8 text): a header line ``label=<text> k=<int> N=<int>``
     followed by one ``<n> <A(n)>`` line per index, ascending and contiguous
     from 1.  Fields are an optional sign and ASCII digits, separated by
     whitespace.  ``#`` starts a comment, blank lines are skipped, and every
-    line ends in a newline, so a file cut short is refused.  All table
-    invariants are checked.
+    line ends in a newline (``\n``, ``\r\n`` or ``\r``), so a file cut
+    short is refused.  All table invariants are checked.
     """
     with open(path, "rb") as binary, io.TextIOWrapper(binary, encoding="utf-8") as fh:
         binary.seek(max(binary.seek(0, os.SEEK_END) - 1, 0))
@@ -484,13 +483,11 @@ def load_coefficient_file(path):
             try:
                 header_line, header = _read_header(fh)
                 try:
-                    rows = _load_body(fh, np.int64)
+                    rows = _load_body(path, fh, header_line, np.int64)
                     values = rows["a"].copy()  # contiguous, without the n column
                 except (ValueError, DeprecationWarning):
                     # a value beyond int64, or a malformed line: read A(n) as text
-                    fh.seek(0)
-                    _read_header(fh)
-                    rows = _load_body(fh, object)
+                    rows = _load_body(path, fh, header_line, object)
                     digits = "".join(rows["a"])  # int() also takes '_' and non-ASCII digits
                     if not digits.isascii() or "_" in digits:
                         raise ValueError("a field that is not an optional sign and ASCII digits")
@@ -506,8 +503,27 @@ def load_coefficient_file(path):
     return CoefficientTable(descriptor, values)
 
 
-def _load_body(fh, value_dtype):
-    return np.loadtxt(fh, dtype=[("n", np.int64), ("a", value_dtype)], comments="#", ndmin=1)
+#: The names numpy.loadtxt decompresses when it is given a path.
+_COMPRESSOR_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _load_body(path, fh, header_line, value_dtype):
+    """The (n, A(n)) rows below the header, which is line ``header_line``.
+    numpy parses a path with its chunked C reader, a file object one Python
+    line at a time; but it would decompress a path with a compressor
+    suffix, so that file is read from ``fh``, rewound, as plain text."""
+    source = os.fsdecode(path)
+    if source.endswith(_COMPRESSOR_SUFFIXES):
+        fh.seek(0)
+        source = fh
+    return np.loadtxt(
+        source,
+        dtype=[("n", np.int64), ("a", value_dtype)],
+        comments="#",
+        skiprows=header_line,
+        encoding="utf-8",
+        ndmin=1,
+    )
 
 
 def _read_header(fh):
@@ -608,6 +624,8 @@ def download_table(label, n_max, base_url, cache_dir, timeout=30.0):
     GETs ``<base>/q_expansion/<label>?n=<n_max>`` and accepts either a JSON
     array of integers or whitespace/comma separated text.
     """
+    import urllib.request  # http.client, ssl and email: only when a table is downloaded
+
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     url = f"{base_url.rstrip('/')}/q_expansion/{label}?n={n_max}"

@@ -321,10 +321,12 @@ def _offline_config(tmp_path):
 
 
 def _refuse_network(monkeypatch):
+    import urllib.request
+
     def refuse(*args, **kwargs):
         raise AssertionError("the network was touched")
 
-    monkeypatch.setattr(coeffs.urllib.request, "urlopen", refuse)
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
 
 
 def _count_loads(monkeypatch):
@@ -385,20 +387,37 @@ def test_offline_builds_are_written_back_to_the_cache(tmp_path, capsys, monkeypa
     assert code == 0, err
 
 
-def test_figures_imports_no_sympy(tmp_path):
-    # a fresh interpreter: this test process may have imported sympy already
-    cache, out = tmp_path / "cache", tmp_path / "out"
-    bundled.seed_cache(cache, 3000)
+def _main_leaves_out(module, argv):
+    """Run ``main(argv)`` in a fresh interpreter (this test process may have
+    imported ``module`` already); the process fails when ``main`` fails or
+    has imported ``module``."""
     script = (
         "import sys\n"
         "from satotate.cli import main\n"
-        f"code = main(['--cache-dir', {str(cache)!r}, '--out', {str(out)!r}, 'figures', '--x-max', '3000'])\n"
-        "sys.exit(code or ('sympy was imported' if 'sympy' in sys.modules else 0))\n"
+        f"code = main({argv!r})\n"
+        f"sys.exit(code or ({module!r} + ' was imported' if {module!r} in sys.modules else 0))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_figures_imports_no_sympy(tmp_path):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    bundled.seed_cache(cache, 3000)
+    proc = _main_leaves_out("sympy", ["--cache-dir", str(cache), "--out", str(out), "figures", "--x-max", "3000"])
     assert proc.returncode == 0, proc.stderr
     assert (out / "figure2.csv").exists()
+
+
+def test_warm_cache_density_imports_no_urllib_request(tmp_path):
+    # the HTTP client (http.client, ssl, email) loads only for a download
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    bundled.seed_cache(cache, 3000)
+    argv = ["--cache-dir", str(cache), "--out", str(out), "density",
+            "--f", "5.4.a.a", "--fp", "6.6.a.a", "--mn", "1,1", "--x-max", "3000"]
+    proc = _main_leaves_out("urllib.request", argv)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "density_1_1.csv").exists()
 
 
 def test_short_cache_is_read_once_on_the_way_to_the_remote(tmp_path, monkeypatch, payload_server):

@@ -1,3 +1,4 @@
+import gzip
 import math
 import os
 import random
@@ -439,6 +440,7 @@ _BODY = "1 1\n2 -4\n3 2\n4 8\n5 -5\n6 -8\n"
         pytest.param(_HEAD + _BODY.replace(" ", "\t"), id="tabs"),
         pytest.param(_HEAD + _BODY.replace("\n", " \t \n"), id="trailing-spaces"),
         pytest.param((_HEAD + _BODY).replace("\n", "\r\n"), id="crlf"),
+        pytest.param((_HEAD + _BODY).replace("\n", "\r"), id="lone-cr"),
         pytest.param(_HEAD + "+1 +1\n2 -4\n003 2\n4 8\n5 -5\n6 -8\n", id="signs-and-zeros"),
     ],
 )
@@ -531,6 +533,46 @@ def test_truncated_file_never_loads_wrong_values(tmp_path):
         assert prefix == table.raw[: len(prefix)], cut
         loaded += 1
     assert loaded == table.bound
+
+
+_WIDE = f"label=7.4.x.y k=4 N=7\n1 1\n2 0\n3 0\n4 {2**70}\n"
+
+
+@pytest.mark.parametrize("text", [_HEAD + _BODY, _WIDE], ids=["int64", "exact"])
+def test_compressor_suffixes_are_plain_text(tmp_path, text):
+    # numpy.loadtxt would decompress a path with these suffixes; a coefficient
+    # file is plain text whatever its name, and a compressed one is refused
+    (tmp_path / "t.txt").write_text(text, encoding="utf-8")
+    expected = load_coefficient_file(tmp_path / "t.txt").raw
+    for name in ("t.txt.gz", "t.txt.bz2", "t.txt.xz", "t.txt.lzma"):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert load_coefficient_file(tmp_path / name).raw == expected, name
+    path = tmp_path / "z.txt.gz"
+    path.write_bytes(gzip.compress(text.encode()))
+    with pytest.raises(ParseError) as excinfo:
+        load_coefficient_file(path)
+    assert excinfo.type is ParseError
+    assert excinfo.value.line_number == 1
+
+
+def test_file_beyond_one_read_chunk(tmp_path):
+    # many read chunks, CRLF endings, and lines before the header that the
+    # body parse must skip
+    n = 200_000
+    values = [(-1) ** k * k * k for k in range(1, n + 1)]
+    values[0] = 1
+    for p in coeffs.sieve(n).primes.tolist():
+        values[p - 1] = 0  # A(p) = 0 passes every prime check
+    lines = ["# comment", "", " ", "label=t k=2 N=1"] + [f"{k} {v}" for k, v in enumerate(values, start=1)]
+    path = tmp_path / "t.txt"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert load_coefficient_file(path).raw == tuple(values)
+    lines[-1] = f"{n} 1.0"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    with pytest.raises(ParseError) as excinfo:
+        load_coefficient_file(path)
+    assert excinfo.type is ParseError
+    assert excinfo.value.line_number == len(lines)
 
 
 def test_file_round_trip_beyond_int64(tmp_path):
