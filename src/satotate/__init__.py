@@ -14,7 +14,6 @@ from .coeffs import (
     PentagonalSeries,
     Source,
     expand_eta_quotient,
-    fetch_remote,
     load_coefficient_file,
     pentagonal_series,
     write_coefficient_file,
@@ -51,7 +50,6 @@ from .region import (
     boundary_bound_check,
     build_grid,
     classify_boxes,
-    curve_length,
     disk,
     error_envelope,
     full_square,

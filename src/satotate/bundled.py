@@ -95,11 +95,6 @@ def bundled_table(label, n_max):
     return expand_eta_quotient(descriptor, n_max, newform_bound(descriptor.weight, n_max))
 
 
-def snapshot_path():
-    """Path of the packaged nine-coefficient snapshot file for 6.6.a.a."""
-    return Path(__file__).parent / "data" / "6.6.a.a.q9.txt"
-
-
 def seed_cache(cache_dir, n_max):
     """Write the tables of 5.4.a.a and 6.6.a.a into a fetch cache, enabling
     offline runs of the default pair.

@@ -7,13 +7,13 @@ p does not divide the level.
 
 We also expose the monic integer variant S_m(u) = U_m(u/2), which satisfies
 S_{m+1} = u S_m - S_{m-1}; composing with S keeps all coefficients integral,
-which the region and counting machinery relies on for exact sign decisions.
+which the region and counting machinery relies on for exact composition;
+``counting`` makes the exact sign decisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,18 +70,6 @@ def s_poly(m):
     return tuple(cur)
 
 
-def s_parity_split(m):
-    """Split S_m(u) = u^parity * R(u^2); returns (parity, R coefficients).
-
-    R has integer coefficients in ascending powers of u^2.  Used for exact
-    sign decisions: with a = A / p^{(k-1)/2} the square a^2 is rational, so
-    sign(S_m(a)) = sign(a)^parity * sign(R(a^2)) is exactly computable.
-    """
-    coeffs = s_poly(m)
-    parity = m % 2
-    return parity, tuple(coeffs[parity::2])
-
-
 def eval_u(m, u):
     """Value of U_m at u via the forward recurrence (stable for m ~ 64).
 
@@ -96,24 +84,6 @@ def eval_u(m, u):
     for _ in range(m - 1):
         prev, cur = cur, 2.0 * u_arr * cur - prev
     return float(cur) if cur.shape == () else cur
-
-
-def eval_s_exact(m, a_squared, a_sign):
-    """Exact sign of S_m(a) given the rational a^2 and sign of a in {-1,0,1}.
-
-    Returns -1, 0, or +1.
-    """
-    parity, reduced = s_parity_split(m)
-    val = Fraction(0)
-    x = Fraction(a_squared)
-    power = Fraction(1)
-    for c in reduced:
-        val += c * power
-        power *= x
-    r_sign = (val > 0) - (val < 0)
-    if parity == 0:
-        return r_sign
-    return a_sign * r_sign
 
 
 def sympower_coeff(table, p, m):

@@ -243,7 +243,7 @@ def cmd_fetch(cfg, args):
         return 0
     if not args.label:
         raise ConfigError("fetch requires --label (or --seed-bundled)")
-    table = coeffs.fetch_remote(args.label, args.n, base_url=cfg.base_url, cache_dir=cache_dir)
+    table = resolve_table(args.label, args.n, cache_dir, cfg.base_url)
     print(f"{table.descriptor.label}: {table.bound} coefficients cached under {cache_dir}")
     return 0
 
@@ -335,10 +335,7 @@ def cmd_figures(cfg, args):
         columns = {}
         series = []
         for m, n in pairs:
-            if kind == "sign":
-                event, pred = frame.sign_event(m, n), measures.d_mn(m, n)
-            else:
-                event, pred = frame.dominance_event(m, n), counting.dominance_prediction(m, n)
+            event, pred = counting.event_and_prediction(frame, kind, m, n)
             rows = frame.tally(event, checkpoints)
             emp = tuple(r[5] for r in rows)
             columns[f"{m}_{n}"] = (emp, pred)

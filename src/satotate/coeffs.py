@@ -6,8 +6,8 @@ eigenvalue) and lazily exposes a(p) = A(p) / p^{(k-1)/2} in floating point.
 
 Three sources of tables: eta-quotient expansion (exact integer power-series
 arithmetic), file ingestion, and an HTTP client.  ``cached_table`` is the one
-cache lookup: ``fetch_remote`` consults it before ``download_table``, and
-``cli.resolve_table`` before the bundled constructors and the download.
+cache lookup: ``cli.resolve_table`` consults it before the bundled
+constructors and ``download_table``.
 
 The expansion engine runs its sparse pentagonal and cube passes (and long
 division, for negative net exponents) on int64 residue arrays modulo a few
@@ -510,20 +510,25 @@ _COMPRESSOR_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 def _load_body(path, fh, header_line, value_dtype):
     """The (n, A(n)) rows below the header, which is line ``header_line``.
     numpy parses a path with its chunked C reader, a file object one Python
-    line at a time; but it would decompress a path with a compressor
-    suffix, so that file is read from ``fh``, rewound, as plain text."""
-    source = os.fsdecode(path)
-    if source.endswith(_COMPRESSOR_SUFFIXES):
-        fh.seek(0)
-        source = fh
-    return np.loadtxt(
-        source,
+    line at a time.  The file is read from ``fh``, rewound, as plain text
+    when numpy would decompress the path (a compressor suffix) or cannot
+    open it: numpy resolves the working directory first, and fails when
+    that directory has been removed."""
+    kwargs = dict(
         dtype=[("n", np.int64), ("a", value_dtype)],
         comments="#",
         skiprows=header_line,
         encoding="utf-8",
         ndmin=1,
     )
+    source = os.fsdecode(path)
+    if not source.endswith(_COMPRESSOR_SUFFIXES):
+        try:
+            return np.loadtxt(source, **kwargs)
+        except FileNotFoundError:
+            pass
+    fh.seek(0)
+    return np.loadtxt(fh, **kwargs)
 
 
 def _read_header(fh):
@@ -605,17 +610,6 @@ def cached_table(label, n_max, cache_dir):
         return None
     table = load_coefficient_file(cache_file)
     return _truncate_table(table, n_max) if table.bound >= n_max else None
-
-
-def fetch_remote(label, n_max, base_url=DEFAULT_BASE_URL, cache_dir=None, timeout=30.0):
-    """A q-expansion from the local cache, else fetched over HTTP by
-    ``download_table``: a warm cache with enough coefficients skips the
-    network entirely."""
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    table = cached_table(label, n_max, cache_dir)
-    if table is not None:
-        return table
-    return download_table(label, n_max, base_url, cache_dir, timeout)
 
 
 def download_table(label, n_max, base_url, cache_dir, timeout=30.0):

@@ -5,11 +5,12 @@ Everything here counts primes p <= x with conditions on the normalized pair
 dividing either level are excluded from density statistics; the first
 sign-change search offers both exclusion rules.
 
-Sign decisions run in floating point with a guard band: whenever a value
-lands within 1e-9 of a decision boundary the prime is re-examined exactly.
-With A = A(p) integral and k even, every quantity of interest lies in
-Q + Q*sqrt(p) (since a(p) = [A / p^{(k-2)/2}] / sqrt(p)), where signs and
-zero tests are exact rational arithmetic, so no tie is ever binned silently.
+Every sign decision goes through ``PairFrame.decide``: it runs in floating
+point with a guard band, and whenever a value lands within 1e-9 of zero the
+prime is re-examined exactly.  With A = A(p) integral and k even, every
+quantity of interest lies in Q + Q*sqrt(p) (since
+a(p) = [A / p^{(k-2)/2}] / sqrt(p)), where signs and zero tests are exact
+rational arithmetic, so no tie is ever binned silently.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bipoly import Poly2, compose_bivariate
-from .chebyshev import eval_s_exact, eval_u, s_poly
+from .chebyshev import eval_u, s_poly
 from .errors import BudgetError, CoverageError, DomainError, InvariantError
 from .measures import d_mn, mu_jst_region
 from . import region as region_mod
@@ -129,12 +130,14 @@ def default_checkpoints(x_max, count=20, x_min=1000):
 # -- exact radical arithmetic -----------------------------------------------------
 
 
-def _exact_pair_value(W, p, A, k, A_prime, k_prime):
-    """Value of W(a(p), a'(p)) written exactly as X + Y*sqrt(p).
+def _exact_pair_value(W, p, tables):
+    """Value of W(a(p), a'(p)) written exactly as X + Y*sqrt(p), for the
+    pair of tables (f, f').
 
     a(p) = A / p^{(k-1)/2} with k even, so every monomial contributes either
     a rational or a rational multiple of sqrt(p).
     """
+    (A, k), (A_prime, k_prime) = ((t.a_int(p), t.descriptor.weight) for t in tables)
     X = Fraction(0)
     Y = Fraction(0)
     for (i, j), c in W.coeffs.items():
@@ -163,13 +166,16 @@ def _radical_sign(X, Y, p):
     return 1 if rhs > lhs else -1
 
 
+@functools.lru_cache(maxsize=None)
+def _lift_poly(m, axis):
+    """S_m on one axis: a(p^m) = S_m(a(p)) as a Poly2 in u or v."""
+    return Poly2.from_univariate(s_poly(m), axis)
+
+
 def exact_lift_sign(table, p, m):
     """Exact sign of a(p^m) = U_m(a(p)/2) at a prime p coprime to the level."""
-    A = table.a_int(p)
-    k = table.descriptor.weight
-    a_sq = Fraction(A * A, p ** (k - 1))
-    a_sign = (A > 0) - (A < 0)
-    return eval_s_exact(m, a_sq, a_sign)
+    # S_m in u reads the first table only
+    return _radical_sign(*_exact_pair_value(_lift_poly(m, "u"), p, (table, table)), p)
 
 
 # -- the prime-pair frame --------------------------------------------------------------
@@ -181,8 +187,8 @@ class PairFrame:
     Every statistic in this module is a reduction over one frame: it checks
     coverage, sieves once, drops the level primes and normalizes both tables
     once, memoizes lift values and exact-guarded lift signs per (side, m),
-    and owns the exact re-decision of guard-band values.  Side 0 is f, side 1
-    is f'.  Build frames through ``pair_frame``, which reuses the last one.
+    and makes every sign decision in ``decide``.  Side 0 is f, side 1 is f'.
+    Build frames through ``pair_frame``, which reuses the last one.
     """
 
     def __init__(self, table_f, table_fp, x):
@@ -205,24 +211,19 @@ class PairFrame:
         return self._lifts[side, m]
 
     def lift_signs(self, side, m):
-        """Signs of a(p^m) on one side; guard-band values are decided exactly."""
+        """Signs of a(p^m) on one side."""
         if (side, m) not in self._signs:
-            vals = self.lift(side, m)
-            signs = np.sign(vals).astype(np.int64)
-            for idx in np.flatnonzero(np.abs(vals) <= _GUARD):
-                signs[idx] = exact_lift_sign(self.tables[side], int(self.primes[idx]), m)
-            self._signs[side, m] = signs
+            self._signs[side, m] = self.decide(_lift_poly(m, "uv"[side]), self.lift(side, m))
         return self._signs[side, m]
 
-    def exact_signs(self, W, indices):
-        """Exact signs of W(a(p), a'(p)) at the given positions, in Q + Q*sqrt(p)."""
-        table_f, table_fp = self.tables
-        kf, kfp = table_f.descriptor.weight, table_fp.descriptor.weight
-        signs = np.zeros(len(indices), dtype=np.int64)
-        for t, idx in enumerate(indices):
+    def decide(self, W, values):
+        """Signs of W(a(p), a'(p)) at every prime of the frame, given its
+        float ``values`` there.  Each value within the guard band is
+        re-decided exactly in Q + Q*sqrt(p)."""
+        signs = np.sign(values).astype(np.int64)
+        for idx in np.flatnonzero(np.abs(values) <= _GUARD):
             p = int(self.primes[idx])
-            X, Y = _exact_pair_value(W, p, table_f.a_int(p), kf, table_fp.a_int(p), kfp)
-            signs[t] = _radical_sign(X, Y, p)
+            signs[idx] = _radical_sign(*_exact_pair_value(W, p, self.tables), p)
         return signs
 
     def sign_event(self, m, n):
@@ -231,12 +232,8 @@ class PairFrame:
 
     def dominance_event(self, m, n):
         """+1 where a(p^m) < a'(p^n), -1 where greater, 0 at exact ties."""
-        diff = self.lift(1, n) - self.lift(0, m)
-        event = np.sign(diff).astype(np.int64)
-        near = np.flatnonzero(np.abs(diff) <= _GUARD)
-        W = Poly2.from_univariate(s_poly(n), "v") - Poly2.from_univariate(s_poly(m), "u")
-        event[near] = self.exact_signs(W, near)
-        return event
+        W = _lift_poly(n, "v") - _lift_poly(m, "u")
+        return self.decide(W, self.lift(1, n) - self.lift(0, m))
 
     def tally(self, event, checkpoints):
         """Per checkpoint: (x, pi(x), #event > 0, #event < 0, #event = 0, density of
@@ -301,9 +298,11 @@ class DensityReport:
                 raise InvariantError(f"empirical density {row.emp_density} outside [0,1]")
 
     @classmethod
-    def build(cls, kind, frame, m, n, checkpoints, event, pred, stat_region):
-        """Tally ``event`` over the frame; the envelope column is the ratio of
-        the sharper unconditional envelope of ``stat_region`` to pi(x)."""
+    def build(cls, kind, frame, m, n, checkpoints, stat_region):
+        """Tally the (kind, m, n) event over the frame; the envelope column is
+        the ratio of the sharper unconditional envelope of ``stat_region`` to
+        pi(x)."""
+        event, pred = event_and_prediction(frame, kind, m, n)
         length, alpha, beta = stat_region.envelope_params()
         df, dfp = (t.descriptor for t in frame.tables)
         rows = []
@@ -346,8 +345,7 @@ def sign_density_series(table_f, table_fp, m, n, checkpoints):
         raise DomainError("(m, n) = (0, 0) has no sign statistic")
     frame = pair_frame(table_f, table_fp, max(checkpoints))
     return DensityReport.build(
-        "sign", frame, m, n, list(checkpoints), frame.sign_event(m, n), d_mn(m, n),
-        region_mod.sign_product(m, n),
+        "sign", frame, m, n, list(checkpoints), region_mod.sign_product(m, n)
     )
 
 
@@ -375,9 +373,17 @@ def dominance_density_series(table_f, table_fp, m, n, checkpoints):
         raise DomainError("(m, n) = (0, 0) compares constants")
     frame = pair_frame(table_f, table_fp, max(checkpoints))
     return DensityReport.build(
-        "dominance", frame, m, n, list(checkpoints), frame.dominance_event(m, n),
-        dominance_prediction(m, n), _dominance_region(m, n),
+        "dominance", frame, m, n, list(checkpoints), _dominance_region(m, n)
     )
+
+
+def event_and_prediction(frame, kind, m, n):
+    """(event, prediction) of a "sign" or "dominance" statistic over the
+    frame: the per-prime event of ``PairFrame.sign_event`` or
+    ``dominance_event`` and its limiting density."""
+    if kind == "sign":
+        return frame.sign_event(m, n), d_mn(m, n)
+    return frame.dominance_event(m, n), dominance_prediction(m, n)
 
 
 # -- region counting ----------------------------------------------------------------
@@ -387,22 +393,15 @@ def count_in_region(table_f, table_fp, stat_region, x):
     """Exact count of primes p <= x, p coprime to both levels, whose
     normalized pair lies in the region.
 
-    Membership is decided in floating point; any prime whose constraint
-    value falls within 1e-9 of a boundary is re-decided with exact rational
-    arithmetic in Q + Q*sqrt(p).
+    Each constraint's sign is decided by ``PairFrame.decide``: in floating
+    point, and exactly in Q + Q*sqrt(p) within 1e-9 of the boundary.
     """
     frame = pair_frame(table_f, table_fp, x)
-    statuses = []
-    for leaf in stat_region.leaves:
-        vals = np.asarray(leaf.poly.eval_float(*frame.values))
-        st = leaf.status(vals)
-        st[np.abs(vals) <= _GUARD] = 0
-        statuses.append(st)
-    tree = stat_region.tree_status(statuses, shape=frame.primes.shape)
-    undecided = np.flatnonzero(tree == 0)
-    exact = [leaf.status(frame.exact_signs(leaf.poly, undecided)) for leaf in stat_region.leaves]
-    settled = stat_region.tree_status(exact, shape=undecided.shape)
-    return int((tree == 1).sum()) + int((settled == 1).sum())
+    statuses = [
+        leaf.status(frame.decide(leaf.poly, leaf.poly.eval_float(*frame.values)))
+        for leaf in stat_region.leaves
+    ]
+    return int((stat_region.tree_status(statuses, shape=frame.primes.shape) == 1).sum())
 
 
 def zero_count(table_f, table_fp, P, m, n, x):
@@ -415,9 +414,7 @@ def zero_count(table_f, table_fp, P, m, n, x):
         raise DomainError("P must be non-constant")
     W = compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))
     frame = pair_frame(table_f, table_fp, x)
-    vals = np.asarray(W.eval_float(*frame.values))
-    near = np.flatnonzero(np.abs(vals) <= _GUARD)
-    return int((frame.exact_signs(W, near) == 0).sum())
+    return int((frame.decide(W, W.eval_float(*frame.values)) == 0).sum())
 
 
 # -- first sign change ---------------------------------------------------------------
@@ -519,10 +516,6 @@ class SymmetryClass:
     kind: str  # "odd_twist", "antisymmetric", or "none"
     s: int | None = None
     t: int | None = None
-
-    @property
-    def forces_half(self):
-        return self.kind != "none"
 
 
 def symmetry_class(P, m, n):

@@ -34,9 +34,6 @@ from .errors import BudgetError, DomainError, InvariantError
 
 _SLACK = 1e-12
 
-#: flagged mismatch: the value occasionally quoted for the (2,2) density
-SUSPECT_D22_QUOTE = 0.534
-
 
 @dataclass(frozen=True)
 class Interval:

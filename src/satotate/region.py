@@ -498,10 +498,6 @@ class GridApproximation:
     def bracket(self):
         return (self.mu_low, self.mu_high)
 
-    @property
-    def interior_boxes(self):
-        return {tuple(ij) for ij in np.argwhere(self.status == 1)}
-
 
 def _box_mass(grid):
     f = measures.st_antiderivative(grid.edges)
@@ -786,12 +782,6 @@ def trace_boundary(poly, grid_n=512, tol=1e-6):
     for pts in polylines:
         total += _refine_polyline(poly, pts, tol)
     return total * 1.01, len(polylines)
-
-
-def curve_length(poly, grid_n=512, tol=1e-6):
-    """Upper estimate of the length of {poly = 0} within [-2,2]^2."""
-    length, _ = trace_boundary(poly, grid_n=grid_n, tol=tol)
-    return length
 
 
 # -- effective error envelopes -----------------------------------------------------

@@ -4,14 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from satotate.chebyshev import (
-    eval_s_exact,
-    eval_u,
-    s_parity_split,
-    s_poly,
-    sympower_coeff,
-    u_poly,
-)
+from satotate.chebyshev import eval_u, s_poly, sympower_coeff, u_poly
 from satotate.errors import BadPrimeError, CapError
 
 
@@ -92,25 +85,6 @@ def test_s_poly_is_scaled_u_poly():
         u = u_poly(m).coefficients
         # U_m(u/2): coefficient k scales by 2^{-k}
         assert [Fraction(c, 2**k) for k, c in enumerate(u)] == [Fraction(c) for c in s]
-
-
-def test_s_parity_split_reconstructs():
-    for m in range(0, 15):
-        parity, reduced = s_parity_split(m)
-        full = s_poly(m)
-        rebuilt = [0] * len(full)
-        for i, c in enumerate(reduced):
-            rebuilt[2 * i + parity] = c
-        assert tuple(rebuilt) == full
-
-
-def test_eval_s_exact_signs():
-    # S_2(u) = u^2 - 1: negative at a^2 = 1/2, positive at a^2 = 2
-    assert eval_s_exact(2, Fraction(1, 2), 1) == -1
-    assert eval_s_exact(2, Fraction(2), -1) == 1
-    # odd degree carries the sign of a
-    assert eval_s_exact(1, Fraction(2), -1) == -1
-    assert eval_s_exact(3, Fraction(0), 0) == 0
 
 
 def test_sympower_coeff(f54_table):

@@ -277,6 +277,22 @@ def test_fetch_seed_and_cache(tmp_path, capsys, coeff_server):
     assert len(server.hits) == 0
 
 
+def test_fetch_label_resolves_a_bundled_table_offline(tmp_path, capsys):
+    # fetch finds a table as every command does: cache, then the bundled
+    # constructor, then the network, which an unreachable base_url refuses
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"base_url = http://127.0.0.1:9\nout = {tmp_path}\n")
+    cache = tmp_path / "c"
+    argv = ["--config", str(cfg_file), "--cache-dir", str(cache), "fetch", "--label", "5.4.a.a", "--n", "100"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "5.4.a.a: 100 coefficients cached" in out
+    assert coeffs.load_coefficient_file(cache / "5.4.a.a.txt").raw == bundled.bundled_table("5.4.a.a", 100).raw
+    # a second run is served from the cache
+    assert run(argv[:-1] + ["60"], capsys)[0] == 0
+    assert coeffs.load_coefficient_file(cache / "5.4.a.a.txt").bound == 100
+
+
 def test_fetch_unknown_label_exit_code(tmp_path, capsys, coeff_server):
     server, base = coeff_server
     cfg_file = tmp_path / "cfg.txt"

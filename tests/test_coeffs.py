@@ -13,10 +13,11 @@ from satotate.coeffs import (
     CoefficientTable,
     NewformDescriptor,
     Source,
+    cached_table,
+    download_table,
     eta_bound,
     eta_product_qexpansion,
     expand_eta_quotient,
-    fetch_remote,
     load_coefficient_file,
     pentagonal_series,
     write_coefficient_file,
@@ -363,7 +364,10 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, f54_table):
 
 
 def test_file_golden_66(tmp_path):
-    table = load_coefficient_file(bundled.snapshot_path())
+    path = tmp_path / "6.6.a.a.q9.txt"
+    rows = "".join(f"{n} {a}\n" for n, a in enumerate(bundled.SNAPSHOT_6_6_A_A, start=1))
+    path.write_text(f"# first nine coefficients\nlabel=6.6.a.a k=6 N=6\n{rows}")
+    table = load_coefficient_file(path)
     assert table.raw == bundled.SNAPSHOT_6_6_A_A
 
 
@@ -575,6 +579,24 @@ def test_file_beyond_one_read_chunk(tmp_path):
     assert excinfo.value.line_number == len(lines)
 
 
+def test_file_loads_from_a_removed_working_directory(tmp_path, monkeypatch, delta_table):
+    # numpy resolves the working directory before it opens a path; with that
+    # directory gone the loader reads from its own open handle.  Delta's
+    # table outgrows int64, so both parses run.
+    path = tmp_path / "delta.txt"
+    write_coefficient_file(path, delta_table)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("label=t k=2 N=1\n1 1\n2 x\n")
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    assert load_coefficient_file(path).raw == delta_table.raw
+    with pytest.raises(ParseError) as excinfo:
+        load_coefficient_file(bad)
+    assert excinfo.value.line_number == 3
+
+
 def test_file_round_trip_beyond_int64(tmp_path):
     table = bundled.bundled_table("1.12.a.a", 4000)
     assert max(abs(c) for c in table.raw) > 2**63
@@ -652,21 +674,21 @@ def test_int64_field_grammar(tmp_path, capsys, field, value, wide):
 
 def test_fetch_matches_eta(tmp_path, coeff_server):
     server, base = coeff_server
-    table = fetch_remote("5.4.a.a", 9, base_url=base, cache_dir=tmp_path)
+    table = download_table("5.4.a.a", 9, base, tmp_path)
     assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
 
 
 def test_fetch_66_snapshot(tmp_path, coeff_server):
     server, base = coeff_server
-    table = fetch_remote("6.6.a.a", 9, base_url=base, cache_dir=tmp_path)
+    table = download_table("6.6.a.a", 9, base, tmp_path)
     assert table.raw == bundled.SNAPSHOT_6_6_A_A
 
 
 def test_fetch_cache_idempotent(tmp_path, coeff_server):
     server, base = coeff_server
-    t1 = fetch_remote("5.4.a.a", 20, base_url=base, cache_dir=tmp_path)
+    t1 = download_table("5.4.a.a", 20, base, tmp_path)
     hits_after_first = len(server.hits)
-    t2 = fetch_remote("5.4.a.a", 20, base_url=base, cache_dir=tmp_path)
+    t2 = cached_table("5.4.a.a", 20, tmp_path)
     assert len(server.hits) == hits_after_first  # warm cache: no network
     assert t1.raw == t2.raw
 
@@ -674,7 +696,7 @@ def test_fetch_cache_idempotent(tmp_path, coeff_server):
 def test_fetch_unknown_label(tmp_path, coeff_server):
     server, base = coeff_server
     with pytest.raises(NotFoundError):
-        fetch_remote("99.99.z.z", 9, base_url=base, cache_dir=tmp_path)
+        download_table("99.99.z.z", 9, base, tmp_path)
 
 
 def test_leftover_lock_file_does_not_block_fetch(tmp_path, coeff_server):
@@ -682,14 +704,14 @@ def test_leftover_lock_file_does_not_block_fetch(tmp_path, coeff_server):
     # are atomic renames and need no lock
     server, base = coeff_server
     (tmp_path / "5.4.a.a.txt.lock").touch()
-    table = fetch_remote("5.4.a.a", 9, base_url=base, cache_dir=tmp_path, timeout=5)
+    table = download_table("5.4.a.a", 9, base, tmp_path, timeout=5)
     assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
     assert load_coefficient_file(tmp_path / "5.4.a.a.txt").raw == table.raw
 
 
 def test_fetch_network_error(tmp_path):
     with pytest.raises(NetworkError):
-        fetch_remote("5.4.a.a", 9, base_url="http://127.0.0.1:9", cache_dir=tmp_path, timeout=0.5)
+        download_table("5.4.a.a", 9, "http://127.0.0.1:9", tmp_path, timeout=0.5)
 
 
 @pytest.mark.parametrize(

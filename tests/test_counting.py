@@ -6,14 +6,16 @@ import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from satotate import region
+from satotate import counting, region
 from satotate.bipoly import Poly2
+from satotate.coeffs import CoefficientTable, NewformDescriptor
 from satotate.counting import (
     CSV_COLUMNS,
     count_in_region,
     default_checkpoints,
     dominance_density_series,
     dominance_prediction,
+    exact_lift_sign,
     first_sign_change,
     prime_count,
     sieve,
@@ -296,12 +298,39 @@ def test_exact_pair_value_reconstructs_float(f54_table, f66_table):
 
     W = Poly2({(2, 1): 3, (1, 0): -2, (0, 3): 1, (0, 0): 5})
     for p in (7, 11, 13, 101):
-        X, Y = _exact_pair_value(W, p, f54_table.a_int(p), 4, f66_table.a_int(p), 6)
+        X, Y = _exact_pair_value(W, p, (f54_table, f66_table))
         exact = float(X) + float(Y) * math.sqrt(p)
         direct = W.eval_float(
             f54_table.normalized_prime_value(p), f66_table.normalized_prime_value(p)
         )
         assert exact == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def test_exact_lift_sign_decides_exact_ties():
+    # weight-2 tables at p = 2, where a(2) = A / sqrt(2)
+    for A, m, sign in (
+        (1, 2, -1),  # a^2 = 1/2: S_2(a) = a^2 - 1 < 0
+        (2, 2, 1),  # a = sqrt(2): S_2(a) = 1
+        (2, 1, 1),
+        (-2, 1, -1),  # odd degree carries the sign of a
+        (2, 3, 0),  # S_3(a) = a (a^2 - 2) vanishes at a = sqrt(2)
+        (-2, 3, 0),
+        (-2, 5, 1),  # S_5(a) = a (a^2 - 1)(a^2 - 3) = -a
+        (0, 3, 0),
+        (0, 2, -1),
+    ):
+        table = CoefficientTable(NewformDescriptor("t", 2, 1), [1, A])
+        assert exact_lift_sign(table, 2, m) == sign, (A, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 24, 48, 64])
+def test_exact_lift_sign_matches_oracle(delta_table, f54_table, m):
+    for table in (delta_table, f54_table):
+        k = table.descriptor.weight
+        for p in (2, 3, 7, 11, 97, 9973):
+            if table.descriptor.level % p:
+                expected = _sign(oracles._surd_lift(table.a_int(p), k, p, m))
+                assert exact_lift_sign(table, p, m) == expected, (table, p, m)
 
 
 # -- symmetry detection ----------------------------------------------------------------
@@ -328,7 +357,7 @@ def test_symmetry_forces_half_measure():
         (Poly2({(1, 0): 3, (1, 2): 1}), 1, 2),
         (Poly2({(3, 0): 1, (0, 3): -1}), 2, 2),
     ):
-        assert symmetry_class(P, m, n).forces_half
+        assert symmetry_class(P, m, n).kind != "none"
         mv = mu_jst_region(region.poly_positive(P, m, n), 1e-3)
         assert abs(mv.value - 0.5) <= max(1e-6, mv.abs_error)
 
@@ -426,3 +455,57 @@ def test_sign_series_counts_match_exact_oracle(delta_table, f54_table, f66_table
         assert (row.count_pos, row.count_neg, row.count_zero) == (
             upto.count(1), upto.count(-1), upto.count(0)
         )
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=_pair_problems())
+# a(p) = a'(p) on a self pair: every prime is an exact tie of S_2(v) - S_2(u)
+@example(problem=(None, 2, 2, 2000, (1, 1)))
+def test_dominance_series_counts_match_exact_oracle(delta_table, f54_table, f66_table, problem):
+    _, m, n, x, (i, j) = problem
+    tables = (delta_table, f54_table, f66_table)
+    tf, tfp = tables[i], tables[j]
+    checkpoints = sorted({max(2, x // 2), x})
+    rows = dominance_density_series(tf, tfp, m, n, checkpoints).rows
+    # event +1 where a(p^m) < a'(p^n): the sign of P = v - u
+    P = Poly2({(0, 1): 1, (1, 0): -1})
+    signs = {p: _sign(v) for p, v in oracles.exact_pair_values(tf, tfp, P, m, n, x).items()}
+    for row in rows:
+        upto = [s for p, s in signs.items() if p <= row.x]
+        assert (row.count_pos, row.count_neg, row.count_zero) == (
+            upto.count(1), upto.count(-1), upto.count(0)
+        )
+
+
+def _every_statistic(delta_table, f54_table, f66_table):
+    """Sign and dominance events, region and zero counts and first sign
+    changes over pairs with exact ties (a self pair; a(2) = -sqrt(2) of
+    5.4.a.a, a zero of S_3), each from a fresh pair frame."""
+    x = 1000
+    out = []
+    for tf, tfp in ((f54_table, f66_table), (f54_table, f54_table), (f54_table, delta_table)):
+        counting.pair_frame.cache_clear()  # a frame memoizes its lift signs
+        frame = counting.pair_frame(tf, tfp, x)
+        for m, n in ((1, 1), (2, 2), (3, 1), (2, 3)):
+            out.append(frame.sign_event(m, n).tolist())
+            out.append(frame.dominance_event(m, n).tolist())
+        for reg in (
+            region.sign_product(3, 2),
+            region.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), 2, 3),
+            region.region_from_poly_interval(Poly2({(1, 1): 1}), Interval(0, math.inf), 3, 1),
+        ):
+            out.append(count_in_region(tf, tfp, reg, x))
+        for P, m, n in ((Poly2({(1, 0): 1, (0, 1): -1}), 2, 2), (Poly2({(1, 0): 1}), 3, 1)):
+            out.append(zero_count(tf, tfp, P, m, n, x))
+        for rule in counting.EXCLUSION_RULES:
+            out.append(first_sign_change(tf, tfp, 3, 1, rule, search_bound=x))
+    counting.pair_frame.cache_clear()
+    return out
+
+
+def test_exact_path_at_every_prime_agrees_with_the_guard_band(
+    delta_table, f54_table, f66_table, monkeypatch
+):
+    default = _every_statistic(delta_table, f54_table, f66_table)
+    monkeypatch.setattr(counting, "_GUARD", math.inf)  # every prime is decided exactly
+    assert _every_statistic(delta_table, f54_table, f66_table) == default

@@ -23,7 +23,6 @@ from satotate.region import (
     boundary_bound_check,
     build_grid,
     classify_boxes,
-    curve_length,
     disk,
     error_envelope,
     full_square,
@@ -94,14 +93,14 @@ def test_classify_full_square():
     for m in (1, 2, 16):
         approx = classify_boxes(full_square(), m)
         assert approx.boundary_count == 0
-        assert len(approx.interior_boxes) == m * m
+        assert (approx.status == 1).sum() == m * m
         assert approx.bracket == (pytest.approx(1.0, abs=1e-9), pytest.approx(1.0, abs=1e-9))
 
 
 def test_classify_halfplane_m2():
     approx = classify_boxes(half_plane_u_positive(), 2)
     # the strip containing u = 0 is undecided; the right strip is interior
-    assert len(approx.interior_boxes) == 2
+    assert (approx.status == 1).sum() == 2
     assert approx.boundary_count == 2
     assert (approx.status == -1).sum() == 0
     lo, hi = approx.bracket
@@ -218,16 +217,16 @@ def test_strip_merge_violation_detected():
 
 
 def test_curve_length_vertical_segment():
-    assert curve_length(Poly2({(1, 0): 1})) == pytest.approx(4.0, abs=0.05)
+    assert trace_boundary(Poly2({(1, 0): 1}))[0] == pytest.approx(4.0, abs=0.05)
 
 
 def test_curve_length_circle():
-    got = curve_length(Poly2({(2, 0): 1, (0, 2): 1, (0, 0): -1}))
+    got, _ = trace_boundary(Poly2({(2, 0): 1, (0, 2): 1, (0, 0): -1}))
     assert got == pytest.approx(2 * math.pi, abs=0.07)
 
 
 def test_curve_length_diagonal():
-    got = curve_length(Poly2({(1, 0): 1, (0, 1): -1}))
+    got, _ = trace_boundary(Poly2({(1, 0): 1, (0, 1): -1}))
     assert got == pytest.approx(4 * math.sqrt(2), abs=0.1)
 
 
