@@ -12,7 +12,6 @@ from .coeffs import (
     CoefficientTable,
     NewformDescriptor,
     PentagonalSeries,
-    Source,
     expand_eta_quotient,
     load_coefficient_file,
     pentagonal_series,

@@ -24,7 +24,6 @@ from pathlib import Path
 from .coeffs import (
     CoefficientTable,
     NewformDescriptor,
-    Source,
     eta_bound,
     eta_combination,
     expand_eta_quotient,
@@ -54,8 +53,7 @@ def descriptor_for(label):
     if label not in BUNDLED_FORMS:
         raise NotFoundError(f"no bundled data for label {label!r}")
     k, N, recipe = BUNDLED_FORMS[label]
-    source = Source.ETA_QUOTIENT if recipe else Source.FILE
-    return NewformDescriptor(label=label, weight=k, level=N, eta_recipe=recipe, source=source)
+    return NewformDescriptor(label=label, weight=k, level=N, eta_recipe=recipe)
 
 
 def newform_bound(weight, n_max):

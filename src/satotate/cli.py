@@ -213,7 +213,6 @@ def cmd_expand(cfg, args):
             weight=args.weight or sum(e for _, e in recipe) // 2,
             level=args.level or max(d for d, _ in recipe),
             eta_recipe=recipe,
-            source=coeffs.Source.ETA_QUOTIENT,
         )
         table = coeffs.expand_eta_quotient(descriptor, args.n)
     elif args.label:
@@ -253,9 +252,9 @@ def cmd_measure(cfg, args):
     resolutions = _parse_numbers(args.m or "64", "--m", int) if args.grid_bracket else ()
     target = args.target
     mv = measures.mu_jst_region(reg, target, budget=cfg.budget)
-    print(f"region: {reg.describe()}")
+    print(f"region: {reg.label}")
     print(f"measure = {mv.value:.9f}  (certified +- {mv.abs_error:.3g})")
-    lines = [f"region,value,abs_error", f"{reg.describe()},{mv.value:.12g},{mv.abs_error:.12g}"]
+    lines = [f"region,value,abs_error", f"{reg.label},{mv.value:.12g},{mv.abs_error:.12g}"]
     if args.rect:
         vals = _parse_numbers(args.rect, "--rect", float, count=4)
         closed = measures.mu_jst_rect(
@@ -284,8 +283,8 @@ def _grid_brackets(reg, resolutions):
     count and its bound, and the most components of one strip."""
     for m_res in resolutions:
         approx = region.classify_boxes(reg, m_res)
-        n_obs, bound = region.boundary_bound_check(reg, m_res, approx)
-        merge = region.strip_merge(reg, m_res, approx)
+        n_obs, bound = region.boundary_bound_check(approx)
+        merge = region.strip_merge(approx)
         yield m_res, approx, n_obs, bound, int(merge.per_strip_counts.max(initial=0))
 
 

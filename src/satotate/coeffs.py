@@ -46,7 +46,6 @@ import re
 import urllib.error
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +73,6 @@ DEFAULT_BASE_URL = "https://q-expansions.example.org/api"
 _MODULUS_LIMIT = 2**31
 
 
-class Source(Enum):
-    ETA_QUOTIENT = "eta"
-    FILE = "file"
-    REMOTE = "remote"
-
-
 @dataclass(frozen=True)
 class NewformDescriptor:
     """Identifying data for a normalized newform with trivial nebentypus."""
@@ -88,7 +81,6 @@ class NewformDescriptor:
     weight: int
     level: int
     eta_recipe: tuple | None = None
-    source: Source = Source.FILE
 
     def __post_init__(self):
         if self.weight < 2 or self.weight % 2 != 0:
@@ -499,7 +491,7 @@ def load_coefficient_file(path):
     if not len(rows):
         raise GapError("no coefficient lines (A(1) missing)")
     label, k, N = header
-    descriptor = NewformDescriptor(label=label, weight=k, level=N, source=Source.FILE)
+    descriptor = NewformDescriptor(label=label, weight=k, level=N)
     return CoefficientTable(descriptor, values)
 
 
@@ -639,7 +631,7 @@ def download_table(label, n_max, base_url, cache_dir, timeout=30.0):
             f"remote returned {len(coeffs)} coefficients, wanted {n_max}"
         )
     N, k = parse_label(label)
-    descriptor = NewformDescriptor(label=label, weight=k, level=N, source=Source.REMOTE)
+    descriptor = NewformDescriptor(label=label, weight=k, level=N)
     table = CoefficientTable(descriptor, coeffs[:n_max])
     write_coefficient_file(cache_dir / f"{label}.txt", table)
     return table

@@ -283,13 +283,6 @@ class DensityReport:
     eligible primes (p not dividing either level).
     """
 
-    kind: str
-    label_f: str
-    label_fp: str
-    m: int
-    n: int
-    exclusion: str
-    region_desc: str
     rows: tuple
 
     def __post_init__(self):
@@ -314,10 +307,7 @@ class DensityReport:
                     length, alpha, beta, pi_x=pi_x,
                 ) / pi_x
             rows.append(CheckpointRow(x, pi_x, pos, neg, zero, emp, pred, ratio))
-        return cls(
-            kind, df.label, dfp.label, m, n, "ExcludeLevelPrimes", stat_region.describe(),
-            tuple(rows),
-        )
+        return cls(tuple(rows))
 
     def final(self):
         return self.rows[-1]
@@ -486,12 +476,8 @@ def theoretical_first_sign_bound(m, n, k, k_prime, level, level_prime, d):
     K = k * k_prime * level * level_prime
 
     def satisfied(j):
-        y = j * math.log(2.0)
-        inner = K * y
-        if inner <= 1:
-            return False
-        M = math.sqrt(math.sqrt(y) / math.log(inner))
-        return (1.0 - dmn) * math.sqrt(M) > d
+        M = region_mod.m_of_log_x(j * math.log(2.0), K)
+        return M is not None and (1.0 - dmn) * math.sqrt(M) > d
 
     lo_j, hi_j = 3, 4
     while not satisfied(hi_j):

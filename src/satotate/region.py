@@ -195,9 +195,6 @@ class PolynomialRegion:
         length, _ = self.traced_boundary()
         return (length + 16.0, self.alpha, self.beta)
 
-    def describe(self):
-        return self.label
-
     def __repr__(self):
         return f"PolynomialRegion({self.label!r}, leaves={len(self.leaves)})"
 
@@ -514,18 +511,10 @@ def classify_boxes(region, m):
     """
     if m > 4096:
         raise BudgetError(f"grid resolution {m} exceeds the 4096 budget")
-    for c in region.leaves:
-        if c.poly.is_zero:
-            raise DegenerateError("constraint polynomial is identically zero")
     grid = build_grid(m)
-    enclosures = {}
-    statuses = []
-    for leaf in region.leaves:
-        enc = enclosures.get(leaf.poly)
-        if enc is None:
-            enc = leaf.poly.interval_eval_grid(grid.edges, grid.edges)
-            enclosures[leaf.poly] = enc
-        statuses.append(measures._direction_status(leaf.op, *enc))
+    # one enclosure per distinct polynomial; a Constraint is never zero
+    enclosures = {poly: poly.interval_eval_grid(grid.edges, grid.edges) for poly in region.curves}
+    statuses = [measures._direction_status(leaf.op, *enclosures[leaf.poly]) for leaf in region.leaves]
     tree = region.tree_status(statuses, shape=(m, m))
     mass = _box_mass(grid)
     mu_low = float(mass[tree == 1].sum())
@@ -540,17 +529,17 @@ def classify_boxes(region, m):
     )
 
 
-def boundary_bound_check(region, m, approx=None):
-    """Observed boundary-box count against the explicit area bound.
+def boundary_bound_check(approx):
+    """Observed boundary-box count of a grid classification against the
+    explicit area bound.
 
     The bound is (m^2/4) * (4 pi L delta + 8 pi alpha delta^2) with delta the
     box diameter bound 4 sqrt(2) tau / m, L the traced total length of the
     constraint curves and alpha their component count.  Raises InvariantError
     if the observed count exceeds it.
     """
-    if approx is None:
-        approx = classify_boxes(region, m)
-    length, comps = region.traced_boundary()
+    m = approx.m
+    length, comps = approx.region.traced_boundary()
     delta = 4.0 * math.sqrt(2.0) * approx.tau / m
     bound = (m**2 / 4.0) * (4.0 * math.pi * length * delta + 8.0 * math.pi * comps * delta**2)
     n_obs = approx.boundary_count
@@ -567,44 +556,42 @@ class StripMerge:
 
     rectangles: tuple
     per_strip_counts: np.ndarray
-    alpha: int
-    beta: int
 
 
-def strip_merge(region, m, approx=None):
-    """Merge vertically adjacent interior boxes within each vertical strip.
+def strip_merge(approx):
+    """Merge vertically adjacent interior boxes of a grid classification
+    within each vertical strip.
 
     Each strip contributes at most 1 + alpha*beta rectangles (a boundary
     curve either lies on a vertical line or crosses a vertical line at most
     beta times); violation raises HypothesisError.
     """
-    if approx is None:
-        approx = classify_boxes(region, m)
     edges = approx.grid.edges
-    alpha, beta = region.alpha, region.beta
-    cap = 1 + alpha * beta
-    rectangles = []
-    counts = np.zeros(m, dtype=int)
-    for i in range(m):
-        column = approx.status[i] == 1
-        j = 0
-        while j < m:
-            if column[j]:
-                j0 = j
-                while j < m and column[j]:
-                    j += 1
-                rectangles.append(((edges[i], edges[i + 1]), (edges[j0], edges[j])))
-                counts[i] += 1
-            else:
-                j += 1
-        if counts[i] > cap:
-            raise HypothesisError(
-                f"strip {i} splits into {counts[i]} components, above 1+alpha*beta={cap}"
-            )
-    return StripMerge(tuple(rectangles), counts, alpha, beta)
+    cap = 1 + approx.region.alpha * approx.region.beta
+    inside = np.pad(approx.status == 1, ((0, 0), (1, 1))).astype(np.int8)
+    step = np.diff(inside, axis=1)  # +1 where a run starts, -1 one past its end
+    starts = step == 1
+    counts = starts.sum(axis=1)
+    over = np.flatnonzero(counts > cap)
+    if over.size:
+        i = over[0]
+        raise HypothesisError(
+            f"strip {i} splits into {counts[i]} components, above 1+alpha*beta={cap}"
+        )
+    i, j0 = np.nonzero(starts)
+    j1 = np.nonzero(step == -1)[1]
+    rectangles = tuple(zip(zip(edges[i], edges[i + 1]), zip(edges[j0], edges[j1])))
+    return StripMerge(rectangles, counts)
 
 
 # -- boundary curve tracing --------------------------------------------------------
+
+#: Marching-squares cells per axis of the square.
+TRACE_GRID = 512
+#: Refinement stops once a full round adds less than this to a curve's length.
+TRACE_TOL = 1e-6
+#: Refinement rounds before a curve counts as not converging.
+TRACE_ROUNDS = 40
 
 
 def _univariate_line_trace(poly):
@@ -617,88 +604,61 @@ def _univariate_line_trace(poly):
     return 4.0 * len(real), len(real)
 
 
-def _marching_polylines(poly, grid_n):
-    xs = np.linspace(-2.0, 2.0, grid_n + 1)
+def _marching_polylines(poly):
+    """Polylines through the sign changes of ``poly`` between the vertices of
+    a TRACE_GRID x TRACE_GRID grid (marching squares).
+
+    An edge is keyed by the flat index a of its lower vertex: 2a for the
+    u-edge to vertex a + n + 1, 2a + 1 for the v-edge to vertex a + 1.  A cell
+    crossed on two edges joins them; a saddle, crossed on all four, is split
+    by the sign at its centre.
+    """
+    n = TRACE_GRID
+    xs = np.linspace(-2.0, 2.0, n + 1)
     vals = poly.eval_float(xs[:, None], xs[None, :])
-    sgn = np.where(vals >= 0, 1, -1)
-
-    def interp(p, q, fp, fq):
-        t = fp / (fp - fq)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-    # edge id -> crossing point
-    points = {}
-
-    def edge_point(axis, i, j):
-        key = (axis, i, j)
-        if key in points:
-            return key
-        if axis == "u":
-            p, q = (xs[i], xs[j]), (xs[i + 1], xs[j])
-            fp, fq = vals[i, j], vals[i + 1, j]
-        else:
-            p, q = (xs[i], xs[j]), (xs[i], xs[j + 1])
-            fp, fq = vals[i, j], vals[i, j + 1]
-        points[key] = interp(p, q, fp, fq)
-        return key
-
+    neg = vals < 0
+    u_cut, v_cut = neg[:-1] != neg[1:], neg[:, :-1] != neg[:, 1:]
+    # per cell: bottom, top, left and right edge crossed
+    cut = np.stack([u_cut[:, :-1], u_cut[:, 1:], v_cut[:-1], v_cut[1:]], axis=-1)
+    ci, cj = np.nonzero(cut.any(axis=-1))
+    cut = cut[ci, cj]
+    a = 2 * (ci * (n + 1) + cj)
+    keys = np.stack([a, a + 2, a + 1, a + 2 * n + 3], axis=1)
+    # a saddle joins bottom-right and top-left when its centre has the sign
+    # of its lower-left vertex, else bottom-left and top-right
+    saddle = cut.all(axis=1)
+    si, sj = ci[saddle], cj[saddle]
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    same = (poly.eval_float(mid[si], mid[sj]) >= 0) != neg[si, sj]
+    order = np.where(same[:, None], [0, 3, 1, 2], [0, 2, 1, 3])
+    keys[saddle] = np.take_along_axis(keys[saddle], order, axis=1)
+    # each cell lists its crossed edges in that order, two per join
     adjacency = {}
-
-    def connect(a, b):
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    for i in range(grid_n):
-        for j in range(grid_n):
-            s00, s10 = sgn[i, j], sgn[i + 1, j]
-            s01, s11 = sgn[i, j + 1], sgn[i + 1, j + 1]
-            if s00 == s10 == s01 == s11:
-                continue
-            crossed = []
-            if s00 != s10:
-                crossed.append(edge_point("u", i, j))
-            if s01 != s11:
-                crossed.append(edge_point("u", i, j + 1))
-            if s00 != s01:
-                crossed.append(edge_point("v", i, j))
-            if s10 != s11:
-                crossed.append(edge_point("v", i + 1, j))
-            if len(crossed) == 2:
-                connect(crossed[0], crossed[1])
-            elif len(crossed) == 4:
-                # saddle: split according to the center sign
-                center = poly.eval_float(0.5 * (xs[i] + xs[i + 1]), 0.5 * (xs[j] + xs[j + 1]))
-                bottom, top, left, right = crossed
-                if (center >= 0) == (s00 > 0):
-                    connect(bottom, right)
-                    connect(top, left)
-                else:
-                    connect(bottom, left)
-                    connect(top, right)
+    for p, q in keys[cut].reshape(-1, 2).tolist():
+        adjacency.setdefault(p, []).append(q)
+        adjacency.setdefault(q, []).append(p)
 
     # walk the adjacency graph into polylines
     visited = set()
     polylines = []
     open_ends = [k for k, nb in adjacency.items() if len(nb) == 1]
     for start in open_ends + list(adjacency):
-        if start in visited or start not in adjacency:
+        if start in visited:
             continue
         path = [start]
         visited.add(start)
-        cur = start
-        while True:
-            nxt = next((nb for nb in adjacency[cur] if nb not in visited), None)
-            if nxt is None:
-                break
+        while (nxt := next((nb for nb in adjacency[path[-1]] if nb not in visited), None)) is not None:
             path.append(nxt)
             visited.add(nxt)
-            cur = nxt
         if len(path) >= 2:
-            closed = path[0] in adjacency.get(path[-1], [])
-            pts = [points[k] for k in path]
-            if closed and len(path) > 2:
-                pts.append(points[path[0]])
-            polylines.append(np.array(pts))
+            if len(path) > 2 and path[0] in adjacency[path[-1]]:
+                path.append(path[0])  # closed
+            path = np.array(path)
+            lo = path >> 1
+            hi = lo + np.where(path & 1, 1, n + 1)
+            p, q = (np.stack(np.divmod(ends, n + 1), axis=1) for ends in (lo, hi))
+            t = vals.flat[lo] / (vals.flat[lo] - vals.flat[hi])
+            polylines.append(xs[p] + t[:, None] * (xs[q] - xs[p]))
     return polylines
 
 
@@ -735,39 +695,34 @@ def _snap_chain(poly, pts):
     return np.vstack([pts[:1], proj, pts[-1:]])
 
 
-def _refine_polyline(poly, pts, tol, max_rounds=40):
+def _refine_polyline(poly, pts):
     """Adaptive polyline refinement: only segments still gaining length split.
 
-    Stops once a full round adds less than ``tol`` to the length.
+    Stops once a full round adds less than TRACE_TOL to the length.
     """
     pts = _snap_chain(poly, pts)
     length = float(np.sum(np.hypot(*(pts[1:] - pts[:-1]).T)))
-    segments = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-    active = segments
-    for _ in range(max_rounds):
-        if not active:
+    pa, pb = pts[:-1], pts[1:]
+    for _ in range(TRACE_ROUNDS):
+        if not len(pa):
             return length
-        pa = np.array([s[0] for s in active])
-        pb = np.array([s[1] for s in active])
         proj = _project_midpoints(poly, pa, pb)
         old_len = np.hypot(*(pb - pa).T)
         new_len = np.hypot(*(proj - pa).T) + np.hypot(*(pb - proj).T)
         gain = new_len - old_len
         round_gain = float(gain.sum())
-        eps_seg = tol / max(4 * len(active), 1)
-        nxt = []
-        for i in range(len(active)):
-            if gain[i] > eps_seg:
-                length += float(gain[i])
-                nxt.append((pa[i], proj[i]))
-                nxt.append((proj[i], pb[i]))
-        active = nxt
-        if round_gain < tol:
+        split = gain > TRACE_TOL / max(4 * len(pa), 1)
+        for g in gain[split].tolist():
+            length += g  # one at a time, in order: the sum's rounding is pinned
+        # each split segment becomes (a, proj), (proj, b)
+        pa = np.stack([pa[split], proj[split]], axis=1).reshape(-1, 2)
+        pb = np.stack([proj[split], pb[split]], axis=1).reshape(-1, 2)
+        if round_gain < TRACE_TOL:
             return length
     raise TraceError("polyline refinement failed to converge")
 
 
-def trace_boundary(poly, grid_n=512, tol=1e-6):
+def trace_boundary(poly):
     """Adaptive length estimate of {poly = 0} inside the square.
 
     Returns (upper length estimate, component count); the estimate carries a
@@ -777,10 +732,10 @@ def trace_boundary(poly, grid_n=512, tol=1e-6):
         raise DegenerateError("cannot trace the zero polynomial")
     if not (poly.depends_on_u() and poly.depends_on_v()):
         return _univariate_line_trace(poly)
-    polylines = _marching_polylines(poly, grid_n)
+    polylines = _marching_polylines(poly)
     total = 0.0
     for pts in polylines:
-        total += _refine_polyline(poly, pts, tol)
+        total += _refine_polyline(poly, pts)
     return total * 1.01, len(polylines)
 
 
@@ -793,11 +748,37 @@ def m_of_x(x, conductor_product):
     """The decay driver M(x) = (sqrt(log x) / log(K log x))^(1/2), K = k k' N N'."""
     if x < 2:
         raise DomainError(f"M(x) requires x >= 2, got {x}")
-    log_x = math.log(x)
+    value = m_of_log_x(math.log(x), conductor_product)
+    if value is None:
+        raise DomainError("log(K log x) must be positive; increase x or K")
+    return value
+
+
+def m_of_log_x(log_x, conductor_product):
+    """M(x) from log x, so that x may lie past float range; None where
+    log(K log x) is not positive."""
     inner = conductor_product * log_x
     if inner <= 1:
-        raise DomainError("log(K log x) must be positive; increase x or K")
+        return None
     return math.sqrt(math.sqrt(log_x) / math.log(inner))
+
+
+def _li(x):
+    """The logarithmic integral li(x), x > 1, by Ramanujan's series
+    gamma + log log x + sqrt(x) sum_{n >= 1} (-1)^(n-1) (log x)^n / (n! 2^(n-1))
+    * sum_{0 <= k <= (n-1)/2} 1/(2k+1), summed until its terms, past their
+    peak near n = log x, no longer change the sum."""
+    log_x = math.log(x)
+    total, term, inner, n = 0.0, -2.0, 0.0, 0
+    while True:
+        n += 1
+        term *= -log_x / (2 * n)
+        if n % 2:
+            inner += 1.0 / n
+        step = term * inner
+        total += step
+        if n > log_x and abs(step) < 1e-17 * abs(total):
+            return np.euler_gamma + math.log(log_x) + math.sqrt(x) * total
 
 
 @functools.cache
@@ -807,9 +788,7 @@ def _pi_x(x):
 
     if x <= counting.PRIME_COUNT_MAX:
         return counting.prime_count(int(x))
-    from scipy.special import expi
-
-    return float(expi(math.log(x)))  # logarithmic-integral approximation
+    return _li(x)
 
 
 @dataclass(frozen=True)

@@ -234,3 +234,26 @@ def kleene(tree, leaf_status):
     if kind == "and":
         return -1 if -1 in vals else (1 if all(v == 1 for v in vals) else 0)
     return 1 if 1 in vals else (-1 if all(v == -1 for v in vals) else 0)
+
+
+def strip_runs(status, edges, cap):
+    """Maximal runs of interior (+1) boxes per vertical strip, by walking
+    each column box by box: (rectangles, per-strip counts), or the first
+    strip whose count exceeds ``cap`` as (None, strip index, count)."""
+    m = len(status)
+    rectangles, counts = [], []
+    for i in range(m):
+        count, j = 0, 0
+        while j < m:
+            if status[i][j] == 1:
+                j0 = j
+                while j < m and status[i][j] == 1:
+                    j += 1
+                rectangles.append(((edges[i], edges[i + 1]), (edges[j0], edges[j])))
+                count += 1
+            else:
+                j += 1
+        if count > cap:
+            return None, i, count
+        counts.append(count)
+    return rectangles, counts

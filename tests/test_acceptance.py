@@ -15,7 +15,7 @@ from satotate.bipoly import Poly2
 from satotate.chebyshev import eval_u
 from satotate.cli import main as cli_main
 from satotate.cli import resolve_table
-from satotate.coeffs import NewformDescriptor, Source, expand_eta_quotient
+from satotate.coeffs import NewformDescriptor, expand_eta_quotient
 from satotate.counting import (
     default_checkpoints,
     dominance_density_series,
@@ -67,7 +67,7 @@ def full_scale_pair(tmp_path_factory):
 
 def test_criterion_1_eta_golden():
     with _Budget("C1 eta-engine-golden", 1.0):
-        descriptor = NewformDescriptor("5.4.a.a", 4, 5, ((1, 4), (5, 4)), Source.ETA_QUOTIENT)
+        descriptor = NewformDescriptor("5.4.a.a", 4, 5, ((1, 4), (5, 4)))
         table = expand_eta_quotient(descriptor, 9)
         assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
 
@@ -118,9 +118,9 @@ def test_criterion_4_grid_brackets():
                 assert approx.mu_low - 1e-9 <= oracle <= approx.mu_high + 1e-9, (name, m)
                 width = approx.mu_high - approx.mu_low
                 fitted.append(width * m)
-                n_obs, bound = boundary_bound_check(reg, m, approx)
+                n_obs, bound = boundary_bound_check(approx)
                 assert n_obs <= bound, (name, m)
-                merge = strip_merge(reg, m, approx)
+                merge = strip_merge(approx)
                 cap = 1 + reg.alpha * reg.beta
                 assert merge.per_strip_counts.max(initial=0) <= cap, (name, m)
             if max(fitted) > 0:

@@ -12,7 +12,6 @@ from satotate import bundled, cli, coeffs
 from satotate.coeffs import (
     CoefficientTable,
     NewformDescriptor,
-    Source,
     cached_table,
     download_table,
     eta_bound,
@@ -34,8 +33,8 @@ from satotate.errors import (
 
 import oracles
 
-F54 = NewformDescriptor("5.4.a.a", 4, 5, ((1, 4), (5, 4)), Source.ETA_QUOTIENT)
-DELTA = NewformDescriptor("1.12.a.a", 12, 1, ((1, 24),), Source.ETA_QUOTIENT)
+F54 = NewformDescriptor("5.4.a.a", 4, 5, ((1, 4), (5, 4)))
+DELTA = NewformDescriptor("1.12.a.a", 12, 1, ((1, 24),))
 
 
 # -- pentagonal series ---------------------------------------------------------
@@ -104,7 +103,7 @@ def test_eta_trivial_bound():
 
 
 def test_eta_determinism_under_reordering():
-    d_rev = NewformDescriptor("5.4.a.a", 4, 5, ((5, 4), (1, 4)), Source.ETA_QUOTIENT)
+    d_rev = NewformDescriptor("5.4.a.a", 4, 5, ((5, 4), (1, 4)))
     assert expand_eta_quotient(d_rev, 500).raw == expand_eta_quotient(F54, 500).raw
 
 
@@ -268,11 +267,11 @@ def test_descriptor_validation():
 
 def test_recipe_validation():
     with pytest.raises(RecipeError):
-        NewformDescriptor("x", 4, 5, ((1, 4), (5, 3)), Source.ETA_QUOTIENT)  # odd weight sum
+        NewformDescriptor("x", 4, 5, ((1, 4), (5, 3)))  # odd weight sum
     with pytest.raises(RecipeError):
-        NewformDescriptor("x", 4, 5, ((1, 5), (5, 3)), Source.ETA_QUOTIENT)  # v not integral
+        NewformDescriptor("x", 4, 5, ((1, 5), (5, 3)))  # v not integral
     with pytest.raises(RecipeError):
-        NewformDescriptor("x", 4, 5, ((2, 4), (5, 4)), Source.ETA_QUOTIENT)  # 2 does not divide 5
+        NewformDescriptor("x", 4, 5, ((2, 4), (5, 4)))  # 2 does not divide 5
     with pytest.raises(RecipeError):
         expand_eta_quotient(NewformDescriptor("x", 4, 5, None), 10)
 

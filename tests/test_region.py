@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,12 +174,12 @@ def test_boundary_bound_halfplane_linear_growth():
 
 
 def test_boundary_bound_full_square():
-    n, bound = boundary_bound_check(full_square(), 16)
+    n, bound = boundary_bound_check(classify_boxes(full_square(), 16))
     assert n == 0 and bound == 0
 
 
 def test_boundary_bound_disk():
-    n, bound = boundary_bound_check(disk(1), 64)
+    n, bound = boundary_bound_check(classify_boxes(disk(1), 64))
     assert 0 < n <= bound
 
 
@@ -183,7 +187,7 @@ def test_boundary_bound_disk():
 
 
 def test_strip_merge_halfplane():
-    merge = strip_merge(half_plane_u_positive(), 32)
+    merge = strip_merge(classify_boxes(half_plane_u_positive(), 32))
     assert merge.per_strip_counts.max() <= 1
 
 
@@ -191,7 +195,7 @@ def test_strip_merge_sign_product_composed():
     # composed single-polynomial form: alpha = 1 + 4 edges, beta = deg = 4
     reg = region_from_poly_interval(Poly2({(1, 1): 1}), Interval(0, math.inf, False, True), 2, 2)
     assert reg.alpha == 5 and reg.beta == 4
-    merge = strip_merge(reg, 64)
+    merge = strip_merge(classify_boxes(reg, 64))
     assert merge.per_strip_counts.max() <= 1 + reg.alpha * reg.beta
     assert len(merge.rectangles) <= 64 * (1 + reg.alpha * reg.beta)
 
@@ -199,8 +203,33 @@ def test_strip_merge_sign_product_composed():
 def test_strip_merge_disk():
     reg = disk(1)
     assert reg.beta == 2
-    merge = strip_merge(reg, 64)
+    merge = strip_merge(classify_boxes(reg, 64))
     assert merge.per_strip_counts.max() <= 1 + reg.alpha * reg.beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    data=st.data(),
+    cap=st.sampled_from([(4, 1), (5, 4), (0, 0)]),
+)
+def test_strip_merge_matches_column_walk(m, data, cap):
+    # random +1/0/-1 grids: the runs of +1 boxes against a box-by-box walk
+    cells = data.draw(st.lists(st.sampled_from([1, 0, -1]), min_size=m * m, max_size=m * m))
+    status = np.array(cells, dtype=np.int8).reshape(m, m)
+    reg = full_square()
+    reg.alpha, reg.beta = cap
+    grid = build_grid(m)
+    approx = region.GridApproximation(reg, grid, status, 0.0, 1.0, int((status == 0).sum()))
+    expected = oracles.strip_runs(status.tolist(), grid.edges, 1 + reg.alpha * reg.beta)
+    if expected[0] is None:
+        _, i, count = expected
+        with pytest.raises(HypothesisError, match=f"^strip {i} splits into {count} components"):
+            strip_merge(approx)
+    else:
+        merge = strip_merge(approx)
+        assert merge.rectangles == tuple(expected[0])
+        assert merge.per_strip_counts.tolist() == expected[1]
 
 
 def test_strip_merge_violation_detected():
@@ -210,7 +239,7 @@ def test_strip_merge_violation_detected():
     bad.alpha = 0
     bad.beta = 0
     with pytest.raises(HypothesisError):
-        strip_merge(bad, 16)
+        strip_merge(classify_boxes(bad, 16))
 
 
 # -- curve length ------------------------------------------------------------------------
@@ -228,6 +257,25 @@ def test_curve_length_circle():
 def test_curve_length_diagonal():
     got, _ = trace_boundary(Poly2({(1, 0): 1, (0, 1): -1}))
     assert got == pytest.approx(4 * math.sqrt(2), abs=0.1)
+
+
+@pytest.mark.parametrize(
+    "poly, expected",
+    [
+        # crossing curves: on grid vertices, and (u-c)(v-c) inside a saddle cell
+        (Poly2({(1, 1): 1}), (8.085260416674016, 2)),
+        (Poly2({(2, 0): 1, (0, 2): -1}), (11.420308776215458, 2)),
+        (Poly2({(2, 1): 1, (1, 2): 1, (1, 0): -1, (0, 1): -1}), (10.287067476822159, 3)),
+        (disk(Fraction(1, 2)).curves[0], (3.1730084819057907, 1)),
+        (
+            Poly2({(1, 1): 1, (1, 0): Fraction(-1, 1000), (0, 1): Fraction(-1, 1000), (0, 0): Fraction(1, 10**6)}),
+            (8.07533804475876, 2),
+        ),
+    ],
+    ids=["uv", "u2-v2", "(uv-1)(u+v)", "disk(1/2)", "(u-c)(v-c)"],
+)
+def test_trace_boundary_is_pinned(poly, expected):
+    assert trace_boundary(poly) == expected
 
 
 def test_trace_components():
@@ -307,6 +355,39 @@ def test_m_of_x_hand_value():
     assert m_of_x(math.exp(math.e), 1) == pytest.approx(math.exp(0.25), abs=1e-12)
     with pytest.raises(DomainError):
         m_of_x(1.5, 1)
+
+
+def test_m_of_log_x_matches_m_of_x():
+    for x in (16.0, 1e5, 1e12):
+        assert region.m_of_log_x(math.log(x), 720) == m_of_x(x, 720)
+    assert region.m_of_log_x(0.5, 1) is None
+    # x = 2^4000 lies past float range
+    assert region.m_of_log_x(4000 * math.log(2.0), 720) > m_of_x(1e300, 720)
+
+
+@pytest.mark.parametrize("x", [1e11 + 1, 1e12, 1e15, 1e20, 1e30])
+def test_li_series_matches_mpmath(x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        ref = mpmath.li(x)
+        assert abs((region._li(x) - ref) / ref) <= 1e-13
+
+
+def test_envelope_ratio_needs_no_scipy():
+    # beyond the exact prime count, pi(x) is li(x) without scipy
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from satotate.region import ErrorEnvelope\n"
+        "env = ErrorEnvelope('Unconditional12', 4, 6, 5, 6, 10.0, 5, 4)\n"
+        "print(repr(env.ratio(1e12)))\n"
+    )
+    src = str(Path(region.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < float(proc.stdout) < math.inf
 
 
 def test_envelope_ratio_decreasing():
