@@ -74,11 +74,31 @@ class RunConfig:
             raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
         if not self.mn:
             raise ConfigError("at least one (m, n) pair is required")
-        out = Path(self.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if not out.is_dir():
-            raise ConfigError(f"output directory {out} is not writable")
+        _make_dir(self.out)
         return self
+
+
+def _make_dir(path):
+    """Create a directory and its parents, as outputs need; ConfigError when
+    that fails (a file in the way, no permission)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+
+def _output_file(path):
+    """The path of an output file flag, its directory created."""
+    path = Path(path)
+    _make_dir(path.parent)
+    return path
+
+
+def _n_max(args):
+    """The --n of expand and fetch, checked before any work."""
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    return args.n
 
 
 def load_config(path):
@@ -199,6 +219,7 @@ def _region_from_args(args):
 
 
 def cmd_expand(cfg, args):
+    n_max = _n_max(args)
     if args.eta:
         try:
             recipe = tuple(
@@ -214,35 +235,30 @@ def cmd_expand(cfg, args):
             level=args.level or max(d for d, _ in recipe),
             eta_recipe=recipe,
         )
-        table = coeffs.expand_eta_quotient(descriptor, args.n)
+        table = coeffs.expand_eta_quotient(descriptor, n_max)
     elif args.label:
-        table = resolve_table(args.label, args.n, cfg.cache_dir, cfg.base_url)
+        table = resolve_table(args.label, n_max, cfg.cache_dir, cfg.base_url)
     else:
         raise ConfigError("expand requires --eta or --label")
     if args.out_file:
-        coeffs.write_coefficient_file(args.out_file, table)
+        coeffs.write_coefficient_file(_output_file(args.out_file), table)
         print(f"wrote {table.bound} coefficients to {args.out_file}")
     else:
-        header = (
-            f"label={table.descriptor.label} k={table.descriptor.weight} "
-            f"N={table.descriptor.level}"
-        )
-        print(header)
-        for idx in range(1, table.bound + 1):
-            print(f"{idx} {table.a_int(idx)}")
+        sys.stdout.write(coeffs.format_coefficient_table(table))
     return 0
 
 
 def cmd_fetch(cfg, args):
+    n_max = _n_max(args)
     cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else coeffs.default_cache_dir()
     if args.seed_bundled:
-        written = bundled.seed_cache(cache_dir, args.n)
+        written = bundled.seed_cache(cache_dir, n_max)
         for path in written:
             print(f"seeded {path}")
         return 0
     if not args.label:
         raise ConfigError("fetch requires --label (or --seed-bundled)")
-    table = resolve_table(args.label, args.n, cache_dir, cfg.base_url)
+    table = resolve_table(args.label, n_max, cache_dir, cfg.base_url)
     print(f"{table.descriptor.label}: {table.bound} coefficients cached under {cache_dir}")
     return 0
 
@@ -274,7 +290,7 @@ def cmd_measure(cfg, args):
             f"max strip components={strips}"
         )
     if args.out_csv:
-        Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _output_file(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

@@ -16,6 +16,10 @@ number of primes comes from an a-priori bound on the final coefficients, so
 the lift is exact however far they outgrow 64 bits (weight 12 does, well
 below n = 10^4).  See Hart, Tornaria and Watkins, "Congruent number theta
 coefficients to 10^12" (ANTS IX, 2010) for multi-modular series arithmetic.
+Each product starts from the exact int64 product of its two costliest
+multiplying passes, whose coefficients stay below the product of the two
+passes' l1 norms (about 4e10 at n = 1e5), and only the other passes run
+densely (see ``_product_residues``).
 
 The bound is one of two.  The l1 bound, the product of the truncated eta
 factors' l1 norms, holds for every recipe; user recipes (``expand --eta``,
@@ -220,7 +224,7 @@ def _pentagonal_terms(bound, step=1):
     Euler's (-1)^j q^{step j(3j-1)/2}, where j(3j-1)/2 >= j^2 bounds j."""
     limit = bound // step
     root = math.isqrt(limit)
-    pent = ((j * (3 * j - 1) // 2, (-1) ** j) for j in range(-root, root + 1))
+    pent = ((j * (3 * j - 1) // 2, (-1) ** abs(j)) for j in range(-root, root + 1))
     return sorted((step * g, s) for g, s in pent if g <= limit)
 
 
@@ -353,14 +357,59 @@ def eta_bound(recipe, n_max):
     return _product_passes(primitive, max(n_max - v, 0) // g)[1]
 
 
+def _sweeps(terms):
+    """The cost of one dense pass of ``terms`` in full-length sweeps of a
+    row: one add per +-1 term, a multiply and an add per other term."""
+    return sum(1 if abs(c) == 1 else 2 for _, c in terms)
+
+
+def _sparse_product(terms, other, out):
+    """Add into ``out`` the exact coefficients of q^0..q^(len(out) - 1) of
+    the product of two sparse series, (exponent, coefficient) pairs sorted
+    by exponent: one vectorised add per term of ``terms``, with no
+    len(terms) x len(other) temporary.  The exponents of one series are
+    distinct, so no index of an add repeats."""
+    exps, cs = np.array(other, dtype=np.int64).reshape(-1, 2).T
+    top = len(out) - 1
+    for e, c in terms:
+        k = np.searchsorted(exps, top - e, side="right")
+        out[e + exps[:k]] += c * cs[:k]
+
+
 def _product_residues(primitive, top, moduli):
     """Coefficients of q^0..q^top of a primitive recipe's product modulo
     each of ``moduli`` (an int64 array of primes below 2^31), one row per
-    modulus."""
+    modulus.
+
+    Truncated multiplication commutes, and so does division by a series
+    with constant term 1, so the passes may run in any order.  The rows
+    start from the exact product of the two multiplying passes that would
+    cost the most dense sweeps (a lone multiplying pass is multiplied by 1),
+    reduced modulo each modulus; the other passes run on those residues.
+
+    The start is exact in int64.  Its coefficients are bounded by the
+    product of the two passes' l1 norms; a cube pass through q^top has l1
+    norm below 2 top + 2 sqrt(2 top) + 1 and a pentagonal pass below
+    2 sqrt(top) + 2, so the bound is about 4e10 at top = 1e5 and 4e12 at
+    1e6.  It stays below 2^63 while top < 1.5e9, the same scale at which a
+    pass's sum |c| reaches the 2^32 that ``_apply_sparse`` assumes."""
+    passes = _product_passes(primitive, top)[0]
+    # a positive net exponent exists (the vanishing order is positive), so
+    # at least one pass multiplies
+    multiply = sorted(
+        (i for i, (_, divide) in enumerate(passes) if not divide),
+        key=lambda i: _sweeps(passes[i][0]),
+        reverse=True,
+    )[:2]
+    start = [passes[i][0] for i in multiply] + [[(0, 1)]]  # times 1 if one pass
+    # the start is built and reduced in place: no further row-sized array
     rows = np.zeros((len(moduli), top + 1), dtype=np.int64)
-    rows[:, 0] = 1
-    for terms, divide in _product_passes(primitive, top)[0]:
-        rows = (_divide_sparse if divide else _apply_sparse)(rows, terms, moduli)
+    _sparse_product(start[1], start[0], out=rows[0])
+    np.remainder(rows[0], moduli[1:, None], out=rows[1:])
+    rows[0] %= moduli[0]
+    for i, (terms, divide) in enumerate(passes):
+        if i not in multiply:
+            rows = (_divide_sparse if divide else _apply_sparse)(rows, terms, moduli)
     return rows
 
 
@@ -429,20 +478,28 @@ def expand_eta_quotient(descriptor, n_max, bound=None):
 _HEADER_RE = re.compile(r"^label=(?P<label>\S+)\s+k=(?P<k>\d+)\s+N=(?P<N>\d+)\s*$", re.ASCII)
 
 
-def write_coefficient_file(path, table):
-    """Write a table in the standard line format (see load_coefficient_file)
-    through a fsynced temp file renamed over ``path``: never a partial file."""
-    path = Path(path)
+def format_coefficient_table(table):
+    """A table as text in the standard line format (see
+    load_coefficient_file): the header line, then one ``<n> <A(n)>`` line
+    per index."""
     d = table.descriptor
     # one format call over the interleaved (n, A(n)) items
     items = [0] * (2 * table.bound)
     items[::2] = range(1, table.bound + 1)
     items[1::2] = table._values.tolist()
     rows = ("{} {}\n" * table.bound).format(*items)
+    return f"label={d.label} k={d.weight} N={d.level}\n{rows}"
+
+
+def write_coefficient_file(path, table):
+    """Write ``format_coefficient_table(table)`` through a fsynced temp file
+    renamed over ``path``: never a partial file."""
+    path = Path(path)
+    text = format_coefficient_table(table)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(f"label={d.label} k={d.weight} N={d.level}\n{rows}")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

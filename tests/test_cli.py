@@ -40,6 +40,39 @@ def test_expand_eta_under_a_bundled_label_expands_the_given_recipe(capsys):
     assert out.strip().splitlines() == ["label=5.4.a.a k=12 N=1", "1 1", "2 -24", "3 252"]
 
 
+def test_expand_stdout_is_the_coefficient_file(tmp_path, capsys):
+    # stdout and --out-file come from the one table formatter
+    argv = ["--cache-dir", str(tmp_path / "cache"), "expand", "--label", "5.4.a.a", "--n", "50"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    path = tmp_path / "f.txt"
+    assert run([*argv, "--out-file", str(path)], capsys)[0] == 0
+    assert out.encode("utf-8") == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["expand", "--label", "6.6.a.a", "--n", "5", "--out-file", "{}/x.txt"], "x.txt"),
+        (["measure", "--disk", "--target", "1e-2", "--out-csv", "{}/m.csv"], "m.csv"),
+    ],
+)
+def test_output_file_flags_create_their_directory(tmp_path, capsys, argv, written):
+    missing = tmp_path / "missing" / "dir"
+    argv = [arg.format(missing) for arg in argv]
+    code, _, err = run(["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path), *argv], capsys)
+    assert code == 0, err
+    assert (missing / written).stat().st_size > 0
+
+
+def test_out_directory_blocked_by_a_file_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(["--out", str(blocker / "sub"), "fetch", "--seed-bundled", "--n", "3"], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot create output directory")
+
+
 def test_expand_usage_error(capsys):
     code, _, err = run(["expand", "--n", "9"], capsys)
     assert code == 2
@@ -505,6 +538,11 @@ def test_runconfig_validation(tmp_path):
         ["expand", "--eta", "1:4:5", "--n", "9"],
         ["expand", "--eta", "1:x", "--n", "9"],
         ["expand", "--eta", "1:4,5", "--n", "9"],
+        ["expand", "--eta", "1:24", "--n", "0"],
+        ["expand", "--label", "6.6.a.a", "--n", "0"],
+        ["fetch", "--label", "5.4.a.a", "--n", "0"],
+        ["fetch", "--seed-bundled", "--n", "0"],
+        ["fetch", "--seed-bundled", "--n", "-3"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from satotate import bundled, cli, coeffs
@@ -153,6 +153,11 @@ def eta_recipes(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(eta_recipes(), st.integers(1, 40))
+@example(((8, 3),), 30)  # one multiplying pass: primitive ((1, 3),)
+@example(((1, -8), (2, 16)), 1)  # a division recipe, at its shortest lengths
+@example(((1, -8), (2, 16)), 2)
+@example(((1, -8), (2, 16)), 3)
+@example(((1, 3), (7, 3)), 6)  # q^5 is below the cube of eta(7z)'s first term
 def test_eta_engine_matches_dense_oracle(recipe, n_max):
     expected = oracles.naive_eta_qexpansion(recipe, n_max)
     assert max(abs(c) for c in expected) <= eta_bound(recipe, n_max)
@@ -243,6 +248,23 @@ def test_level6_newform_bound_build_equals_l1_build(n_max):
     length = max(n_max, 9)
     l1 = coeffs.eta_combination(bundled._LEVEL6_TERMS, length)[1 : n_max + 1]
     assert bundled.build_6_6_a_a(n_max).raw == tuple(l1.tolist())
+
+
+@pytest.mark.parametrize("label, dense_passes", [("5.4.a.a", 2), ("6.6.a.a", 8), ("1.12.a.a", 6)])
+def test_products_start_from_their_two_costliest_passes(monkeypatch, label, dense_passes):
+    # each primitive product starts from the exact product of two
+    # multiplying passes, so only the rest run densely: eta(z)^4 eta(5z)^4
+    # 4 -> 2; eta(z)^6 eta(3z)^6 4 -> 2 and eta(z)^5 eta(2z)^5 eta(3z) eta(6z)
+    # 8 -> 6; eta(z)^24 8 -> 6
+    calls, real = [], coeffs._apply_sparse
+
+    def spy(rows, terms, moduli):
+        calls.append(len(terms))
+        return real(rows, terms, moduli)
+
+    monkeypatch.setattr(coeffs, "_apply_sparse", spy)
+    bundled.bundled_table(label, 2000)
+    assert len(calls) == dense_passes
 
 
 def test_crt_lift_inverts_residues():

@@ -8,6 +8,9 @@ bracket fails here.  The certified-measure CSV and the number of cells the
 quadtree classifies at each level were recorded the same way before the
 quadtree's cell geometry was reorganised; the cell counts were re-recorded
 when the quadtree began to fold regions by their reflection symmetries.
+The coefficient files of ``fetch --seed-bundled`` and of a weight-12
+``expand`` past int64 were recorded before the eta engine began each
+product from the exact product of its two largest factors.
 """
 
 import hashlib
@@ -65,6 +68,15 @@ QUADTREE_LEVELS = {
 }
 
 
+# coefficient files: the two seeded tables (int64 path) and the 1.12.a.a
+# expansion, whose values pass 2^63 (the exact object path)
+TABLE_DIGESTS = {
+    "cache/5.4.a.a.txt": "302001dfd1fec90dcf5806e1a246644e0986483f04577c8dae004f11cd0bcd79",
+    "cache/6.6.a.a.txt": "3c0e0b063b3bd0ebe353c1b69a4103d1b34cfbdf645dcb2dcf3ca13432e7c47a",
+    "delta.txt": "2503dd6ac00e29a498bd6e4f5bf1e884e987c81baa3523cb23d3eccab51ca83e",
+}
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -104,3 +116,13 @@ def test_quadtree_classifies_recorded_cells_per_level(monkeypatch, name):
     monkeypatch.setattr(measures, "leaf_statuses", spy)
     measures.mu_jst_region(build(), target)
     assert sizes == expected
+
+
+def test_coefficient_files_match_recorded_digests(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(["--cache-dir", str(cache), "fetch", "--seed-bundled", "--n", "20000"]) == 0
+    argv = ["expand", "--label", "1.12.a.a", "--n", "3000", "--out-file", str(tmp_path / "delta.txt")]
+    assert main(["--cache-dir", str(tmp_path / "other"), *argv]) == 0
+    capsys.readouterr()
+    for path, digest in TABLE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
