@@ -133,6 +133,8 @@ def _parse_numbers(text, name, convert, count=None):
         values = [convert(t) for t in text.replace(" ", "").split(",") if t]
     except ValueError:
         raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}") from None
+    if any(v != v for v in values):  # NaN, the one value unequal to itself
+        raise ConfigError(f"{name}: NaN is not a number here, got {text!r}")
     if count is not None and len(values) != count:
         raise ConfigError(f"{name}: expected {count} comma-separated numbers, got {text!r}")
     return values
@@ -229,12 +231,15 @@ def cmd_expand(cfg, args):
         except ValueError:
             raise ConfigError(f"--eta: expected divisor:exponent pairs, got {args.eta!r}") from None
         # --label only names the recipe, bundled or not
-        descriptor = coeffs.NewformDescriptor(
-            label=args.label or f"eta.{args.eta}",
-            weight=args.weight or sum(e for _, e in recipe) // 2,
-            level=args.level or max(d for d, _ in recipe),
-            eta_recipe=recipe,
-        )
+        try:
+            descriptor = coeffs.NewformDescriptor(
+                label=args.label or f"eta.{args.eta}",
+                weight=sum(e for _, e in recipe) // 2 if args.weight is None else args.weight,
+                level=max(d for d, _ in recipe) if args.level is None else args.level,
+                eta_recipe=recipe,
+            )
+        except InvariantError as exc:  # a --weight or --level out of range
+            raise ConfigError(f"expand: {exc}") from None
         table = coeffs.expand_eta_quotient(descriptor, n_max)
     elif args.label:
         table = resolve_table(args.label, n_max, cfg.cache_dir, cfg.base_url)

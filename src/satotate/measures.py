@@ -46,6 +46,8 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self):
+        if self.lo != self.lo or self.hi != self.hi:
+            raise DomainError(f"interval endpoint is NaN: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise DomainError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -158,8 +160,8 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
     Raises BudgetError if the subdivision budget (number of classified cells,
     default 10^7, None = unlimited) runs out before the target is met.
     """
-    if target_abs_error < _MIN_TARGET:
-        raise DomainError(f"target_abs_error must be >= {_MIN_TARGET}")
+    if not target_abs_error >= _MIN_TARGET:  # NaN fails this too
+        raise DomainError(f"target_abs_error must be >= {_MIN_TARGET}, got {target_abs_error}")
     if region.is_separable:
         return _tensor_bracket(region, target_abs_error)
     return _quadtree_bracket(region, target_abs_error, budget)

@@ -502,20 +502,45 @@ def _box_mass(grid):
     return d[:, None] * d[None, :]
 
 
+#: the first round of classify_boxes classifies blocks of b x b boxes, b the
+#: largest power of two leaving at least this many whole blocks per axis
+_FIRST_BLOCKS = 16
+
+
 def classify_boxes(region, m):
     """Classify every grid box by rigorous interval sign analysis.
 
     Interval arithmetic is conservative, so definitely-interior boxes lie in
     the region's interior and every box meeting the boundary lands in the
     boundary set; the resulting bracket encloses the true measure.
+
+    The boxes are classified coarse to fine.  A block of b x b boxes is
+    bounded by every b-th line of the grid (the last block may be partial),
+    so one enclosure covers all of its boxes: a block decided in or out
+    decides them all, and only the boxes of undecided blocks are refined,
+    halving b each round down to single boxes.  The first round is a tensor
+    grid of blocks; later rounds evaluate the scattered children.
     """
     if m > 4096:
         raise BudgetError(f"grid resolution {m} exceeds the 4096 budget")
     grid = build_grid(m)
+    b = 1 << max((m // _FIRST_BLOCKS).bit_length() - 1, 0)
+    n = -(-m // b)  # blocks per axis
+    lines = grid.edges[np.minimum(np.arange(n + 1) * b, m)]
     # one enclosure per distinct polynomial; a Constraint is never zero
-    enclosures = {poly: poly.interval_eval_grid(grid.edges, grid.edges) for poly in region.curves}
+    enclosures = {poly: poly.interval_eval_grid(lines, lines) for poly in region.curves}
     statuses = [measures._direction_status(leaf.op, *enclosures[leaf.poly]) for leaf in region.leaves]
-    tree = region.tree_status(statuses, shape=(m, m))
+    tree = region.tree_status(statuses, shape=(n, n))
+    while b > 1:
+        b //= 2
+        n = -(-m // b)
+        # each block passes its status to its (up to) four children
+        tree = tree.repeat(2, axis=0).repeat(2, axis=1)[:n, :n]
+        i, j = np.nonzero(tree == 0)
+        if i.size:
+            lines = grid.edges[np.minimum(np.arange(n + 1) * b, m)]
+            statuses = measures.leaf_statuses(region.leaves, lines[i], lines[i + 1], lines[j], lines[j + 1])
+            tree[i, j] = region.tree_status(statuses, shape=i.shape)
     mass = _box_mass(grid)
     mu_low = float(mass[tree == 1].sum())
     mu_boundary = float(mass[tree == 0].sum())

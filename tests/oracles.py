@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately naive (direct products, bisection plus
-antiderivatives, Riemann sums, a segmented sieve) and shares no code with
-the implementation paths it checks.
+antiderivatives, Riemann sums, a segmented sieve, one enclosure per grid
+box) and shares no code with the implementation paths it checks, apart from
+the interval enclosures that the grid classification is built on.
 """
 
 import functools
@@ -11,6 +12,8 @@ import math
 import numpy as np
 import sympy
 from scipy.integrate import quad
+
+from satotate import measures, region
 
 #: classical coefficients of q * prod (1-q^n)^24 (weight-12, level-1 form)
 TAU_REF = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
@@ -257,3 +260,24 @@ def strip_runs(status, edges, cap):
             return None, i, count
         counts.append(count)
     return rectangles, counts
+
+
+def direct_grid_approximation(reg, m):
+    """Grid classification with one interval enclosure per box of the m-grid
+    (all m^2 of them), and its bracket from the same masked sums as
+    region.classify_boxes."""
+    grid = region.build_grid(m)
+    enclosures = {poly: poly.interval_eval_grid(grid.edges, grid.edges) for poly in reg.curves}
+    statuses = [measures._direction_status(leaf.op, *enclosures[leaf.poly]) for leaf in reg.leaves]
+    tree = reg.tree_status(statuses, shape=(m, m))
+    mass = region._box_mass(grid)
+    mu_low = float(mass[tree == 1].sum())
+    mu_boundary = float(mass[tree == 0].sum())
+    return region.GridApproximation(
+        region=reg,
+        grid=grid,
+        status=tree,
+        mu_low=mu_low,
+        mu_high=min(1.0, mu_low + mu_boundary),
+        boundary_count=int((tree == 0).sum()),
+    )

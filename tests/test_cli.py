@@ -543,6 +543,13 @@ def test_runconfig_validation(tmp_path):
         ["fetch", "--label", "5.4.a.a", "--n", "0"],
         ["fetch", "--seed-bundled", "--n", "0"],
         ["fetch", "--seed-bundled", "--n", "-3"],
+        ["expand", "--eta", "1:24", "--n", "3", "--level", "0"],
+        ["expand", "--eta", "1:24", "--n", "3", "--weight", "3"],
+        ["expand", "--eta", "1:24", "--n", "3", "--level", "-6"],
+        ["measure", "--disk", "nan"],
+        ["measure", "--rect=-1,1,-1,nan"],
+        ["measure", "--poly-interval", "0,-1,1", "--interval", "nan,1", "--lift", "1,3"],
+        ["measure", "--disk", "--target", "nan"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):

@@ -55,6 +55,11 @@ def test_mu_st_additivity():
 def test_interval_validation():
     with pytest.raises(DomainError):
         Interval(1, -1)
+    # NaN compares false with everything, so no order check would catch it
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(DomainError):
+            Interval(lo, hi)
+    assert Interval(0.0, math.inf).hi == math.inf
 
 
 def test_measure_value_invariants():
@@ -167,6 +172,9 @@ def test_region_rect_tensor():
 def test_region_target_validation():
     with pytest.raises(DomainError):
         mu_jst_region(region.disk(1), 1e-9)
+    # a NaN target is refused before any cell is classified
+    with pytest.raises(DomainError):
+        mu_jst_region(region.disk(1), math.nan)
 
 
 def test_region_budget_error():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -151,6 +152,101 @@ def test_disjoint_cover():
         lo, hi = approx.bracket
         total = lo + (hi - lo) + exterior.mu_low
         assert total == pytest.approx(1.0, abs=1e-9), name
+
+
+_LOW_DEGREE_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda key: sum(key) <= 3),
+    st.one_of(st.integers(-4, 4), st.fractions(-2, 2, max_denominator=4)).filter(bool),
+    min_size=1,
+    max_size=5,
+).map(Poly2)
+
+
+@st.composite
+def _region_trees(draw, n_leaves, depth=2):
+    """An and/or/sign tree over leaf indices below ``n_leaves``."""
+    kind = draw(st.sampled_from(("and", "or", "sign")))
+    children = tuple(
+        draw(_region_trees(n_leaves, depth - 1))
+        if depth > 1 and draw(st.booleans())
+        else ("leaf", draw(st.integers(0, n_leaves - 1)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    if kind == "sign":
+        return ("sign", draw(st.sampled_from((1, -1))), children)
+    return (kind, children)
+
+
+@st.composite
+def _low_degree_regions(draw):
+    polys = draw(st.lists(_LOW_DEGREE_POLYS, min_size=1, max_size=3))
+    leaves = [Constraint(p, draw(st.sampled_from([">", ">=", "<", "<="]))) for p in polys]
+    return region.PolynomialRegion(leaves, draw(_region_trees(len(leaves))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(reg=_low_degree_regions(), m=st.one_of(st.integers(32, 64), st.integers(1, 31)))
+@example(reg=disk(1), m=64)
+@example(reg=sign_product(2, 2), m=48)
+@example(reg=rect(-1, 1, -1, 1).complement(), m=37)
+def test_coarse_to_fine_classification_keeps_every_direct_decision(reg, m):
+    # the direct classification takes one enclosure per box; coarse to fine
+    # may decide more boxes (a block's enclosure covers all of its boxes),
+    # but never one the other way, nor leave one the direct one decides
+    direct = oracles.direct_grid_approximation(reg, m)
+    approx = classify_boxes(reg, m)
+    assert approx.status.shape == (m, m) and approx.status.dtype == np.int8
+    assert not np.any(approx.status * direct.status == -1)
+    decided = direct.status != 0
+    assert np.array_equal(approx.status[decided], direct.status[decided])
+    if np.array_equal(approx.status, direct.status):
+        assert approx.bracket == direct.bracket
+        assert approx.boundary_count == direct.boundary_count
+    # a decided box lies on its side of the boundary: its corners, edge
+    # midpoints and centre are in the region exactly when it is interior
+    i, j = np.nonzero(approx.status)
+    edges, t = approx.grid.edges, np.array([0.0, 0.5, 1.0])
+    u = edges[i, None, None] + (edges[i + 1] - edges[i])[:, None, None] * t[:, None]
+    v = edges[j, None, None] + (edges[j + 1] - edges[j])[:, None, None] * t
+    assert np.all(reg.contains_many(u, v) == (approx.status[i, j] == 1)[:, None, None])
+
+
+# sha256 of status.tobytes() and the exact bracket, recorded from the direct
+# classification (one enclosure per box) before it went coarse to fine; the
+# cubic u <= v^3 - 2v is the region perfbench's certify workload brackets
+_PINNED_REGIONS = {
+    "cubic": lambda: region_from_poly_interval(
+        region.graded_lex_poly(["0", "-1", "1"]), Interval(0.0, math.inf), 1, 3
+    ),
+    "disk": lambda: disk(1),
+}
+GRID_PINS = {
+    ("cubic", 1000): (
+        "abb5d7b90a9ec2cabebc43fba20fe4e36b3aebb6c9a62ea47e79e9918885c408",
+        (0.49832390049646846, 0.501687933551599),
+    ),
+    ("cubic", 1024): (
+        "3df042e3748c589a58eed246ba7d17f869972ab4801d50e61f546014ca91f057",
+        (0.498373135036286, 0.5016615467821557),
+    ),
+    ("disk", 1000): (
+        "e295f44e96d8d5caaa104c05087b362cbbe0cf47b22a24bdbdf0ad9a52d03c1e",
+        (0.2965424166547832, 0.2993678401741216),
+    ),
+    ("disk", 1024): (
+        "4dc81efa6903b04a2264226b95f46aeed4a6034e7c5405efaa4dadb973062375",
+        (0.2965573090515671, 0.2993164944772953),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, m", sorted(GRID_PINS))
+def test_grid_status_matches_recorded_digest(name, m):
+    approx = classify_boxes(_PINNED_REGIONS[name](), m)
+    digest, bracket = GRID_PINS[name, m]
+    assert approx.status.dtype == np.int8
+    assert hashlib.sha256(approx.status.tobytes()).hexdigest() == digest
+    assert approx.bracket == bracket
 
 
 def test_classify_budget():
