@@ -72,7 +72,10 @@ def build_6_6_a_a(n_max):
     match with the snapshot goes past the Sturm bound (6), so it proves the
     combination equal to 6.6.a.a; hence every coefficient obeys Deligne's
     bound and lifts exactly too.  A failed match raises before any
-    coefficient beyond q^9 is used."""
+    coefficient beyond q^9 is used.  The newform bound 2 n_max^3 stays
+    below 2^63 up to n_max of about 1.6e6 (2e15 at 1e5), so the combination
+    runs in the 64-bit word, one uint64 row that wraps modulo 2^64 (see
+    ``coeffs``), where the l1 bound would ask for three primes."""
     length = max(n_max, 9)
     sturm = sum(abs(c) * eta_bound(recipe, 9) for c, recipe in _LEVEL6_TERMS)
     bound = max(newform_bound(6, length), sturm)
@@ -86,7 +89,9 @@ def bundled_table(label, n_max):
     """Coefficient table for a bundled label, computed entirely offline.
     5.4.a.a and 1.12.a.a are their eta quotients, each the one normalized
     cusp form of a space of dimension 1 (S_4(Gamma_0(5)) and S_12(SL_2(Z))),
-    so the newform bound sizes their moduli."""
+    so the newform bound sizes their moduli: the 64-bit word for 5.4.a.a
+    (2 n_max^2) and for 1.12.a.a below n_max = 1291, primes for 1.12.a.a
+    from there, where 2 n_max^6 passes 2^63."""
     descriptor = descriptor_for(label)
     if descriptor.eta_recipe is None:
         return build_6_6_a_a(n_max)

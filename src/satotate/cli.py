@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage/config error, 3 data or coverage error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,8 @@ class RunConfig:
     def validate(self):
         if not (self.f and self.fp):
             raise ConfigError(f"table labels must not be empty, got f={self.f!r} fp={self.fp!r}")
+        _check_label(self.f, "f")
+        _check_label(self.fp, "fp")
         if not 2 <= self.x_max <= 10**8:
             raise ConfigError(f"x_max must be in [2, 1e8], got {self.x_max}")
         if self.checkpoints < 1:
@@ -151,12 +154,30 @@ def _parse_mn(text):
     return pairs
 
 
+#: A table label: <level>.<weight>, then dot-separated parts of ASCII
+#: letters and digits.  A label names a cache file and a URL path, so
+#: nothing else may reach either.
+_LABEL_PATTERN = r"[0-9]+\.[0-9]+(\.[A-Za-z0-9]+)*"
+
+
+def _check_label(label, name):
+    """ConfigError unless all of ``label`` matches ``_LABEL_PATTERN``."""
+    if not re.fullmatch(_LABEL_PATTERN, label, re.ASCII):
+        raise ConfigError(
+            f"{name}: expected a label <level>.<weight>[.<part>...] of ASCII "
+            f"letters and digits, got {label!r}"
+        )
+
+
 def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL):
     """Obtain a coefficient table, the same way for every label: the cache
     file when it holds n_max coefficients, else the bundled offline
     constructor for a bundled label, else the remote fetcher.  A table
     built or downloaded here is written to the cache, so the next run finds
-    it there.  A corrupt cache file raises (exit 3); it is never skipped."""
+    it there.  A corrupt cache file raises (exit 3); it is never skipped.
+    A label outside ``_LABEL_PATTERN`` is refused (exit 2)
+    before any path or URL is built from it."""
+    _check_label(label, "label")
     cache_dir = Path(cache_dir) if cache_dir else coeffs.default_cache_dir()
     table = coeffs.cached_table(label, n_max, cache_dir)
     if table is not None:
@@ -222,6 +243,8 @@ def _region_from_args(args):
 
 def cmd_expand(cfg, args):
     n_max = _n_max(args)
+    if args.label:
+        _check_label(args.label, "--label")
     if args.eta:
         try:
             recipe = tuple(
@@ -255,6 +278,8 @@ def cmd_expand(cfg, args):
 
 def cmd_fetch(cfg, args):
     n_max = _n_max(args)
+    if args.label:
+        _check_label(args.label, "--label")
     cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else coeffs.default_cache_dir()
     if args.seed_bundled:
         written = bundled.seed_cache(cache_dir, n_max)

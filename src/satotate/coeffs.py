@@ -10,12 +10,23 @@ cache lookup: ``cli.resolve_table`` consults it before the bundled
 constructors and ``download_table``.
 
 The expansion engine runs its sparse pentagonal and cube passes (and long
-division, for negative net exponents) on int64 residue arrays modulo a few
-primes below 2^31, and lifts once by the Chinese remainder theorem.  The
-number of primes comes from an a-priori bound on the final coefficients, so
-the lift is exact however far they outgrow 64 bits (weight 12 does, well
-below n = 10^4).  See Hart, Tornaria and Watkins, "Congruent number theta
-coefficients to 10^12" (ANTS IX, 2010) for multi-modular series arithmetic.
+division, for negative net exponents) on residue rows and lifts once.  Every
+step is a ring operation in Z[[q]]/(q^(top+1)): sums, integer multiples and
+division by a series with constant term 1, so reducing modulo any m commutes
+with all of them.  The modulus comes from an a-priori bound on the final
+coefficients.  When 2 bound + 1 <= 2^64 it is the 64-bit word itself: one
+uint64 row, whose unsigned overflow reduces modulo 2^64 for free (C defines
+unsigned wraparound; int64 overflow it does not), read back as the two's
+complement int64, which is A(n) since |A(n)| <= bound < 2^63.  Otherwise
+the row is int64 modulo each of the fewest primes below 2^31 that cover the
+bound, and the lift is the Chinese remainder theorem, exact however far the
+coefficients outgrow 64 bits (weight 12 does, well below n = 10^4).  See
+Hart, Tornaria and Watkins, "Congruent number theta coefficients to 10^12"
+(ANTS IX, 2010) for multi-modular series arithmetic.  Every coefficient
+enters a word row as ``np.uint64(c % 2**64)``: under numpy 1.24's
+value-based casting a uint64 array times a negative Python int is float64,
+and under NEP 50 (numpy 2) it raises.
+
 Each product starts from the exact int64 product of its two costliest
 multiplying passes, whose coefficients stay below the product of the two
 passes' l1 norms (about 4e10 at n = 1e5), and only the other passes run
@@ -32,7 +43,10 @@ match.  That proof runs on the same residues: the moduli also cover
 the l1 bound through q^9, so q^1..q^9 lift exactly; agreement there is past
 the Sturm bound (6), so the combination is the newform; so every coefficient
 obeys Deligne's bound and lifts exactly.  At n = 10^5 the newform bound is
-about 51 bits against the l1 bound's 87, two primes instead of three.
+about 51 bits against the l1 bound's 87: the word instead of three primes
+for 6.6.a.a.  The l1 bound of a recipe with an inverse factor passes 2^63
+within a few dozen coefficients (n = 14 for eta(2z)^16 / eta(z)^8), so its
+division runs on primes at any useful length.
 
 A recipe whose divisors share a factor g > 1 is its primitive recipe (the
 divisors divided by g) read at q^g, so each primitive product is expanded
@@ -75,6 +89,9 @@ DEFAULT_BASE_URL = "https://q-expansions.example.org/api"
 #: The eta engine computes modulo primes below this limit, so that a residue
 #: times a pass's coefficient sum stays inside int64.
 _MODULUS_LIMIT = 2**31
+
+#: The modulus of a uint64 residue row, which wraps modulo it for free.
+_WORD = 2**64
 
 
 @dataclass(frozen=True)
@@ -254,8 +271,11 @@ def _is_prime(n):
 
 
 def _crt_moduli(bound):
-    """The fewest primes below 2^31, largest first, whose product exceeds
-    2 * bound + 1: enough to lift any integer of absolute value <= bound."""
+    """The moduli that lift any integer of absolute value <= bound: the
+    64-bit word alone when 2 * bound + 1 <= 2^64, else the fewest primes
+    below 2^31, largest first, whose product exceeds 2 * bound + 1."""
+    if 2 * bound + 1 <= _WORD:
+        return (_WORD,)
     moduli, product, n = [], 1, _MODULUS_LIMIT - 1
     while product <= 2 * bound + 1:
         if _is_prime(n):
@@ -267,7 +287,10 @@ def _crt_moduli(bound):
 
 def _crt_lift(residues, moduli):
     """The integers of absolute value below prod(moduli) / 2 with the given
-    residues (one int64 array per modulus), as an ``_exact_array``."""
+    residues (one row per modulus: uint64 for the word, int64 for primes),
+    as an ``_exact_array``."""
+    if moduli == (_WORD,):
+        return residues[0].view(np.int64)  # the two's-complement reading
     modulus = math.prod(moduli)
     # int64 while a sum of len(moduli) terms below modulus cannot overflow
     dtype = np.int64 if len(moduli) * modulus < 2**63 else object
@@ -322,30 +345,37 @@ def _product_passes(primitive, top):
 
 
 def _apply_sparse(rows, terms, moduli):
-    # in place, one modulus at a time (a row stays in cache); residues stay
-    # below 2^31 and a pass's sum |c| below 2^32, so no int64 sum can
-    # overflow before the reduction
-    for row, p in zip(rows, moduli):
-        new = np.zeros_like(row)
+    # one modulus at a time (a row stays in cache).  A prime row: residues
+    # stay below 2^31 and a pass's sum |c| below 2^32, so no int64 sum can
+    # overflow before the reduction.  A word row wraps and is not reduced
+    word = moduli == (_WORD,)
+    out = np.zeros_like(rows)
+    for row, new, p in zip(rows, out, moduli):
         for e, c in terms:
             if c == 1:
                 new[e:] += row[: len(row) - e]
             elif c == -1:
                 new[e:] -= row[: len(row) - e]
             else:
-                new[e:] += c * row[: len(row) - e]
-        np.remainder(new, p, out=row)
-    return rows
+                new[e:] += (np.uint64(c % _WORD) if word else c) * row[: len(row) - e]
+        if not word:
+            np.remainder(new, p, out=new)
+    return out
 
 
 def _divide_sparse(rows, terms, moduli):
     # long division by a pentagonal factor (constant term 1, the rest +-1),
-    # one coefficient per step, vectorised across the moduli
+    # one coefficient per step, vectorised across the rows.  Only array
+    # arithmetic runs in the loop: a uint64 scalar warns when it wraps
+    word = moduli == (_WORD,)
     exps, signs = np.array(terms[1:], dtype=np.int64).reshape(-1, 2).T
+    signs = signs.astype(rows.dtype)  # -1 is 2^64 - 1 in a word row
+    primes = None if word else np.array(moduli, dtype=np.int64)
     out = rows.T.copy()
     reach = np.searchsorted(exps, np.arange(len(out)), side="right")
     for n in range(1, len(out)):
-        out[n] = (out[n] - signs[: reach[n]] @ out[n - exps[: reach[n]]]) % moduli
+        diff = out[n] - signs[: reach[n]] @ out[n - exps[: reach[n]]]
+        out[n] = diff if word else diff % primes
     return out.T.copy()
 
 
@@ -378,14 +408,15 @@ def _sparse_product(terms, other, out):
 
 def _product_residues(primitive, top, moduli):
     """Coefficients of q^0..q^top of a primitive recipe's product modulo
-    each of ``moduli`` (an int64 array of primes below 2^31), one row per
-    modulus.
+    each of ``moduli`` (see ``_crt_moduli``), one row per modulus: uint64
+    for the word, int64 for primes below 2^31.
 
     Truncated multiplication commutes, and so does division by a series
     with constant term 1, so the passes may run in any order.  The rows
     start from the exact product of the two multiplying passes that would
-    cost the most dense sweeps (a lone multiplying pass is multiplied by 1),
-    reduced modulo each modulus; the other passes run on those residues.
+    cost the most dense sweeps (a lone multiplying pass is multiplied by 1):
+    reduced modulo each prime, or read as its uint64 bits for the word.  The
+    other passes run on those residues.
 
     The start is exact in int64.  Its coefficients are bounded by the
     product of the two passes' l1 norms; a cube pass through q^top has l1
@@ -405,8 +436,11 @@ def _product_residues(primitive, top, moduli):
     # the start is built and reduced in place: no further row-sized array
     rows = np.zeros((len(moduli), top + 1), dtype=np.int64)
     _sparse_product(start[1], start[0], out=rows[0])
-    np.remainder(rows[0], moduli[1:, None], out=rows[1:])
-    rows[0] %= moduli[0]
+    if moduli == (_WORD,):
+        rows = rows.view(np.uint64)  # two's complement: already the residues
+    else:
+        np.remainder(rows[0], np.array(moduli[1:], dtype=np.int64)[:, None], out=rows[1:])
+        rows[0] %= moduli[0]
     for i, (terms, divide) in enumerate(passes):
         if i not in multiply:
             rows = (_divide_sparse if divide else _apply_sparse)(rows, terms, moduli)
@@ -418,13 +452,14 @@ def eta_combination(terms, n_max, bound=None):
     over the (integer c_i, recipe) pairs in ``terms``, as an ``_exact_array``;
     entries below every vanishing order are zero.
 
-    The sum is formed on residues modulo the fewest primes whose product
-    covers ``bound``, and lifted once.  ``bound`` must bound the absolute
-    values of the sum's coefficients through q^n_max.  By default it is the
-    l1 bound sum_i |c_i| eta_bound(recipe_i, n_max), which holds for every
-    recipe.  A caller that has proved the sum to be a known multiple of a
-    newform may pass Deligne's bound instead (see ``bundled``); a bound that
-    is too small gives wrong coefficients, not an error.
+    The sum is formed on residues modulo the moduli ``_crt_moduli`` picks
+    for ``bound`` (the 64-bit word, or primes), and lifted once.  ``bound``
+    must bound the absolute values of the sum's coefficients through
+    q^n_max.  By default it is the l1 bound
+    sum_i |c_i| eta_bound(recipe_i, n_max), which holds for every recipe.
+    A caller that has proved the sum to be a known multiple of a newform may
+    pass Deligne's bound instead (see ``bundled``); a bound that is too
+    small gives wrong coefficients, not an error.
 
     Each primitive product (see ``_eta_shape``) is expanded once, to the
     length its longest use needs: a recipe whose divisors share a factor g
@@ -434,20 +469,23 @@ def eta_combination(terms, n_max, bound=None):
     shapes = [(c, *_eta_shape(recipe)) for c, recipe in terms]
     if bound is None:
         bound = sum(abs(c) * eta_bound(recipe, n_max) for c, recipe in terms)
-    primes = _crt_moduli(bound)
-    moduli = np.array(primes, dtype=np.int64)
+    moduli = _crt_moduli(bound)
+    word = moduli == (_WORD,)
+    dtype = np.uint64 if word else np.int64
     shapes = [shape for shape in shapes if shape[1] <= n_max]  # the rest are 0 here
     tops = {}
     for _, v, g, primitive in shapes:
         tops[primitive] = max(tops.get(primitive, 0), (n_max - v) // g)
     products = {primitive: _product_residues(primitive, top, moduli) for primitive, top in tops.items()}
-    total = np.zeros((len(moduli), n_max + 1), dtype=np.int64)
+    total = np.zeros((len(moduli), n_max + 1), dtype=dtype)
     for c, v, g, primitive in shapes:
-        # residues below 2^31 on both sides: the product stays inside int64
-        weight = np.array([[c % p] for p in primes], dtype=np.int64)
+        # the weight as a residue: uint64 wraps for the word, and residues
+        # below 2^31 on both sides keep a prime product inside int64
+        weight = np.array([[c % p] for p in moduli], dtype=dtype)
         total[:, v::g] += weight * products[primitive][:, : (n_max - v) // g + 1]
-        total[:, v::g] %= moduli[:, None]
-    return _crt_lift(total, primes)
+        if not word:
+            total[:, v::g] %= np.array(moduli, dtype=np.int64)[:, None]
+    return _crt_lift(total, moduli)
 
 
 def eta_product_qexpansion(recipe, n_max, bound=None):

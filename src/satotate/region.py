@@ -231,6 +231,11 @@ def half_plane_u_positive():
 
 
 def disk(radius=1):
+    """The open disk u^2 + v^2 < radius^2; the radius must be finite and
+    positive (a zero radius gives the empty region, a negative one the
+    disk of its absolute value)."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"disk radius must be finite and positive, got {radius}")
     p = Poly2({(2, 0): 1, (0, 2): 1, (0, 0): -Fraction(radius) ** 2})
     return PolynomialRegion((Constraint(p, "<"),), label=f"disk(r={radius})")
 

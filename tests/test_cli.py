@@ -9,6 +9,7 @@ import pytest
 import satotate
 from satotate import bundled, cli, coeffs, counting, region
 from satotate.cli import RunConfig, load_config, main, resolve_table
+from satotate.errors import ConfigError
 
 _SRC = str(Path(satotate.__file__).resolve().parents[1])
 
@@ -213,6 +214,42 @@ def test_empty_label_flag_is_refused(tmp_path, capsys, monkeypatch, command, fla
     code, _, err = run(["--out", str(tmp_path), command, flag, ""], capsys)
     assert code == 2
     assert "labels must not be empty" in err
+
+
+_BAD_LABELS = ["6.6.a.a\n", "6.6.a.a/../../x", "x", "5", "5.4.", "5.4.a.\u00e4", "\u0665.4.a.a", "5.4..a"]
+
+
+@pytest.mark.parametrize("label", _BAD_LABELS)
+def test_label_outside_the_grammar_is_refused(tmp_path, capsys, monkeypatch, label):
+    # refused before any cache path or URL is built from it
+    _refuse_network(monkeypatch)
+    monkeypatch.setattr(coeffs, "cached_table", None)
+    cache = ["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
+    for argv in (
+        ["expand", "--label", label, "--n", "3"],
+        ["expand", "--eta", "1:24", "--label", label, "--n", "3"],
+        ["fetch", "--label", label, "--n", "3"],
+        ["fetch", "--seed-bundled", "--label", label, "--n", "3"],
+        ["figures", "--f", label],
+        ["density", "--fp", label],
+    ):
+        code, out, err = run(cache + argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "expected a label" in err and "Traceback" not in err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("fp = 6.6.a.a/../x\n")  # a key is read stripped
+    code, _, err = run(["--config", str(cfg_file), *cache, "first-sign"], capsys)
+    assert code == 2 and "expected a label" in err
+    with pytest.raises(ConfigError):
+        resolve_table(label, 3, cache_dir=tmp_path, base_url=_UNREACHABLE)
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "label", ["5.4.a.a", "6.6.a.a", "1.12.a.a", "7.4.x.y", "9.9.z.z", "11.4.syn.a", "14.6.syn.a", "3.2"]
+)
+def test_labels_in_the_grammar_pass(label):
+    cli._check_label(label, "label")
 
 
 @pytest.mark.parametrize("key", ["f", "fp"])
@@ -550,6 +587,10 @@ def test_runconfig_validation(tmp_path):
         ["measure", "--rect=-1,1,-1,nan"],
         ["measure", "--poly-interval", "0,-1,1", "--interval", "nan,1", "--lift", "1,3"],
         ["measure", "--disk", "--target", "nan"],
+        ["measure", "--disk", "inf"],
+        ["measure", "--disk", "-1"],
+        ["measure", "--disk", "0"],
+        ["bracket", "--disk", "0", "--m", "16"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):

@@ -2,6 +2,7 @@ import gzip
 import math
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,7 @@ def eta_recipes(draw):
 @example(((1, -8), (2, 16)), 2)
 @example(((1, -8), (2, 16)), 3)
 @example(((1, 3), (7, 3)), 6)  # q^5 is below the cube of eta(7z)'s first term
+@example(((1, -2), (2, 13)), 42)  # divided in the word: the l1 bound is below 2^63 to q^42
 def test_eta_engine_matches_dense_oracle(recipe, n_max):
     expected = oracles.naive_eta_qexpansion(recipe, n_max)
     assert max(abs(c) for c in expected) <= eta_bound(recipe, n_max)
@@ -219,14 +221,29 @@ def test_division_recipe_keeps_the_l1_bound(monkeypatch):
     assert bound == eta_bound(recipe, 300) and len(moduli) > 2
 
 
-def test_level6_build_uses_two_moduli_at_1e5(monkeypatch):
+def test_level6_build_uses_the_word_at_1e5(monkeypatch):
     calls = _spy_moduli(monkeypatch)
     bundled.build_6_6_a_a(10**5)
     bound, moduli = calls[-1]
     assert bound == bundled.newform_bound(6, 10**5)
-    assert len(moduli) == 2
+    assert moduli == (2**64,)
     terms = bundled._LEVEL6_TERMS
     assert len(coeffs._crt_moduli(sum(abs(c) * eta_bound(r, 10**5) for c, r in terms))) == 3
+
+
+def test_word_engine_raises_no_warning(monkeypatch):
+    # uint64 scalars warn when they wrap and a negative Python int does not
+    # mix with a uint64 array: every word step is array arithmetic on uint64
+    calls = _spy_moduli(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label in ("5.4.a.a", "6.6.a.a", "1.12.a.a"):  # 1.12.a.a passes 2^63
+            bundled.bundled_table(label, 3000)
+        r = ((2, 16), (1, -8))
+        for n_max in (13, 14, 300):  # divided in the word, then on primes
+            assert eta_product_qexpansion(r, n_max).tolist() == oracles.naive_eta_qexpansion(r, n_max)
+    words = [moduli == (2**64,) for _, moduli in calls]
+    assert words == [True, True, False, True, False, False]
 
 
 @pytest.mark.parametrize("label", ["5.4.a.a", "1.12.a.a"])
@@ -268,16 +285,26 @@ def test_products_start_from_their_two_costliest_passes(monkeypatch, label, dens
 
 
 def test_crt_lift_inverts_residues():
-    # for each modulus count, the largest bound it covers, with values spread
-    # over all of it: the int64 lift (two moduli) runs close to 2^63 there
+    # for each prime count, the largest bound it covers, with values spread
+    # over all of it: the int64 lift (two moduli) runs close to 2^63 there;
+    # a bound of one or two primes is taken by the word
+    primes = coeffs._crt_moduli(2 ** (31 * 12))
     for count in range(1, 13):
-        moduli = coeffs._crt_moduli(2 ** (31 * count))[:count]
+        moduli = primes[:count]
         bound = (math.prod(moduli) - 3) // 2
-        assert coeffs._crt_moduli(bound) == moduli
+        assert coeffs._crt_moduli(bound) == (moduli if count > 2 else (2**64,))
         rnd = random.Random(count)
         values = [rnd.randint(-bound, bound) for _ in range(500)] + [bound, -bound, 0]
         residues = [np.array([v % p for v in values], dtype=np.int64) for p in moduli]
         assert coeffs._crt_lift(residues, moduli).tolist() == values, count
+    # the word: residues modulo 2^64, read back in two's complement
+    bound = 2**63 - 1
+    assert coeffs._crt_moduli(bound) == (2**64,) and coeffs._crt_moduli(bound + 1) != (2**64,)
+    rnd = random.Random(0)
+    values = [rnd.randint(-bound, bound) for _ in range(500)] + [bound, -bound, 0, 1, -1]
+    residues = [np.array([v % 2**64 for v in values], dtype=np.uint64)]
+    lifted = coeffs._crt_lift(residues, (2**64,))
+    assert lifted.dtype == np.int64 and lifted.tolist() == values
 
 
 def test_descriptor_validation():

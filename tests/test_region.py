@@ -279,6 +279,12 @@ def test_boundary_bound_disk():
     assert 0 < n <= bound
 
 
+@pytest.mark.parametrize("radius", [0, -1, Fraction(-1, 2), math.inf, -math.inf, math.nan])
+def test_disk_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(DomainError):
+        disk(radius)
+
+
 # -- strip merge ------------------------------------------------------------------------
 
 
