@@ -30,17 +30,32 @@ def _as_exact(c):
 
 
 def _horner(mat, u, v):
-    """sum mat[i, j] u^i v^j at scalars or broadcastable arrays: row-wise
-    Horner in v, then Horner in u."""
+    """sum mat[i, j] u^i v^j at finite scalars or broadcastable arrays:
+    row-wise Horner in v, then Horner in u, over the nonzero terms only.
+
+    Each row starts at its leading nonzero coefficient, which is where the
+    dense recurrence leaves its run of zeros, and then keeps every multiply.
+    Skipping the addition of a zero coefficient, or of an all-zero row, can
+    change only the sign of a zero; the closing ``+ 0.0`` makes it +0.0, the
+    one zero the dense recurrence yields, so the value is bit-identical to
+    Horner over the dense matrix.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    acc = np.zeros(np.broadcast(u, v).shape)
+    acc = None
     for row in mat[::-1]:
-        rowval = np.zeros_like(acc)
+        rowval = None
         for c in row[::-1]:
-            rowval = rowval * v + c
-        acc = acc * u + rowval
-    return float(acc) if acc.shape == () else acc
+            if rowval is not None:
+                rowval = rowval * v
+            if c:
+                rowval = c if rowval is None else rowval + c
+        if acc is not None:
+            acc = acc * u
+        if rowval is not None:
+            acc = rowval if acc is None else acc + rowval
+    out = np.add(0.0 if acc is None else acc, 0.0, out=np.empty(np.broadcast(u, v).shape))
+    return float(out) if out.shape == () else out
 
 
 class Poly2:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage/config error, 3 data or coverage error,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -135,7 +136,9 @@ def _parse_numbers(text, name, convert, count=None):
     try:
         values = [convert(t) for t in text.replace(" ", "").split(",") if t]
     except ValueError:
-        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}") from None
+        values = None
+    if not values:
+        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}")
     if any(v != v for v in values):  # NaN, the one value unequal to itself
         raise ConfigError(f"{name}: NaN is not a number here, got {text!r}")
     if count is not None and len(values) != count:
@@ -295,7 +298,9 @@ def cmd_fetch(cfg, args):
 
 def cmd_measure(cfg, args):
     reg = _region_from_args(args)
-    resolutions = _parse_numbers(args.m or "64", "--m", int) if args.grid_bracket else ()
+    resolutions = ()
+    if args.grid_bracket:
+        resolutions = _parse_numbers("64" if args.m is None else args.m, "--m", int)
     target = args.target
     mv = measures.mu_jst_region(reg, target, budget=cfg.budget)
     print(f"region: {reg.label}")
@@ -344,7 +349,7 @@ def _pair_frame(cfg):
 
 
 def _series_commands(cfg, args, kind):
-    pairs = _parse_mn(args.mn) if args.mn else cfg.mn
+    pairs = cfg.mn if args.mn is None else _parse_mn(args.mn)
     frame, checkpoints = _pair_frame(cfg)
     out = Path(cfg.out)
     builder = (
@@ -406,9 +411,12 @@ def cmd_figures(cfg, args):
 
 
 def cmd_first_sign(cfg, args):
+    # refused before any table is read, like --n
+    if args.d is not None and not 0 < args.d < math.inf:  # NaN fails this too
+        raise ConfigError(f"--d: expected a finite, positive envelope constant, got {args.d}")
     table_f = resolve_table(cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
     table_fp = resolve_table(cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
-    pairs = _parse_mn(args.mn) if args.mn else cfg.mn
+    pairs = cfg.mn if args.mn is None else _parse_mn(args.mn)
     for m, n in pairs:
         for rule in counting.EXCLUSION_RULES:
             res = counting.first_sign_change(table_f, table_fp, m, n, rule)
@@ -436,7 +444,7 @@ def cmd_bracket(cfg, args):
     reg = _region_from_args(args)
     out = Path(cfg.out)
     rows = ["m,mu_low,mu_high,width,boundary_count,area_bound,max_strip_components"]
-    resolutions = _parse_numbers(args.m or "16,32,64,128", "--m", int)
+    resolutions = _parse_numbers("16,32,64,128" if args.m is None else args.m, "--m", int)
     for m_res, approx, n_obs, bound, strips in _grid_brackets(reg, resolutions):
         width = approx.mu_high - approx.mu_low
         print(

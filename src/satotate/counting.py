@@ -468,8 +468,8 @@ def theoretical_first_sign_bound(m, n, k, k_prime, level, level_prime, d):
     (the solution grows like exp(const * (log kk'NN')^2) and can exceed
     float range).
     """
-    if d <= 0:
-        raise DomainError("the envelope constant d must be positive")
+    if not 0 < d < math.inf:  # NaN fails this too
+        raise DomainError(f"the envelope constant d must be finite and positive, got {d}")
     dmn = d_mn(m, n)
     if dmn >= 1:
         raise DomainError("d_{m,n} = 1 leaves no negative-sign density")

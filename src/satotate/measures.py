@@ -160,8 +160,10 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
     Raises BudgetError if the subdivision budget (number of classified cells,
     default 10^7, None = unlimited) runs out before the target is met.
     """
-    if not target_abs_error >= _MIN_TARGET:  # NaN fails this too
-        raise DomainError(f"target_abs_error must be >= {_MIN_TARGET}, got {target_abs_error}")
+    if not _MIN_TARGET <= target_abs_error < math.inf:  # NaN fails this too
+        raise DomainError(
+            f"target_abs_error must be finite and >= {_MIN_TARGET}, got {target_abs_error}"
+        )
     if region.is_separable:
         return _tensor_bracket(region, target_abs_error)
     return _quadtree_bracket(region, target_abs_error, budget)
@@ -355,6 +357,17 @@ def _real_roots_batched(coeff_rows):
     return out
 
 
+def _section_roots(poly, u_nodes):
+    """Real roots in v of poly(u0, v) at each node u0, as _real_roots_batched.
+
+    The cells of one t-column share both Gauss nodes, so each section is
+    solved once per distinct node and its roots are indexed back to the
+    cells.  Identical nodes give identical roots, so only the work changes.
+    """
+    nodes, back = np.unique(u_nodes, return_inverse=True)
+    return _real_roots_batched(poly.v_coefficients_at(nodes)).take(back, axis=0)
+
+
 def _polish_cells(region, t_lo, t_hi, s_lo, s_hi):
     """High-order estimate of the member mass inside undecided cells.
 
@@ -363,7 +376,8 @@ def _polish_cells(region, t_lo, t_hi, s_lo, s_hi):
     member sub-intervals are measured with the exact antiderivative.  Each
     cell estimate is clipped to [0, cell mass], so the overall value cannot
     leave the certified bracket.  The bounds are _angle_ends records; cells
-    are estimated in blocks of _CELL_BLOCK and summed once.
+    are estimated in blocks of _CELL_BLOCK and summed once.  Within a block,
+    each section is solved once per distinct node (see _section_roots).
     """
     polys = []
     for leaf in region.leaves:
@@ -379,7 +393,9 @@ def _polish_cells(region, t_lo, t_hi, s_lo, s_hi):
 
 def _polish_block(region, polys, t_lo, t_hi, s_lo, s_hi):
     """Unclipped estimates for a block of cells; ``polys`` are the distinct
-    leaf polynomials that involve v."""
+    leaf polynomials that involve v.  The two Gauss nodes of a cell are those
+    of its whole t-column, so each section is solved once per distinct node
+    and its roots are indexed back to the cells."""
     t1, t2 = t_lo[0], t_hi[0]
     half = 0.5 * (t2 - t1)
     mid = 0.5 * (t1 + t2)
@@ -389,7 +405,7 @@ def _polish_block(region, polys, t_lo, t_hi, s_lo, s_hi):
     v_lo = np.concatenate([s_hi[1], s_hi[1]])[:, None]
     v_hi = np.concatenate([s_lo[1], s_lo[1]])[:, None]
     if polys:
-        roots = np.concatenate([_real_roots_batched(p.v_coefficients_at(u_nodes)) for p in polys], axis=1)
+        roots = np.concatenate([_section_roots(p, u_nodes) for p in polys], axis=1)
         # a root outside the section, or missing (NaN), becomes v_hi: it
         # leaves trailing zero-length segments of mass exactly +0.0
         roots = np.where((roots > v_lo) & (roots < v_hi), roots, v_hi)

@@ -281,3 +281,17 @@ def direct_grid_approximation(reg, m):
         mu_high=min(1.0, mu_low + mu_boundary),
         boundary_count=int((tree == 0).sum()),
     )
+
+
+def dense_horner(mat, u, v):
+    """sum mat[i, j] u^i v^j by Horner over every entry of the dense matrix,
+    zeros included: row-wise in v, then in u."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    acc = np.zeros(np.broadcast(u, v).shape)
+    for row in mat[::-1]:
+        rowval = np.zeros_like(acc)
+        for c in row[::-1]:
+            rowval = rowval * v + c
+        acc = acc * u + rowval
+    return acc

@@ -591,6 +591,19 @@ def test_runconfig_validation(tmp_path):
         ["measure", "--disk", "-1"],
         ["measure", "--disk", "0"],
         ["bracket", "--disk", "0", "--m", "16"],
+        # an empty value is malformed, never a request for the default
+        ["bracket", "--disk", "--m", ""],
+        ["bracket", "--disk", "--m", ","],
+        ["measure", "--disk", "--grid-bracket", "--m", ""],
+        ["density", "--mn", "", "--x-max", "100"],
+        ["dominance", "--mn", "", "--x-max", "100"],
+        ["first-sign", "--mn", "", "--x-max", "100"],
+        # numbers must be finite; 1e400 parses as inf
+        ["measure", "--disk", "--target", "inf"],
+        ["measure", "--disk", "--target", "1e400"],
+        ["first-sign", "--d", "nan"],
+        ["first-sign", "--d", "inf"],
+        ["first-sign", "--d", "0"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):

@@ -253,6 +253,12 @@ def test_theoretical_bound_minimality():
     assert not holds(x // 2)
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+def test_theoretical_bound_needs_a_finite_positive_constant(d):
+    with pytest.raises(DomainError, match="finite and positive"):
+        theoretical_first_sign_bound(2, 2, 4, 6, 5, 6, d)
+
+
 def test_theoretical_bound_monotone_in_conductor():
     bounds = [
         theoretical_first_sign_bound(2, 2, k, 2, 1, 1, 0.6).bit_length()

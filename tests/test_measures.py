@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from satotate import measures, region
-from satotate.bipoly import Poly2
+from satotate.bipoly import Poly2, _horner
 from satotate.chebyshev import eval_u
 from satotate.errors import BudgetError, DomainError, InvariantError
 from satotate.measures import (
@@ -172,9 +172,10 @@ def test_region_rect_tensor():
 def test_region_target_validation():
     with pytest.raises(DomainError):
         mu_jst_region(region.disk(1), 1e-9)
-    # a NaN target is refused before any cell is classified
-    with pytest.raises(DomainError):
-        mu_jst_region(region.disk(1), math.nan)
+    # a NaN or infinite target is refused before any cell is classified
+    for target in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            mu_jst_region(region.disk(1), target)
 
 
 def test_region_budget_error():
@@ -300,3 +301,107 @@ def test_budget_counts_the_cells_classified(monkeypatch, build, target):
     with pytest.raises(BudgetError):
         mu_jst_region(build(), target, budget=3)
     assert sizes[:2] == [1, 4 // 2 ** sum(build().reflections)]
+
+
+# -- sparse Horner and sections solved once per node ----------------------------------
+
+_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]),
+    st.floats(-2.5, 2.5, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mat=st.integers(1, 5).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=rows, max_size=rows),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    us=st.lists(_POINTS, min_size=1, max_size=4),
+    vs=st.lists(_POINTS, min_size=1, max_size=4),
+)
+def test_horner_over_nonzero_terms_is_bit_identical_to_dense(mat, us, vs):
+    mat = np.array(mat, dtype=float)
+    u, v = np.array(us)[:, None], np.array(vs)[None, :]
+    got = _horner(mat, u, v)
+    want = oracles.dense_horner(mat, u, v)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert _horner(mat, us[0], vs[0]).hex() == float(oracles.dense_horner(mat, us[0], vs[0])).hex()
+
+
+# float.hex of (value, abs_error) of disk(1) at 1e-4, recorded before
+# sections were grouped by node and Horner skipped zero terms (x86-64,
+# numpy 2.4).  The disk's sections are quadratic, with closed-form roots, so
+# no LAPACK eigenvalue solve enters these bits.
+DISK_HEX = ("0x1.311b9818c0e2cp-2", "0x1.0341c3e748076p-15")
+
+
+def test_polished_disk_matches_recorded_bits():
+    mv = mu_jst_region(region.disk(1), 1e-4)
+    assert (mv.value.hex(), mv.abs_error.hex()) == DISK_HEX
+
+
+def _ungrouped_section_roots(poly, u_nodes):
+    return measures._real_roots_batched(poly.v_coefficients_at(u_nodes))
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [region.disk(1), region.poly_positive(V_MINUS_U, 2, 3), region.poly_positive(V_MINUS_U, 2, 4)],
+    ids=["disk(1)", "dominance(2,3)", "dominance(2,4)"],
+)
+def test_grouped_section_roots_are_bit_identical_to_ungrouped(reg):
+    # quadratic, cubic and quartic sections at a block of nodes with
+    # repeats, as the cells of one t-column share theirs
+    (leaf,) = reg.leaves
+    poly = leaf.poly
+    u_nodes = np.cos(np.linspace(0.0, math.pi, 37))[np.arange(111) % 37 // 2 * 2]
+    got = measures._section_roots(poly, u_nodes)
+    want = _ungrouped_section_roots(poly, u_nodes)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "build, target",
+    [
+        (lambda: region.disk(1), 1e-4),
+        (lambda: region.poly_positive(V_MINUS_U, 2, 3), 1e-3),
+        (lambda: region.poly_positive(V_MINUS_U, 2, 4), 1e-3),
+    ],
+    ids=["disk(1)@1e-4", "dominance(2,3)@1e-3", "dominance(2,4)@1e-3"],
+)
+def test_polished_measure_is_bit_identical_to_ungrouped_polish(monkeypatch, build, target):
+    grouped = mu_jst_region(build(), target)
+    monkeypatch.setattr(measures, "_section_roots", _ungrouped_section_roots)
+    ungrouped = mu_jst_region(build(), target)
+    assert (grouped.value.hex(), grouped.abs_error.hex()) == (
+        ungrouped.value.hex(),
+        ungrouped.abs_error.hex(),
+    )
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [region.disk(1), region.poly_positive(V_MINUS_U, 2, 4)],
+    ids=["disk(1)", "dominance(2,4)"],
+)
+def test_sections_are_solved_once_per_node(monkeypatch, reg):
+    # the disk's sections are quadratic; those of (2,4), U_4(v/2) - U_2(u/2),
+    # are quartic in v, so their roots take companion eigenvalues
+    calls = []
+    real = Poly2.v_coefficients_at
+
+    def spy(self, u_values):
+        calls.append(np.asarray(u_values))
+        return real(self, u_values)
+
+    monkeypatch.setattr(Poly2, "v_coefficients_at", spy)
+    mu_jst_region(reg, 1e-3)
+    assert calls
+    for nodes in calls:
+        assert nodes.ndim == 1 and np.unique(nodes).size == nodes.size
