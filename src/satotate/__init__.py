@@ -21,7 +21,6 @@ from .counting import (
     DensityReport,
     FirstSignChange,
     PrimeSieve,
-    SymmetryClass,
     count_in_region,
     default_checkpoints,
     dominance_density_series,
@@ -29,7 +28,6 @@ from .counting import (
     prime_count,
     sieve,
     sign_density_series,
-    symmetry_class,
     theoretical_first_sign_bound,
     zero_count,
 )

@@ -35,7 +35,7 @@ class ChebyshevU:
         return eval_u(self.degree, u)
 
 
-def _check_degree(m):
+def check_degree(m):
     if m < 0:
         raise CapError(f"degree must be nonnegative, got {m}")
     if m > DEGREE_CAP:
@@ -44,7 +44,7 @@ def _check_degree(m):
 
 def u_poly(m):
     """U_m in the monomial basis, computed by the three-term recurrence."""
-    _check_degree(m)
+    check_degree(m)
     prev, cur = [1], [0, 2]
     if m == 0:
         return ChebyshevU(0, (1,))
@@ -58,7 +58,7 @@ def u_poly(m):
 
 def s_poly(m):
     """Monic integer coefficients of S_m(u) = U_m(u/2), ascending powers."""
-    _check_degree(m)
+    check_degree(m)
     prev, cur = [1], [0, 1]
     if m == 0:
         return (1,)
@@ -75,7 +75,7 @@ def eval_u(m, u):
 
     Accepts scalars or numpy arrays.
     """
-    _check_degree(m)
+    check_degree(m)
     u_arr = np.asarray(u, dtype=float)
     prev = np.ones_like(u_arr)
     if m == 0:

@@ -99,9 +99,10 @@ def _output_file(path):
 
 
 def _n_max(args):
-    """The --n of expand and fetch, checked before any work."""
-    if args.n < 1:
-        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    """The --n of expand and fetch, checked before any work: a table past
+    the sieve's bound could never be checked on ingest."""
+    if not 1 <= args.n <= counting.SIEVE_MAX:
+        raise ConfigError(f"--n must be in [1, 1e8], got {args.n}")
     return args.n
 
 

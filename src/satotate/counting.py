@@ -27,6 +27,7 @@ from .bipoly import Poly2, compose_bivariate
 from .chebyshev import eval_u, s_poly
 from .errors import BudgetError, CoverageError, DomainError, InvariantError
 from .measures import d_mn, mu_jst_region
+from .symmetry import SQUARE_GROUP, parity
 from . import region as region_mod
 
 _GUARD = 1e-9
@@ -63,18 +64,31 @@ class PrimeSieve:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
+#: largest bound that sieve accepts
+SIEVE_MAX = 10**8
+
+
+@functools.lru_cache(maxsize=1)
 def sieve(bound):
-    """Primes <= bound; bounded at 10^8."""
-    if bound > 10**8:
+    """Primes <= bound; bounded at SIEVE_MAX.
+
+    The last bound is memoised: a run sieves each table's bound on ingest,
+    and its pair frame sieves the same x again.  Every caller shares the
+    primes array, so it is read-only.
+    """
+    if bound > SIEVE_MAX:
         raise BudgetError(f"sieve bound {bound} exceeds the 10^8 budget")
     if bound < 2:
-        return PrimeSieve(bound, np.empty(0, dtype=np.int64))
-    mask = np.ones(bound + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(bound**0.5) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return PrimeSieve(bound, np.flatnonzero(mask).astype(np.int64))
+        primes = np.empty(0, dtype=np.int64)
+    else:
+        mask = np.ones(bound + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, int(bound**0.5) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        primes = np.flatnonzero(mask).astype(np.int64)
+    primes.flags.writeable = False
+    return PrimeSieve(bound, primes)
 
 
 #: largest x that prime_count accepts; its cost grows like x^(3/4)
@@ -348,11 +362,14 @@ def _dominance_region(m, n):
 def dominance_prediction(m, n, target_abs_error=1e-3):
     """Limiting density of {a(p^m) < a'(p^n)}.
 
-    Equal indices or two odd indices give exactly 1/2 (swap/sign symmetry);
-    otherwise the joint measure of {U_m(u/2) < U_n(v/2)} is computed by
-    certified quadrature.
+    It is exactly 1/2 when a symmetry of the square maps
+    S_n(v) - S_m(u) to its negative (equal indices, by u <-> v, or two odd
+    ones, by (u, v) -> (-u, -v)); that is decided on the polynomial, before
+    any region is built.  Otherwise the joint measure of
+    {U_m(u/2) < U_n(v/2)} is computed by certified quadrature.
     """
-    if m == n or (m % 2 == 1 and n % 2 == 1):
+    W = _lift_poly(n, "v") - _lift_poly(m, "u")
+    if any(parity(g, W) < 0 for g in SQUARE_GROUP):
         return 0.5
     return mu_jst_region(_dominance_region(m, n), target_abs_error).value
 
@@ -492,37 +509,3 @@ def theoretical_first_sign_bound(m, n, k, k_prime, level, level_prime, d):
         else:
             lo_j = mid
     return 2**hi_j
-
-
-# -- polynomial symmetry detection ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetryClass:
-    kind: str  # "odd_twist", "antisymmetric", or "none"
-    s: int | None = None
-    t: int | None = None
-
-
-def symmetry_class(P, m, n):
-    """Detect sign symmetries of P forcing the positivity density to 1/2.
-
-    Either some admissible reflection (s, t) with s in {(+-1)^m},
-    t in {(+-1)^n} satisfies P(su, tv) = -P(u, v) while m or n is odd, or
-    m = n and P is antisymmetric under swapping its arguments.  Both checks
-    are exact coefficient comparisons.
-    """
-    if P.is_zero:
-        raise DomainError("P must be nonzero")
-    if m % 2 == 1 or n % 2 == 1:
-        s_choices = (-1, 1) if m % 2 == 1 else (1,)
-        t_choices = (-1, 1) if n % 2 == 1 else (1,)
-        for s in s_choices:
-            for t in t_choices:
-                if (s, t) == (1, 1):
-                    continue
-                if P.sign_flip(s, t) == -P:
-                    return SymmetryClass("odd_twist", s, t)
-    if m == n and P.swap_vars() == -P:
-        return SymmetryClass("antisymmetric")
-    return SymmetryClass("none")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebyshev import check_degree
 from .errors import BudgetError, DomainError, InvariantError
 
 _SLACK = 1e-12
@@ -127,6 +128,8 @@ def d_mn(m, n):
     Zero indices are allowed (U_0 = 1 is positive everywhere, so the density
     degenerates to the single-index one), but (0, 0) is rejected.
     """
+    check_degree(m)
+    check_degree(n)
     if m == 0 and n == 0:
         raise DomainError("(m, n) = (0, 0) has no sign statistic")
     if m % 2 == 1 or n % 2 == 1:
@@ -153,9 +156,16 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
     constraints are all univariate resolve through exact 1-D partitions
     (tight certificates); general boundaries additionally get a per-cell
     Gauss/root-counting estimate so the returned value is far more accurate
-    than the certificate.  When u -> -u (or v -> -v) leaves every leaf
-    polynomial exactly unchanged, the subdivision runs on the half with
-    u >= 0 (v >= 0) and scales what it finds by 2 (4 for both).
+    than the certificate.
+
+    The measure is invariant under the eight symmetries of the square
+    (u -> -u, v -> -v, u <-> v; see ``symmetry``).  A region that one of
+    them maps onto its complement has measure exactly 1/2, returned with
+    error 0.  Otherwise the subdivision keeps one cell of each orbit of the
+    region's stabiliser and weights its masses by the orbit size: the disk,
+    fixed by all eight, is subdivided on the eighth 0 <= u <= v of the
+    square, where each cell on the diagonal u = v splits into three kept
+    children.
 
     Raises BudgetError if the subdivision budget (number of classified cells,
     default 10^7, None = unlimited) runs out before the target is met.
@@ -164,6 +174,8 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
         raise DomainError(
             f"target_abs_error must be finite and >= {_MIN_TARGET}, got {target_abs_error}"
         )
+    if region.symmetries[1]:
+        return MeasureValue(0.5, 0.0)
     if region.is_separable:
         return _tensor_bracket(region, target_abs_error)
     return _quadtree_bracket(region, target_abs_error, budget)
@@ -261,32 +273,41 @@ def _quadtree_bracket(region, target, budget):
     # _angle_ends record, computed once where the bound first appears and
     # carried to the children.  The cell maps to the (u, v) box
     # [2 cos t_hi, 2 cos t_lo] x [2 cos s_hi, 2 cos s_lo], as cos decreases.
-    # u -> -u is t -> pi - t and preserves the measure, so a region it maps
-    # onto itself keeps only the level-1 cells with t <= pi/2 (v and s
-    # alike), and every mass found below level 0 is scaled by the fold 2 or
-    # 4, a power of two and so exact.
-    fold_u, fold_v = region.reflections
-    fold = 2 ** (fold_u + fold_v)
-    scale = 1.0
+    # The region's stabiliser H (its fixing symmetries) maps the cells of a
+    # level onto one another and preserves the measure, so one cell of each
+    # H-orbit is kept, its masses weighted by the orbit size |H| / |H_c|:
+    # 1, 2, 4 or 8, and so exact.  ``stab`` holds each cell's stabiliser H_c
+    # as a bitmask over H minus the identity.  The square is fixed by all of
+    # H; a child is fixed by the elements of its parent's stabiliser that fix
+    # its quadrant, and it is kept unless one of them maps it onto a lower
+    # quadrant, which keeps the least child of each orbit.
+    fixing = region.symmetries[0]
+    quadrants = [g.quadrants() for g in fixing[1:]]
+    stays = [sum(1 << k for k, perm in enumerate(quadrants) if perm[q] == q) for q in range(4)]
+    drops = [sum(1 << k for k, perm in enumerate(quadrants) if perm[q] < q) for q in range(4)]
+    orbit_size = np.array([len(fixing) / (1 + bin(h).count("1")) for h in range(1 << len(quadrants))])
+    stab = np.array([(1 << len(quadrants)) - 1], dtype=np.uint8)
     t_lo, t_hi = _angle_ends(np.array([0.0])), _angle_ends(np.array([math.pi]))
     s_lo, s_hi = t_lo, t_hi
     inside = 0.0
     processed = 0
-    for level in range(_MAX_DEPTH):
+    for _ in range(_MAX_DEPTH):
         statuses = leaf_statuses(region.leaves, t_hi[1], t_lo[1], s_hi[1], s_lo[1])
         tree = region.tree_status(statuses, t_lo.shape[1:])
-        mass = (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
+        mass = orbit_size.take(stab) * (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
         processed += tree.size
         # index arrays: take() gathers far faster than boolean masks
-        inside += scale * float(mass.take(np.flatnonzero(tree == 1)).sum())
+        inside += float(mass.take(np.flatnonzero(tree == 1)).sum())
         unk = np.flatnonzero(tree == 0)
-        und = scale * float(mass.take(unk).sum())
+        und = float(mass.take(unk).sum())
         t_lo, t_hi, s_lo, s_hi = (ends.take(unk, axis=1) for ends in (t_lo, t_hi, s_lo, s_hi))
+        stab = stab.take(unk)
         wide = (t_hi[0] - t_lo[0] > _MIN_WIDTH) | (s_hi[0] - s_lo[0] > _MIN_WIDTH)
         if und <= target or not wide.any():
             break
-        # level 0 is the one square; the fold drops its mirrored children
-        children = 4 * wide.size if level else 4 // fold
+        # children q = di + 2*dj, quadrant-major
+        keep = np.flatnonzero(np.concatenate([(stab & d) == 0 for d in drops])) if stab.any() else None
+        children = 4 * stab.size if keep is None else keep.size
         if budget is not None and processed + children > budget:
             raise BudgetError(
                 f"cell budget {budget} exhausted at certified error {und:.3e} "
@@ -296,12 +317,12 @@ def _quadtree_bracket(region, target, budget):
         s_mid = _angle_ends(0.5 * (s_lo[0] + s_hi[0]))
         t_lo, t_hi = np.hstack((t_lo, t_mid, t_lo, t_mid)), np.hstack((t_mid, t_hi, t_mid, t_hi))
         s_lo, s_hi = np.hstack((s_lo, s_lo, s_mid, s_mid)), np.hstack((s_mid, s_mid, s_hi, s_hi))
-        if level == 0 and fold > 1:
-            keep = np.flatnonzero(~((fold_u & (t_lo[0] > 0)) | (fold_v & (s_lo[0] > 0))))
+        stab = np.concatenate([stab & s for s in stays])
+        if keep is not None:
             t_lo, t_hi, s_lo, s_hi = (ends.take(keep, axis=1) for ends in (t_lo, t_hi, s_lo, s_hi))
-            scale = float(fold)
+            stab = stab.take(keep)
     if t_lo.shape[1]:
-        estimate = scale * _polish_cells(region, t_lo, t_hi, s_lo, s_hi)
+        estimate = _polish_cells(region, t_lo, t_hi, s_lo, s_hi, orbit_size.take(stab))
     else:
         estimate = 0.5 * und
     value = min(1.0, inside + min(estimate, und))
@@ -368,8 +389,9 @@ def _section_roots(poly, u_nodes):
     return _real_roots_batched(poly.v_coefficients_at(nodes)).take(back, axis=0)
 
 
-def _polish_cells(region, t_lo, t_hi, s_lo, s_hi):
-    """High-order estimate of the member mass inside undecided cells.
+def _polish_cells(region, t_lo, t_hi, s_lo, s_hi, weight):
+    """High-order estimate of the member mass inside undecided cells, each
+    cell's estimate multiplied by its ``weight``.
 
     For Gauss nodes in the first angle, the cell section in the second
     coordinate is resolved exactly by polynomial root isolation, and the
@@ -388,7 +410,7 @@ def _polish_cells(region, t_lo, t_hi, s_lo, s_hi):
         for at in range(0, t_lo.shape[1], _CELL_BLOCK)
     ])
     cell_mass = (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
-    return float(np.clip(estimates, 0.0, cell_mass).sum())
+    return float((weight * np.clip(estimates, 0.0, cell_mass)).sum())
 
 
 def _polish_block(region, polys, t_lo, t_hi, s_lo, s_hi):

@@ -28,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import measures
+from . import measures, symmetry
 from .bipoly import Poly2, compose_bivariate
-from .chebyshev import s_poly
+from .chebyshev import check_degree, s_poly
 from .errors import (
     BudgetError,
     DegenerateError,
@@ -110,13 +110,12 @@ class PolynomialRegion:
         return self._axes
 
     @functools.cached_property
-    def reflections(self):
-        """(u, v): whether u -> -u, resp. v -> -v, leaves every leaf
-        polynomial exactly unchanged, and so maps the region onto itself."""
-        return tuple(
-            all(c.poly.sign_flip(s, t) == c.poly for c in self.leaves)
-            for s, t in ((-1, 1), (1, -1))
-        )
+    def symmetries(self):
+        """(fixing, flipping): the elements of ``symmetry.SQUARE_GROUP`` that
+        map the region onto itself, resp. onto its complement, up to null
+        sets (see ``symmetry.region_symmetries``)."""
+        oriented = [c.poly if c.op in (">", ">=") else -c.poly for c in self.leaves]
+        return symmetry.region_symmetries(oriented, self.tree)
 
     # -- membership -------------------------------------------------------------
 
@@ -246,6 +245,8 @@ def sign_product(m, n, sign=1):
     Built from univariate factors so the measure bracket can use exact 1-D
     partitions.  Index 0 contributes the constant factor 1 and is dropped.
     """
+    check_degree(m)
+    check_degree(n)
     if m == 0 and n == 0:
         raise DomainError("(m, n) = (0, 0) has constant sign")
     factors = [Poly2.from_univariate(s_poly(ell), axis) for ell, axis in ((m, "u"), (n, "v")) if ell > 0]
@@ -266,6 +267,9 @@ def region_from_poly_interval(P, interval, m, n):
     composed = compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))
     if composed.is_constant():
         raise DomainError("composed polynomial is constant on the square")
+    label = f"poly-interval[{interval.lo},{interval.hi}]({m},{n})"
+    if interval.lo == math.inf or interval.hi == -math.inf:
+        return _null_region(composed, label)  # no real value lies in I
     cons = []
     if math.isfinite(interval.lo):
         cons.append(
@@ -283,9 +287,13 @@ def region_from_poly_interval(P, interval, m, n):
         )
     if not cons:
         return full_square()
-    return PolynomialRegion(
-        tuple(cons), label=f"poly-interval[{interval.lo},{interval.hi}]({m},{n})"
-    )
+    return PolynomialRegion(tuple(cons), label=label)
+
+
+def _null_region(poly, label):
+    """The empty region: an "or" over no children, beside one leaf on
+    ``poly`` that keeps its curve in the boundary bookkeeping."""
+    return PolynomialRegion((Constraint(poly, ">"),), ("or", ()), label=label)
 
 
 def _factors(poly):
@@ -441,9 +449,7 @@ def poly_positive(P, m, n, sign=1):
         # a.e. constant sign: the region is the full square or a null set
         if target > 0:
             return full_square()
-        return PolynomialRegion(
-            (Constraint(composed, op),), ("or", ()), label=label
-        )
+        return _null_region(composed, label)
     return _sign_pattern(odd, target, label)
 
 

@@ -22,10 +22,9 @@ from satotate.counting import (
     first_sign_change,
     sieve,
     sign_density_series,
-    symmetry_class,
     theoretical_first_sign_bound,
 )
-from satotate.measures import d_ell, d_mn, mu_jst_region
+from satotate.measures import MeasureValue, d_ell, d_mn, mu_jst_region
 from satotate.region import (
     boundary_bound_check,
     classify_boxes,
@@ -129,17 +128,16 @@ def test_criterion_4_grid_brackets():
 
 def test_criterion_5_symmetry_forcing():
     with _Budget("C5 symmetry-forcing", 60.0):
-        odd_poly = Poly2({(1, 0): 3, (1, 2): 1})  # u (v^2 + 3), odd first index
-        cls = symmetry_class(odd_poly, 1, 2)
-        assert cls.kind == "odd_twist" and (cls.s, cls.t) == (-1, 1)
-        mv = mu_jst_region(region.poly_positive(odd_poly, 1, 2), 1e-6)
-        assert abs(mv.value - 0.5) <= 1e-6
+        # u (v^2 + 3) at an odd first index: u -> -u maps the region onto
+        # its complement
+        odd_region = region.poly_positive(Poly2({(1, 0): 3, (1, 2): 1}), 1, 2)
+        assert [(g.a, g.b, g.swap) for g in odd_region.symmetries[1]] == [(-1, 1, False), (-1, -1, False)]
+        assert mu_jst_region(odd_region, 1e-6) == MeasureValue(0.5, 0.0)
 
-        anti_poly = Poly2({(3, 0): 1, (0, 3): -1})  # (u - v)(u^2 + uv + v^2)
-        cls = symmetry_class(anti_poly, 2, 2)
-        assert cls.kind == "antisymmetric"
-        mv = mu_jst_region(region.poly_positive(anti_poly, 2, 2), 1e-3)
-        assert abs(mv.value - 0.5) <= 1e-6
+        # (u - v)(u^2 + uv + v^2) at equal indices: so does u <-> v
+        anti_region = region.poly_positive(Poly2({(3, 0): 1, (0, 3): -1}), 2, 2)
+        assert (1, 1, True) in [(g.a, g.b, g.swap) for g in anti_region.symmetries[1]]
+        assert mu_jst_region(anti_region, 1e-3) == MeasureValue(0.5, 0.0)
 
 
 def test_criterion_6_desk_scale_densities():

@@ -323,6 +323,21 @@ def test_first_sign_command(tmp_path, capsys):
     assert "theoretical bound" in out
 
 
+@pytest.mark.parametrize("interval, value", [("inf,inf", 0.0), ("-inf,-inf", 0.0), ("-inf,inf", 1.0)])
+def test_poly_interval_bounded_only_by_infinities(tmp_path, capsys, interval, value):
+    # [inf, inf] and [-inf, -inf] hold no real value, so their regions are
+    # empty; [-inf, inf] holds every value
+    flags = ["--poly-interval", "0,-1,1", "--lift", "1,3", f"--interval={interval}"]
+    code, out, _ = run(["--out", str(tmp_path), "measure", *flags], capsys)
+    assert code == 0
+    assert f"measure = {value:.9f}  (certified +- " in out
+    code, _, _ = run(["--out", str(tmp_path), "bracket", *flags, "--m", "16,32"], capsys)
+    assert code == 0
+    (csv,) = tmp_path.glob("bracket_*.csv")
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [(float(lo), float(hi)) for _, lo, hi, *_ in rows] == [(value, value)] * 2
+
+
 def test_bracket_command(tmp_path, capsys):
     code, out, _ = run(
         ["--out", str(tmp_path), "bracket", "--sign-product", "2,2", "--m", "16,32"],
@@ -580,6 +595,14 @@ def test_runconfig_validation(tmp_path):
         ["fetch", "--label", "5.4.a.a", "--n", "0"],
         ["fetch", "--seed-bundled", "--n", "0"],
         ["fetch", "--seed-bundled", "--n", "-3"],
+        # past the sieve's 10^8, where no table could be checked on ingest
+        ["expand", "--label", "5.4.a.a", "--n", "99999999999999999999"],
+        ["expand", "--eta", "1:24", "--n", "100000001"],
+        ["fetch", "--label", "5.4.a.a", "--n", "1000000000"],
+        ["fetch", "--seed-bundled", "--n", "100000001"],
+        ["measure", "--sign-product=-1,2"],
+        ["measure", "--sign-product=2,-1"],
+        ["bracket", "--sign-product=-1,2", "--m", "16"],
         ["expand", "--eta", "1:24", "--n", "3", "--level", "0"],
         ["expand", "--eta", "1:24", "--n", "3", "--weight", "3"],
         ["expand", "--eta", "1:24", "--n", "3", "--level", "-6"],

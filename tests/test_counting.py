@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from satotate import counting, region
-from satotate.bipoly import Poly2
+from satotate.bipoly import Poly2, compose_bivariate
+from satotate.chebyshev import s_poly
 from satotate.coeffs import CoefficientTable, NewformDescriptor
 from satotate.counting import (
     CSV_COLUMNS,
@@ -20,12 +21,12 @@ from satotate.counting import (
     prime_count,
     sieve,
     sign_density_series,
-    symmetry_class,
     theoretical_first_sign_bound,
     zero_count,
 )
 from satotate.errors import BudgetError, CoverageError, DomainError
-from satotate.measures import Interval, d_mn, mu_jst_region
+from satotate.measures import Interval, MeasureValue, d_mn, mu_jst_region
+from satotate.symmetry import SQUARE_GROUP, parity
 
 import oracles
 
@@ -47,6 +48,14 @@ def test_sieve_against_segmented_oracle():
 def test_sieve_budget():
     with pytest.raises(BudgetError):
         sieve(10**8 + 1)
+
+
+def test_sieve_memoises_the_last_bound_read_only():
+    first = sieve(4321)
+    assert sieve(4321) is first
+    with pytest.raises(ValueError):
+        first.primes[0] = 4
+    assert sieve(4321).count() == oracles.segmented_sieve_count(4321)
 
 
 # -- prime counting ------------------------------------------------------------------
@@ -342,20 +351,26 @@ def test_exact_lift_sign_matches_oracle(delta_table, f54_table, m):
 # -- symmetry detection ----------------------------------------------------------------
 
 
+def _flips(P, m, n):
+    """The symmetries of the square that negate P(S_m(u), S_n(v))."""
+    W = compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))
+    return [g for g in SQUARE_GROUP if parity(g, W) == -1]
+
+
 def test_symmetry_odd_twist():
     P = Poly2({(1, 0): 3, (1, 2): 1})  # u * (v^2 + 3)
-    cls = symmetry_class(P, 1, 2)
-    assert cls.kind == "odd_twist" and (cls.s, cls.t) == (-1, 1)
+    # S_1 is odd and S_2 even: u -> -u negates, with or without v -> -v
+    assert [(g.a, g.b, g.swap) for g in _flips(P, 1, 2)] == [(-1, 1, False), (-1, -1, False)]
 
 
 def test_symmetry_antisymmetric():
     P = Poly2({(3, 0): 1, (0, 3): -1})  # (u - v)(u^2 + uv + v^2)
-    cls = symmetry_class(P, 2, 2)
-    assert cls.kind == "antisymmetric"
+    # S_2 is even, so every element that exchanges u and v negates
+    assert [g.swap for g in _flips(P, 2, 2)] == [True] * 4
 
 
 def test_symmetry_none():
-    assert symmetry_class(Poly2({(2, 0): 1, (0, 0): 1}), 2, 2).kind == "none"
+    assert _flips(Poly2({(2, 0): 1, (0, 0): 1}), 2, 2) == []
 
 
 def test_symmetry_forces_half_measure():
@@ -363,9 +378,20 @@ def test_symmetry_forces_half_measure():
         (Poly2({(1, 0): 3, (1, 2): 1}), 1, 2),
         (Poly2({(3, 0): 1, (0, 3): -1}), 2, 2),
     ):
-        assert symmetry_class(P, m, n).kind != "none"
-        mv = mu_jst_region(region.poly_positive(P, m, n), 1e-3)
-        assert abs(mv.value - 0.5) <= max(1e-6, mv.abs_error)
+        assert _flips(P, m, n)
+        assert mu_jst_region(region.poly_positive(P, m, n), 1e-3) == MeasureValue(0.5, 0.0)
+
+
+def test_dominance_half_is_decided_before_any_region(monkeypatch):
+    # exactly the pairs with equal or two odd indices are 1/2, and no
+    # region is built for them
+    monkeypatch.setattr(region, "poly_positive", None)
+    for m in range(9):
+        for n in range(9):
+            half = m == n or m % 2 == n % 2 == 1
+            assert bool(_flips(Poly2({(0, 1): 1, (1, 0): -1}), m, n)) == half, (m, n)
+            if half:
+                assert dominance_prediction(m, n) == 0.5
 
 
 def test_empirical_convergence_all_panels(f54_table, f66_table):

@@ -6,8 +6,12 @@ pipeline was consolidated, so any refactor that changes a single byte of a
 figure, a density/dominance CSV (including its envelope column) or a grid
 bracket fails here.  The certified-measure CSV and the number of cells the
 quadtree classifies at each level were recorded the same way before the
-quadtree's cell geometry was reorganised; the cell counts were re-recorded
-when the quadtree began to fold regions by their reflection symmetries.
+quadtree's cell geometry was reorganised.  Both were re-recorded for the
+disk when the quadtree began to keep one cell per orbit of the region's
+stabiliser in the square's symmetry group: the disk is fixed by all eight
+symmetries, u <-> v included, and the swap moves its measure CSV in the
+eighth digit (towards the quadrature value), while the (2,3) region, fixed
+by u -> -u alone, still classifies the same cells to the same bits.
 The coefficient files of ``fetch --seed-bundled`` and of a weight-12
 ``expand`` past int64 were recorded before the eta engine began each
 product from the exact product of its two largest factors.
@@ -48,17 +52,19 @@ DIGESTS = {
     "bracket/bracket_poly-interval[0.0,inf](1,3).csv": (
         "5c72d5ecdc94464d0cac9bbed59ce445ea5fbdc63c7a6b94bb0dd54496eb379b"
     ),
-    "measure/measure.csv": "4835921c03a5eaf95c5f157c786c5905085305d7a55e45b31bf370303b78bc3f",
+    "measure/measure.csv": "423efb8c8d4a8b31d0f1f0f89fa69adde6ccae5dfc068ac692b1d20347ff6b6e",
 }
 
 # cells classified at each quadtree level (the sizes handed to leaf_statuses);
-# the disk is even in u and v and the (2,3) region in u, so below level 0
-# these are a quarter and a half of the unfolded tree's counts
+# the disk is fixed by all eight symmetries of the square, so below level 0
+# it keeps about an eighth of the unfolded tree's cells (a cell on the
+# diagonal u = v keeps three of its four children); the (2,3) region is
+# fixed by u -> -u alone and keeps half
 QUADTREE_LEVELS = {
     "disk(1)@1e-4": (
         lambda: region.disk(1),
         1e-4,
-        [1, 1, 4, 4, 12, 20, 44, 84, 172, 340, 684, 1364, 2732, 5460, 10924, 21844, 43692],
+        [1, 1, 3, 3, 7, 11, 23, 43, 87, 171, 343, 683, 1367, 2731, 5463, 10923, 21847],
     ),
     "poly(2,3)@1e-3": (
         lambda: region.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), 2, 3),

@@ -19,6 +19,7 @@ from satotate.measures import (
     mu_st,
 )
 from satotate.region import Constraint, PolynomialRegion
+from satotate.symmetry import SQUARE_GROUP
 
 import oracles
 
@@ -210,18 +211,30 @@ def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build):
     assert mu_jst_region(reg, 1e-3) == reference
 
 
-# -- reflection folding -------------------------------------------------------------
+# -- symmetry folding ---------------------------------------------------------------
 
 V_MINUS_U = Poly2({(0, 1): 1, (1, 0): -1})
+# (u, v) -> identity, (u, -v), (-u, v), (-u, -v), (v, u), (v, -u), (-v, u), (-v, -u)
+E, FLIP_V, FLIP_U, ROT180, SWAP, ROT_CW, ROT_CCW, ANTI_SWAP = SQUARE_GROUP
 
 
 def test_reflections_of_named_regions():
-    assert region.disk(1).reflections == (True, True)
-    assert region.poly_positive(V_MINUS_U, 2, 3).reflections == (True, False)
+    assert region.disk(1).symmetries == (SQUARE_GROUP, ())
+    assert region.disk(1).complement().symmetries == (SQUARE_GROUP, ())
+    assert region.poly_positive(V_MINUS_U, 2, 3).symmetries == ((E, FLIP_U), ())
     # S_1 and S_3 are odd, so u -> -u moves the boundary S_n(v) = S_m(u)
-    assert not region.poly_positive(V_MINUS_U, 1, 2).reflections[0]
-    assert not region.poly_positive(V_MINUS_U, 3, 2).reflections[0]
-    assert region.disk(1).complement().reflections == (True, True)
+    assert region.poly_positive(V_MINUS_U, 1, 2).symmetries == ((E, FLIP_V), ())
+    assert region.poly_positive(V_MINUS_U, 3, 2).symmetries == ((E, FLIP_V), ())
+    # {v^2 > u^2}: its two factors are exchanged by u -> -u, and each
+    # diagonal reflection negates one of them, which flips the sign node
+    assert region.poly_positive(V_MINUS_U, 2, 2).symmetries == (
+        (E, FLIP_V, FLIP_U, ROT180),
+        (SWAP, ROT_CW, ROT_CCW, ANTI_SWAP),
+    )
+    # the four leaves of a centred square are permuted by every symmetry
+    assert region.rect(-1, 1, -1, 1).symmetries == (SQUARE_GROUP, ())
+    assert region.rect(-1, 1, -0.5, 0.5).symmetries == ((E, FLIP_V, FLIP_U, ROT180), ())
+    assert region.half_plane_u_positive().symmetries == ((E, FLIP_V), (FLIP_U, ROT180))
 
 
 def test_one_uneven_leaf_anywhere_stops_the_fold_on_its_axis():
@@ -229,11 +242,31 @@ def test_one_uneven_leaf_anywhere_stops_the_fold_on_its_axis():
     odd_in_u = Constraint(Poly2({(3, 0): 1, (0, 2): 1, (0, 0): -2}), ">")
     odd_in_v = Constraint(Poly2({(2, 2): 1, (0, 1): 1}), ">")
     deep = ("or", (("leaf", 0), ("and", (("leaf", 0), ("sign", 1, (("leaf", 1),))))))
-    assert PolynomialRegion((even, even), deep).reflections == (True, True)
-    assert PolynomialRegion((even, odd_in_u), deep).reflections == (False, True)
-    assert PolynomialRegion((even, odd_in_v), deep).reflections == (True, False)
-    # a leaf the tree never reads still counts
-    assert PolynomialRegion((even, odd_in_u), ("or", (("leaf", 0),))).reflections == (False, True)
+    assert PolynomialRegion((even, even), deep).symmetries == (SQUARE_GROUP, ())
+    assert PolynomialRegion((even, odd_in_u), deep).symmetries == ((E, FLIP_V), ())
+    assert PolynomialRegion((even, odd_in_v), deep).symmetries == ((E, FLIP_U), ())
+    # a leaf the tree never reads does not count
+    assert PolynomialRegion((even, odd_in_u), ("or", (("leaf", 0),))).symmetries == (SQUARE_GROUP, ())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: region.poly_positive(V_MINUS_U, 2, 2),
+        lambda: region.poly_positive(V_MINUS_U, 4, 4),
+        lambda: region.poly_positive(V_MINUS_U, 1, 3),
+        lambda: region.region_from_poly_interval(V_MINUS_U, Interval(0, math.inf), 1, 3),
+        lambda: region.sign_product(1, 1),
+        lambda: region.sign_product(3, 2),
+        region.half_plane_u_positive,
+    ],
+    ids=["dominance(2,2)", "dominance(4,4)", "dominance(1,3)", "cubic", "sign(1,1)", "sign(3,2)", "u>0"],
+)
+def test_a_region_mapped_onto_its_complement_measures_exactly_half(monkeypatch, build):
+    reg = build()
+    assert reg.symmetries[1]
+    monkeypatch.setattr(measures, "leaf_statuses", None)  # no cell is classified
+    assert mu_jst_region(reg, 1e-3) == MeasureValue(0.5, 0.0)
 
 
 def test_bracket_near_zero_or_one_stays_in_the_unit_interval():
@@ -246,40 +279,65 @@ def test_bracket_near_zero_or_one_stays_in_the_unit_interval():
             assert mv.lo <= truth <= mv.hi and mv.abs_error <= target
 
 
+_MATRICES = {g: np.array([[g.a, 0], [0, g.b]])[:, ::-1] if g.swap else np.diag([g.a, g.b]) for g in SQUARE_GROUP}
+
+
+def _generated(gens):
+    """The subgroup of SQUARE_GROUP generated by ``gens``, by closure of
+    the point maps' signed permutation matrices."""
+    by_matrix = {m.tobytes(): g for g, m in _MATRICES.items()}
+    group = {E}
+    while True:
+        grown = group | {by_matrix[(_MATRICES[g] @ _MATRICES[h]).tobytes()] for g in group for h in gens}
+        if grown == group:
+            return group
+        group = grown
+
+
 @st.composite
-def _even_polys(draw):
-    """(P, fold_u, fold_v): P of degree <= 2 in each variable with small
-    integer coefficients, even in u when fold_u and in v when fold_v."""
-    fold_u, fold_v = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
-    monomials = [(i, j) for i in ((0, 2) if fold_u else (0, 1, 2)) for j in ((0, 2) if fold_v else (0, 1, 2))]
+def _invariant_polys(draw):
+    """(P, H): a subgroup H of the square's symmetries, drawn from random
+    generators, and P = sum over h in H of Q o h, which H fixes, for Q of
+    degree <= 2 in each variable with small integer coefficients."""
+    group = _generated(draw(st.lists(st.sampled_from(SQUARE_GROUP), min_size=1, max_size=3)))
+    monomials = [(i, j) for i in range(3) for j in range(3)]
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
-    return Poly2(dict(zip(monomials, coeffs))), fold_u, fold_v
+    seed = Poly2(dict(zip(monomials, coeffs)))
+    return sum((h.act(seed) for h in group), Poly2.zero()), group
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=_even_polys(), op=st.sampled_from([">", "<"]))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_invariant_polys(), op=st.sampled_from([">", "<"]))
 def test_folded_measure_matches_unfolded(case, op):
-    poly, fold_u, fold_v = case
+    poly, group = case
     assume(poly.depends_on_u() and poly.depends_on_v())  # else no quadtree
     folded = PolynomialRegion((Constraint(poly, op),))
-    assert folded.reflections[0] >= fold_u and folded.reflections[1] >= fold_v
-    # u + v + 5 > 0 holds on the whole square and is even in neither variable
-    whole = Constraint(Poly2({(1, 0): 1, (0, 1): 1, (0, 0): 5}), ">")
+    assert group <= set(folded.symmetries[0])
+    # u + 2v + 7 > 0 holds on the whole square and no symmetry but the
+    # identity fixes it
+    whole = Constraint(Poly2({(1, 0): 1, (0, 1): 2, (0, 0): 7}), ">")
     unfolded = PolynomialRegion((Constraint(poly, op), whole))
-    assert unfolded.reflections == (False, False)
+    assert unfolded.symmetries == ((E,), ())
     a = mu_jst_region(folded, 1e-3)
     b = mu_jst_region(unfolded, 1e-3)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
-    assert a.lo <= b.value <= a.hi
+    # each value lies in the other's certified bracket; the slack covers the
+    # rounding of the unfolded sum where the folded value is an exact 1/2
+    assert a.lo - 1e-12 <= b.value <= a.hi + 1e-12
     assert b.lo <= a.value <= b.hi
+    if not any(g.swap for g in folded.symmetries[0] + folded.symmetries[1]):
+        # a reflection maps a cell's Gauss nodes and sections onto those of
+        # its image, so the folded polish repeats the unfolded one up to
+        # rounding.  An element that exchanges u and v transposes them, and
+        # the two polishes then agree only within their brackets.
+        assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
 @pytest.mark.parametrize(
-    "build, target",
-    [(lambda: region.disk(1), 1e-4), (lambda: region.poly_positive(V_MINUS_U, 2, 3), 1e-3)],
+    "build, target, level1",
+    [(lambda: region.disk(1), 1e-4, 1), (lambda: region.poly_positive(V_MINUS_U, 2, 3), 1e-3, 2)],
     ids=["disk", "poly(2,3)"],
 )
-def test_budget_counts_the_cells_classified(monkeypatch, build, target):
+def test_budget_counts_the_cells_classified(monkeypatch, build, target, level1):
     sizes = []
     real = measures.leaf_statuses
 
@@ -295,12 +353,13 @@ def test_budget_counts_the_cells_classified(monkeypatch, build, target):
     with pytest.raises(BudgetError):
         mu_jst_region(build(), target, budget=total - 1)
     assert sum(sizes) <= total - 1
-    # level 0 is one cell and the fold keeps one (disk) or two ((2,3)) of
-    # its four children, so a budget of 3 reaches level 1 on both
+    # level 0 is one cell; of its four children the disk keeps one (its
+    # stabiliser is the whole group) and (2,3) two (u -> -u pairs them), so
+    # a budget of 3 reaches level 1 on both
     sizes.clear()
     with pytest.raises(BudgetError):
         mu_jst_region(build(), target, budget=3)
-    assert sizes[:2] == [1, 4 // 2 ** sum(build().reflections)]
+    assert sizes[:2] == [1, level1]
 
 
 # -- sparse Horner and sections solved once per node ----------------------------------
@@ -333,11 +392,12 @@ def test_horner_over_nonzero_terms_is_bit_identical_to_dense(mat, us, vs):
     assert _horner(mat, us[0], vs[0]).hex() == float(oracles.dense_horner(mat, us[0], vs[0])).hex()
 
 
-# float.hex of (value, abs_error) of disk(1) at 1e-4, recorded before
-# sections were grouped by node and Horner skipped zero terms (x86-64,
-# numpy 2.4).  The disk's sections are quadratic, with closed-form roots, so
-# no LAPACK eigenvalue solve enters these bits.
-DISK_HEX = ("0x1.311b9818c0e2cp-2", "0x1.0341c3e748076p-15")
+# float.hex of (value, abs_error) of disk(1) at 1e-4 (x86-64, numpy 2.4),
+# recorded when the quadtree began to fold the disk by all eight symmetries
+# of the square; the sections are still grouped by node and Horner still
+# skips zero terms.  The disk's sections are quadratic, with closed-form
+# roots, so no LAPACK eigenvalue solve enters these bits.
+DISK_HEX = ("0x1.311b98bb22b67p-2", "0x1.032d77acd2076p-15")
 
 
 def test_polished_disk_matches_recorded_bits():
