@@ -265,7 +265,8 @@ def cmd_expand(cfg, args):
                 level=max(d for d, _ in recipe) if args.level is None else args.level,
                 eta_recipe=recipe,
             )
-        except InvariantError as exc:  # a --weight or --level out of range
+        # every check here reads only the --eta, --weight and --level flags
+        except (InvariantError, RecipeError) as exc:
             raise ConfigError(f"expand: {exc}") from None
         table = coeffs.expand_eta_quotient(descriptor, n_max)
     elif args.label:
@@ -276,7 +277,7 @@ def cmd_expand(cfg, args):
         coeffs.write_coefficient_file(_output_file(args.out_file), table)
         print(f"wrote {table.bound} coefficients to {args.out_file}")
     else:
-        sys.stdout.write(coeffs.format_coefficient_table(table))
+        sys.stdout.writelines(coeffs.coefficient_file_blocks(table))
     return 0
 
 

@@ -61,6 +61,7 @@ import json
 import math
 import os
 import re
+import threading
 import urllib.error
 import warnings
 from dataclasses import dataclass
@@ -516,28 +517,35 @@ def expand_eta_quotient(descriptor, n_max, bound=None):
 _HEADER_RE = re.compile(r"^label=(?P<label>\S+)\s+k=(?P<k>\d+)\s+N=(?P<N>\d+)\s*$", re.ASCII)
 
 
-def format_coefficient_table(table):
+#: Lines per block of a written table: a write holds one block's text at a
+#: time, so its memory does not grow with the table.
+_BLOCK_LINES = 2**13
+
+
+def coefficient_file_blocks(table):
     """A table as text in the standard line format (see
-    load_coefficient_file): the header line, then one ``<n> <A(n)>`` line
-    per index."""
+    load_coefficient_file), in pieces: the header line, then the
+    ``<n> <A(n)>`` lines, ``_BLOCK_LINES`` to a piece."""
     d = table.descriptor
-    # one format call over the interleaved (n, A(n)) items
-    items = [0] * (2 * table.bound)
-    items[::2] = range(1, table.bound + 1)
-    items[1::2] = table._values.tolist()
-    rows = ("{} {}\n" * table.bound).format(*items)
-    return f"label={d.label} k={d.weight} N={d.level}\n{rows}"
+    yield f"label={d.label} k={d.weight} N={d.level}\n"
+    for at in range(0, table.bound, _BLOCK_LINES):
+        values = table._values[at : at + _BLOCK_LINES].tolist()
+        # one format call over the interleaved (n, A(n)) items
+        items = [0] * (2 * len(values))
+        items[::2] = range(at + 1, at + 1 + len(values))
+        items[1::2] = values
+        yield ("{} {}\n" * len(values)).format(*items)
 
 
 def write_coefficient_file(path, table):
-    """Write ``format_coefficient_table(table)`` through a fsynced temp file
-    renamed over ``path``: never a partial file."""
+    """Write ``coefficient_file_blocks(table)`` through a fsynced temp file
+    renamed over ``path``: never a partial file.  The temp file is the
+    writer's own, one per process and thread."""
     path = Path(path)
-    text = format_coefficient_table(table)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(coefficient_file_blocks(table))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -42,7 +42,7 @@ def test_expand_eta_under_a_bundled_label_expands_the_given_recipe(capsys):
 
 
 def test_expand_stdout_is_the_coefficient_file(tmp_path, capsys):
-    # stdout and --out-file come from the one table formatter
+    # stdout and --out-file are written from the same blocks of text
     argv = ["--cache-dir", str(tmp_path / "cache"), "expand", "--label", "5.4.a.a", "--n", "50"]
     code, out, _ = run(argv, capsys)
     assert code == 0
@@ -78,6 +78,14 @@ def test_expand_usage_error(capsys):
     code, _, err = run(["expand", "--n", "9"], capsys)
     assert code == 2
     assert "expand requires" in err
+
+
+def test_expand_of_a_recipe_that_is_no_newform_is_a_data_error(capsys):
+    # a well-formed recipe: |A(2)| = 8, where a level-2 newform of weight 4
+    # has 2^((k-2)/2) = 2
+    code, _, err = run(["expand", "--eta", "2:16,1:-8", "--n", "5"], capsys)
+    assert code == 3
+    assert "|A(2)| = 8" in err
 
 
 def test_measure_sign_product_flags_misprint(capsys, tmp_path):
@@ -606,6 +614,10 @@ def test_runconfig_validation(tmp_path):
         ["expand", "--eta", "1:24", "--n", "3", "--level", "0"],
         ["expand", "--eta", "1:24", "--n", "3", "--weight", "3"],
         ["expand", "--eta", "1:24", "--n", "3", "--level", "-6"],
+        # a recipe at odds with --weight, or without an integral vanishing order
+        ["expand", "--eta", "1:24", "--n", "5", "--weight", "10"],
+        ["expand", "--eta", "1:24", "--n", "5", "--weight", "120000000000"],
+        ["expand", "--eta", "1:12,2:1", "--n", "5"],
         ["measure", "--disk", "nan"],
         ["measure", "--rect=-1,1,-1,nan"],
         ["measure", "--poly-interval", "0,-1,1", "--interval", "nan,1", "--lift", "1,3"],

@@ -2,6 +2,8 @@ import gzip
 import math
 import os
 import random
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -408,6 +410,75 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, f54_table):
     with pytest.raises(OSError, match="disk full"):
         write_coefficient_file(path, f54_table)
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f54.txt"]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("name, dtype", [("f54_table", np.int64), ("delta_table", object)])
+def test_written_file_is_the_line_format_at_block_bounds(tmp_path, request, name, dtype, offset):
+    # one line short of a block, a whole block and one line past it, for an
+    # int64 table and for Delta's, which outgrows 2^63
+    table = coeffs._truncate_table(request.getfixturevalue(name), coeffs._BLOCK_LINES + offset)
+    assert table._values.dtype == dtype
+    d = table.descriptor
+    rows = "".join(f"{n} {a}\n" for n, a in enumerate(table.raw, start=1))
+    path = tmp_path / "t.txt"
+    write_coefficient_file(path, table)
+    assert path.read_bytes() == f"label={d.label} k={d.weight} N={d.level}\n{rows}".encode()
+
+
+@pytest.mark.parametrize("lines", [2**17, 2**19])
+def test_write_memory_does_not_grow_with_the_table(tmp_path, lines):
+    # the text is held one block at a time, never the whole file's
+    table = bundled.bundled_table("5.4.a.a", lines)
+    tracemalloc.start()
+    try:
+        write_coefficient_file(tmp_path / "t.txt", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert load_coefficient_file(tmp_path / "t.txt").raw == table.raw
+
+
+def test_concurrent_writers_of_one_path_each_publish_a_whole_file(tmp_path, monkeypatch, f54_table):
+    # one writer pauses after its first block while another thread writes a
+    # shorter table to the same path; each writes its own temp file, so the
+    # file holds one whole table and neither rename fails
+    path = tmp_path / "f54.txt"
+    long, short = (coeffs._truncate_table(f54_table, n) for n in (coeffs._BLOCK_LINES + 5, 20))
+    blocks = coeffs.coefficient_file_blocks
+    paused, resume = threading.Event(), threading.Event()
+
+    def pausing_blocks(table):
+        pieces = blocks(table)
+        if table is long:
+            yield next(pieces)  # the header
+            yield next(pieces)  # the first block
+            paused.set()
+            resume.wait(timeout=30)
+        yield from pieces
+
+    monkeypatch.setattr(coeffs, "coefficient_file_blocks", pausing_blocks)
+    errors = []
+
+    def write_long():
+        try:
+            write_coefficient_file(path, long)
+        except Exception as exc:
+            errors.append(exc)
+
+    writer = threading.Thread(target=write_long)
+    writer.start()
+    try:
+        assert paused.wait(timeout=30)
+        write_coefficient_file(path, short)
+    finally:
+        resume.set()
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert errors == []
+    assert path.read_bytes() in {"".join(blocks(t)).encode() for t in (long, short)}
     assert [p.name for p in tmp_path.iterdir()] == ["f54.txt"]
 
 
