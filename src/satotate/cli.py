@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
     RecipeError,
     SatotateError,
-    TraceError,
     OutOfRangeError,
 )
 
@@ -43,7 +42,7 @@ _DATA_ERRORS = (
     RecipeError,
     OutOfRangeError,
 )
-_BUDGET_ERRORS = (BudgetError, TraceError, HypothesisError)
+_BUDGET_ERRORS = (BudgetError, HypothesisError)
 
 _D22_FLAG = (
     "note: the (2,2) density is 0.523761 by both the closed form and certified "
@@ -309,10 +308,8 @@ def cmd_measure(cfg, args):
     print(f"measure = {mv.value:.9f}  (certified +- {mv.abs_error:.3g})")
     lines = [f"region,value,abs_error", f"{reg.label},{mv.value:.12g},{mv.abs_error:.12g}"]
     if args.rect:
-        vals = _parse_numbers(args.rect, "--rect", float, count=4)
-        closed = measures.mu_jst_rect(
-            measures.Interval(vals[0], vals[1]), measures.Interval(vals[2], vals[3])
-        ).value
+        u_lo, u_hi, v_lo, v_hi = _parse_numbers(args.rect, "--rect", float, count=4)
+        closed = measures.mu_jst_rect(measures.Interval(u_lo, u_hi), measures.Interval(v_lo, v_hi)).value
         print(f"closed form (product of 1-D measures) = {closed:.9f}")
     if args.sign_product:
         m, n = _parse_numbers(args.sign_product, "--sign-product", int, count=2)

@@ -450,12 +450,14 @@ def first_sign_change(table_f, table_fp, m, n, exclusion="AllPrimes", search_bou
     covers p coprime to the level, so there the sign is read directly from
     the stored A(p^m) (such a prime is skipped, and recorded, if p^m exceeds
     the table bound).  Never raises on a fruitless search; returns a
-    NotFound-style result carrying the searched bound.
+    NotFound-style result carrying the searched bound.  ``search_bound``,
+    when given, must be at least 2 (DomainError).
     """
     if exclusion not in EXCLUSION_RULES:
         raise DomainError(f"unknown exclusion rule {exclusion!r}")
-    bound = search_bound or min(table_f.bound, table_fp.bound)
-    bound = min(bound, table_f.bound, table_fp.bound)
+    if search_bound is not None and search_bound < 2:
+        raise DomainError(f"search_bound must be at least 2, got {search_bound}")
+    bound = min(table_f.bound, table_fp.bound, math.inf if search_bound is None else search_bound)
     frame = pair_frame(table_f, table_fp, bound)
     negative = frame.primes[frame.sign_event(m, n) < 0]
     found = [int(negative[0])] if negative.size else []

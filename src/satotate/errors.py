@@ -71,9 +71,5 @@ class HypothesisError(SatotateError):
     """A strip component count exceeded the 1 + alpha*beta certificate."""
 
 
-class TraceError(SatotateError):
-    """Implicit-curve tracing failed to converge within its budget."""
-
-
 class ConfigError(SatotateError):
     """A run configuration is invalid (bad key, unwritable directory...)."""

@@ -22,6 +22,7 @@ algebraic curve, its degree; vertical lines are exempt).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +39,6 @@ from .errors import (
     HypothesisError,
     InvariantError,
     ParseError,
-    TraceError,
 )
 
 _HOLDS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
@@ -97,7 +97,6 @@ class PolynomialRegion:
                 continue  # components lie on vertical lines; exempt
             beta = max(beta, poly.total_degree())
         self.beta = beta
-        self._trace_cache = None
 
     @staticmethod
     def _leaf_axis(poly):
@@ -173,25 +172,23 @@ class PolynomialRegion:
 
     # -- boundary bookkeeping -----------------------------------------------------
 
+    @functools.cached_property
     def traced_boundary(self):
-        """(total constraint-curve length, component count), cached.
-
-        Lengths are upper estimates from the adaptive polyline tracer; the
-        four square edges are not included here.
-        """
-        if self._trace_cache is None:
-            total, comps = 0.0, 0
-            for poly in self.curves:
-                length, ncomp = trace_boundary(poly)
-                total += length
-                comps += ncomp
-            self._trace_cache = (total, comps)
-        return self._trace_cache
+        """(total length, component count) of the constraint curves, from
+        ``trace_boundary``: an upper length estimate, the four square edges
+        not included."""
+        total, comps = 0.0, 0
+        for poly in self.curves:
+            length, ncomp = trace_boundary(poly)
+            total += length
+            comps += ncomp
+        return total, comps
 
     def envelope_params(self):
-        """(L, alpha, beta) for the effective error envelopes; L includes the
-        four square edges (total length 16)."""
-        length, _ = self.traced_boundary()
+        """(L, alpha, beta) for the effective error envelopes: L is the
+        curves' estimated length (``traced_boundary``) plus the four square
+        edges (total length 16)."""
+        length, _ = self.traced_boundary
         return (length + 16.0, self.alpha, self.beta)
 
     def __repr__(self):
@@ -206,18 +203,16 @@ def full_square():
 
 
 def rect(u_lo, u_hi, v_lo, v_hi):
-    """Axis-aligned rectangle [u_lo, u_hi] x [v_lo, v_hi]."""
+    """Axis-aligned rectangle [u_lo, u_hi] x [v_lo, v_hi]; DomainError when
+    an end is reversed, as for ``measures.Interval``."""
+    if u_lo > u_hi or v_lo > v_hi:
+        raise DomainError(f"rectangle ends out of order: [{u_lo}, {u_hi}] x [{v_lo}, {v_hi}]")
     cons = []
-    u = Poly2({(1, 0): 1})
-    v = Poly2({(0, 1): 1})
-    if u_lo > -2:
-        cons.append(Constraint(u - Poly2.constant(Fraction(u_lo)), ">="))
-    if u_hi < 2:
-        cons.append(Constraint(u - Poly2.constant(Fraction(u_hi)), "<="))
-    if v_lo > -2:
-        cons.append(Constraint(v - Poly2.constant(Fraction(v_lo)), ">="))
-    if v_hi < 2:
-        cons.append(Constraint(v - Poly2.constant(Fraction(v_hi)), "<="))
+    for key, lo, hi in (((1, 0), u_lo, u_hi), ((0, 1), v_lo, v_hi)):
+        if lo > -2:
+            cons.append(Constraint(Poly2({key: 1, (0, 0): -Fraction(lo)}), ">="))
+        if hi < 2:
+            cons.append(Constraint(Poly2({key: 1, (0, 0): -Fraction(hi)}), "<="))
     if not cons:
         return full_square()
     return PolynomialRegion(tuple(cons), label=f"rect[{u_lo},{u_hi}]x[{v_lo},{v_hi}]")
@@ -570,12 +565,13 @@ def boundary_bound_check(approx):
     explicit area bound.
 
     The bound is (m^2/4) * (4 pi L delta + 8 pi alpha delta^2) with delta the
-    box diameter bound 4 sqrt(2) tau / m, L the traced total length of the
-    constraint curves and alpha their component count.  Raises InvariantError
-    if the observed count exceeds it.
+    box diameter bound 4 sqrt(2) tau / m, L the estimated total length of
+    the constraint curves (``trace_boundary``) and alpha their estimated
+    component count.  Raises InvariantError if the observed count exceeds
+    it.
     """
     m = approx.m
-    length, comps = approx.region.traced_boundary()
+    length, comps = approx.region.traced_boundary
     delta = 4.0 * math.sqrt(2.0) * approx.tau / m
     bound = (m**2 / 4.0) * (4.0 * math.pi * length * delta + 8.0 * math.pi * comps * delta**2)
     n_obs = approx.boundary_count
@@ -620,159 +616,97 @@ def strip_merge(approx):
     return StripMerge(rectangles, counts)
 
 
-# -- boundary curve tracing --------------------------------------------------------
+# -- boundary curve length --------------------------------------------------------
 
-#: Marching-squares cells per axis of the square.
-TRACE_GRID = 512
-#: Refinement stops once a full round adds less than this to a curve's length.
-TRACE_TOL = 1e-6
-#: Refinement rounds before a curve counts as not converging.
-TRACE_ROUNDS = 40
+#: Lines per axis of the two sweeps that estimate a curve's length.
+LINES = 1024
+
+
+def _poly1_value(p, x):
+    return functools.reduce(lambda acc, c: acc * x + c, reversed(p), 0)
 
 
 def _univariate_line_trace(poly):
-    axis = "u" if poly.depends_on_u() else "v"
-    coeffs = [0.0] * (poly.degree_u() + 1 if axis == "u" else poly.degree_v() + 1)
-    for (i, j), c in poly.coeffs.items():
-        coeffs[i if axis == "u" else j] = float(c)
-    roots = np.roots(coeffs[::-1]) if len(coeffs) > 1 else np.empty(0)
-    real = sorted({round(float(r.real), 12) for r in roots if abs(r.imag) < 1e-9 and -2 <= r.real <= 2})
-    return 4.0 * len(real), len(real)
+    """The lines of a polynomial in u (or v) alone, one of length 4 through
+    each distinct root in [-2, 2], counted exactly by Sturm's theorem once
+    the roots at -2 and 2 are counted and divided out."""
+    axis = 0 if poly.depends_on_u() else 1
+    p = [0] * (max(poly.degree_u(), poly.degree_v()) + 1)
+    for key, c in poly.coeffs.items():
+        p[key[axis]] = c
+    lines = 0
+    for x in (-2, 2):
+        lines += _poly1_value(p, x) == 0
+        while _poly1_value(p, x) == 0:  # divide by u - x, synthetically
+            p = list(itertools.accumulate(p[:0:-1], lambda acc, c: c + x * acc))[::-1]
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        rem, div = list(chain[-2]), chain[-1]
+        while len(rem) >= len(div):
+            q = Fraction(rem[-1]) / div[-1]
+            for i, c in enumerate(div, start=len(rem) - len(div)):
+                rem[i] -= q * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        chain.append([-c for c in rem])  # [] once the gcd is reached
+    for x, sign in ((-2, 1), (2, -1)):
+        signs = [v > 0 for q in chain if (v := _poly1_value(q, x))]
+        lines += sign * sum(a != b for a, b in zip(signs, signs[1:]))
+    return 4.0 * lines, lines
 
 
-def _marching_polylines(poly):
-    """Polylines through the sign changes of ``poly`` between the vertices of
-    a TRACE_GRID x TRACE_GRID grid (marching squares).
-
-    An edge is keyed by the flat index a of its lower vertex: 2a for the
-    u-edge to vertex a + n + 1, 2a + 1 for the v-edge to vertex a + 1.  A cell
-    crossed on two edges joins them; a saddle, crossed on all four, is split
-    by the sign at its centre.
-    """
-    n = TRACE_GRID
-    xs = np.linspace(-2.0, 2.0, n + 1)
-    vals = poly.eval_float(xs[:, None], xs[None, :])
-    neg = vals < 0
-    u_cut, v_cut = neg[:-1] != neg[1:], neg[:, :-1] != neg[:, 1:]
-    # per cell: bottom, top, left and right edge crossed
-    cut = np.stack([u_cut[:, :-1], u_cut[:, 1:], v_cut[:-1], v_cut[1:]], axis=-1)
-    ci, cj = np.nonzero(cut.any(axis=-1))
-    cut = cut[ci, cj]
-    a = 2 * (ci * (n + 1) + cj)
-    keys = np.stack([a, a + 2, a + 1, a + 2 * n + 3], axis=1)
-    # a saddle joins bottom-right and top-left when its centre has the sign
-    # of its lower-left vertex, else bottom-left and top-right
-    saddle = cut.all(axis=1)
-    si, sj = ci[saddle], cj[saddle]
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    same = (poly.eval_float(mid[si], mid[sj]) >= 0) != neg[si, sj]
-    order = np.where(same[:, None], [0, 3, 1, 2], [0, 2, 1, 3])
-    keys[saddle] = np.take_along_axis(keys[saddle], order, axis=1)
-    # each cell lists its crossed edges in that order, two per join
-    adjacency = {}
-    for p, q in keys[cut].reshape(-1, 2).tolist():
-        adjacency.setdefault(p, []).append(q)
-        adjacency.setdefault(q, []).append(p)
-
-    # walk the adjacency graph into polylines
-    visited = set()
-    polylines = []
-    open_ends = [k for k, nb in adjacency.items() if len(nb) == 1]
-    for start in open_ends + list(adjacency):
-        if start in visited:
-            continue
-        path = [start]
-        visited.add(start)
-        while (nxt := next((nb for nb in adjacency[path[-1]] if nb not in visited), None)) is not None:
-            path.append(nxt)
-            visited.add(nxt)
-        if len(path) >= 2:
-            if len(path) > 2 and path[0] in adjacency[path[-1]]:
-                path.append(path[0])  # closed
-            path = np.array(path)
-            lo = path >> 1
-            hi = lo + np.where(path & 1, 1, n + 1)
-            p, q = (np.stack(np.divmod(ends, n + 1), axis=1) for ends in (lo, hi))
-            t = vals.flat[lo] / (vals.flat[lo] - vals.flat[hi])
-            polylines.append(xs[p] + t[:, None] * (xs[q] - xs[p]))
-    return polylines
+def _share(p_u, p_v):
+    """|cos|^5 / (|cos|^6 + |sin|^6) of the angle between the u-axis and the
+    tangent normal to the gradient (p_u, p_v); 0 where the gradient is 0."""
+    grad = np.hypot(p_u, p_v)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos, sin = np.abs(p_v) / grad, np.abs(p_u) / grad
+        return np.where(grad > 0, cos**5 / (cos**6 + sin**6), 0.0)
 
 
-def _project_midpoints(poly, pts_a, pts_b):
-    """Project segment midpoints onto {poly = 0} along the segment normals."""
-    seg = pts_b - pts_a
-    seglen = np.hypot(seg[:, 0], seg[:, 1])
-    mids = 0.5 * (pts_a + pts_b)
-    normals = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / np.maximum(seglen, 1e-300)[:, None]
-    delta = (0.75 * seglen)[:, None]
-    lo = mids - delta * normals
-    hi = mids + delta * normals
-    f_lo = poly.eval_float(lo[:, 0], lo[:, 1])
-    bracketed = (f_lo > 0) != (poly.eval_float(hi[:, 0], hi[:, 1]) > 0)
-    a, b, fa = lo, hi, f_lo
-    for _ in range(30):
-        mid_ab = 0.5 * (a + b)
-        fm = poly.eval_float(mid_ab[:, 0], mid_ab[:, 1])
-        swap = (fm > 0) == (fa > 0)
-        a = np.where(swap[:, None], mid_ab, a)
-        fa = np.where(swap, fm, fa)
-        b = np.where(swap[:, None], b, mid_ab)
-    proj = 0.5 * (a + b)
-    return np.where(bracketed[:, None], proj, mids)
-
-
-def _snap_chain(poly, pts):
-    """Replace interior vertices by on-curve projections of segment midpoints.
-
-    Marching-squares vertices are O(h) off the curve and zigzag, biasing the
-    length upward; after snapping, the chain is inscribed and underestimates.
-    """
-    proj = _project_midpoints(poly, pts[:-1], pts[1:])
-    return np.vstack([pts[:1], proj, pts[-1:]])
-
-
-def _refine_polyline(poly, pts):
-    """Adaptive polyline refinement: only segments still gaining length split.
-
-    Stops once a full round adds less than TRACE_TOL to the length.
-    """
-    pts = _snap_chain(poly, pts)
-    length = float(np.sum(np.hypot(*(pts[1:] - pts[:-1]).T)))
-    pa, pb = pts[:-1], pts[1:]
-    for _ in range(TRACE_ROUNDS):
-        if not len(pa):
-            return length
-        proj = _project_midpoints(poly, pa, pb)
-        old_len = np.hypot(*(pb - pa).T)
-        new_len = np.hypot(*(proj - pa).T) + np.hypot(*(pb - proj).T)
-        gain = new_len - old_len
-        round_gain = float(gain.sum())
-        split = gain > TRACE_TOL / max(4 * len(pa), 1)
-        for g in gain[split].tolist():
-            length += g  # one at a time, in order: the sum's rounding is pinned
-        # each split segment becomes (a, proj), (proj, b)
-        pa = np.stack([pa[split], proj[split]], axis=1).reshape(-1, 2)
-        pb = np.stack([proj[split], pb[split]], axis=1).reshape(-1, 2)
-        if round_gain < TRACE_TOL:
-            return length
-    raise TraceError("polyline refinement failed to converge")
+def _sweep(poly):
+    """(weighted length, component estimate) of {poly = 0} from its points
+    on the lines u = c_k = -2 + 4 (k + 1/2) / LINES: the real roots in
+    [-2, 2] of poly(c_k, v).  The estimate is the count on the first line
+    plus every rise in the count from one line to the next."""
+    h = 4.0 / LINES
+    c = (-2.0 + h * (np.arange(LINES) + 0.5))[:, None]
+    d_u, d_v = poly.derivative("u"), poly.derivative("v")
+    roots = measures._real_roots_batched(poly.v_coefficients_at(c[:, 0]))
+    inside = (roots >= -2) & (roots <= 2)
+    total = h * np.where(inside, _share(d_u.eval_float(c, roots), d_v.eval_float(c, roots)), 0.0).sum()
+    # the midpoint rule moves the jump where the curve crosses v = +-2 at x
+    # to the nearest cell boundary b; the share at x times b - x, or x - b
+    # where the curve lies left of x, puts it back.  Where the curve only
+    # touches the edge (to within 1e-6 rad) there is no jump.
+    edge = np.array([[-2.0], [2.0]])
+    x = measures._real_roots_batched(poly.swap_vars().v_coefficients_at(edge[:, 0]))
+    p_u, p_v = d_u.eval_float(x, edge), d_v.eval_float(x, edge)
+    side = np.sign(p_u * p_v * edge) * (np.abs(p_u) > 1e-6 * np.hypot(p_u, p_v))
+    b = -2.0 + h * np.round((x + 2.0) / h)
+    total += np.where(np.abs(x) <= 2, _share(p_u, p_v) * side * (b - x), 0.0).sum()
+    counts = inside.sum(axis=1)
+    return float(total), int(counts[0] + np.maximum(np.diff(counts), 0).sum())
 
 
 def trace_boundary(poly):
-    """Adaptive length estimate of {poly = 0} inside the square.
+    """Length of {poly = 0} inside the square, and an estimate of its number
+    of components.
 
     Returns (upper length estimate, component count); the estimate carries a
-    1% safety factor on top of the converged polyline length.
+    1% safety factor on top of the computed length.  A curve in u (or v)
+    alone is a set of lines, counted exactly.  Any other curve is integrated
+    over the lines u = c and v = c (``_sweep``); the shares of its tangent's
+    angle to the u-axis, |cos|^6 and |sin|^6 over |cos|^6 + |sin|^6, count
+    every arc once (README, numerical notes).  A curve parallel to one
+    sweep's lines is invisible to it, so the larger component estimate wins.
     """
     if poly.is_zero:
         raise DegenerateError("cannot trace the zero polynomial")
     if not (poly.depends_on_u() and poly.depends_on_v()):
         return _univariate_line_trace(poly)
-    polylines = _marching_polylines(poly)
-    total = 0.0
-    for pts in polylines:
-        total += _refine_polyline(poly, pts)
-    return total * 1.01, len(polylines)
+    (length_u, comps_u), (length_v, comps_v) = _sweep(poly), _sweep(poly.swap_vars())
+    return (length_u + length_v) * 1.01, max(comps_u, comps_v)
 
 
 # -- effective error envelopes -----------------------------------------------------

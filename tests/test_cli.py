@@ -620,6 +620,9 @@ def test_runconfig_validation(tmp_path):
         ["expand", "--eta", "1:12,2:1", "--n", "5"],
         ["measure", "--disk", "nan"],
         ["measure", "--rect=-1,1,-1,nan"],
+        # a rectangle's ends must be in order
+        ["measure", "--rect=1,-1,-1,1"],
+        ["bracket", "--rect=1,-1,-1,1", "--m", "16"],
         ["measure", "--poly-interval", "0,-1,1", "--interval", "nan,1", "--lift", "1,3"],
         ["measure", "--disk", "--target", "nan"],
         ["measure", "--disk", "inf"],
@@ -646,6 +649,13 @@ def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["measure", "bracket"])
+def test_reversed_rect_exits_before_any_output(tmp_path, capsys, command):
+    code, out, err = run(["--out", str(tmp_path), command, "--rect=-1,1,1,-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "out of order" in err
 
 
 @pytest.fixture()

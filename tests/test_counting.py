@@ -250,6 +250,18 @@ def test_first_sign_change_not_found(f54_table):
     assert res.searched_bound == 500
 
 
+@pytest.mark.parametrize("bound", [0, 1])
+def test_first_sign_change_refuses_a_bound_below_2(f54_table, f66_table, bound):
+    # 0 once read as "unset" and searched the whole table
+    with pytest.raises(DomainError):
+        first_sign_change(f54_table, f66_table, 1, 1, search_bound=bound)
+
+
+def test_first_sign_change_searches_up_to_2(f54_table, f66_table):
+    res = first_sign_change(f54_table, f66_table, 1, 1, search_bound=2)
+    assert (res.prime, res.searched_bound) == (2, 2)
+
+
 def test_theoretical_bound_minimality():
     kwargs = dict(m=2, n=2, k=4, k_prime=6, level=5, level_prime=6)
     x = theoretical_first_sign_bound(d=0.6, **kwargs)

@@ -15,6 +15,11 @@ by u -> -u alone, still classifies the same cells to the same bits.
 The coefficient files of ``fetch --seed-bundled`` and of a weight-12
 ``expand`` past int64 were recorded before the eta engine began each
 product from the exact product of its two largest factors.
+The (1,3) and (2,3) dominance CSVs (their envelope column) and the bracket
+CSV (its area_bound column) were re-recorded when the boundary length
+began to come from two sweeps of axis lines instead of a traced polyline:
+the curves' lengths moved by under 1e-6 relative, and their component
+estimates from 1 to 3 and from 2 to 4.
 """
 
 import hashlib
@@ -47,10 +52,10 @@ DIGESTS = {
     "density/density_2_3.csv": "f6976d8ddedc3b269c6423610e101813edcc31c16277f313967ecb948c461f54",
     "dominance/dominance_1_1.csv": "a1b3338f1fc52fe12870d81251ea360c64d9d4f3b182e2e6e7b6906c4f3017aa",
     "dominance/dominance_2_2.csv": "59e1ba1220a46afdb6c0de71543d02e5ece5ef03da0266742de3a6210fa5e884",
-    "dominance/dominance_1_3.csv": "2cbb31b2e6ad55eb8546b1b2c2b0476702432a0e378bccbfb3d92d9ee06272fd",
-    "dominance/dominance_2_3.csv": "fbe759fdfbab026c1a2c0b3bead0d26e09f73e78bdf5a96b4c51a6ddc584ea43",
+    "dominance/dominance_1_3.csv": "6493e717a74765573190b5a894b3695e688bf043d34288fb203702d4f64d5d87",
+    "dominance/dominance_2_3.csv": "82c70d84a7ae78dd1b9455481b3a51e9723ba52c2160380970a9486c9b8d65cf",
     "bracket/bracket_poly-interval[0.0,inf](1,3).csv": (
-        "5c72d5ecdc94464d0cac9bbed59ce445ea5fbdc63c7a6b94bb0dd54496eb379b"
+        "7d34f79001827eeabbbefeca71537f969f6851cba78a2f02bd54fc9487cbcb32"
     ),
     "measure/measure.csv": "423efb8c8d4a8b31d0f1f0f89fa69adde6ccae5dfc068ac692b1d20347ff6b6e",
 }

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import ellipe
 
 from satotate import region
 from satotate.bipoly import Poly2, compose_bivariate
@@ -351,27 +355,18 @@ def test_curve_length_vertical_segment():
     assert trace_boundary(Poly2({(1, 0): 1}))[0] == pytest.approx(4.0, abs=0.05)
 
 
-def test_curve_length_circle():
-    got, _ = trace_boundary(Poly2({(2, 0): 1, (0, 2): 1, (0, 0): -1}))
-    assert got == pytest.approx(2 * math.pi, abs=0.07)
-
-
-def test_curve_length_diagonal():
-    got, _ = trace_boundary(Poly2({(1, 0): 1, (0, 1): -1}))
-    assert got == pytest.approx(4 * math.sqrt(2), abs=0.1)
-
-
 @pytest.mark.parametrize(
     "poly, expected",
     [
-        # crossing curves: on grid vertices, and (u-c)(v-c) inside a saddle cell
-        (Poly2({(1, 1): 1}), (8.085260416674016, 2)),
-        (Poly2({(2, 0): 1, (0, 2): -1}), (11.420308776215458, 2)),
-        (Poly2({(2, 1): 1, (1, 2): 1, (1, 0): -1, (0, 1): -1}), (10.287067476822159, 3)),
-        (disk(Fraction(1, 2)).curves[0], (3.1730084819057907, 1)),
+        # crossing curves: lines through the square's centre, and
+        # (u-c)(v-c), whose lines cross at (c, c), off the sweeps' lines
+        (Poly2({(1, 1): 1}), (8.08, 1)),
+        (Poly2({(2, 0): 1, (0, 2): -1}), (11.426845583974611, 2)),
+        (Poly2({(2, 1): 1, (1, 2): 1, (1, 0): -1, (0, 1): -1}), (10.287068185055007, 3)),
+        (disk(Fraction(1, 2)).curves[0], (3.1730085732300433, 2)),
         (
             Poly2({(1, 1): 1, (1, 0): Fraction(-1, 1000), (0, 1): Fraction(-1, 1000), (0, 0): Fraction(1, 10**6)}),
-            (8.07533804475876, 2),
+            (8.08, 1),
         ),
     ],
     ids=["uv", "u2-v2", "(uv-1)(u+v)", "disk(1/2)", "(u-c)(v-c)"],
@@ -383,6 +378,136 @@ def test_trace_boundary_is_pinned(poly, expected):
 def test_trace_components():
     _, comps = trace_boundary(Poly2({(2, 0): 1, (0, 0): -1}))  # u^2 = 1: two lines
     assert comps == 2
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+def test_univariate_lines_are_counted_exactly(m):
+    # S_m has m simple roots 2 cos(k pi / (m + 1)) in (-2, 2); a float root
+    # finder lost some of them from m = 45 on
+    for axis in "uv":
+        assert trace_boundary(Poly2.from_univariate(list(s_poly(m)), axis)) == (4.0 * m, m)
+
+
+@pytest.mark.parametrize(
+    "coeffs, lines",
+    [
+        ([-2, 1], 1),  # u = 2, the square's side
+        ([4, -4, 1], 1),  # (u - 2)^2: one line, counted once
+        ([8, 12, 6, 1], 1),  # (u + 2)^3
+        ([-4, 0, 1], 2),  # u = -2 and u = 2
+        ([4, 0, -5, 0, 1], 4),  # (u^2 - 1)(u^2 - 4)
+        ([Fraction(1, 9), Fraction(-2, 3), 1], 1),  # (u - 1/3)^2
+        ([1, 0, 1], 0),
+        ([-9, 0, 1], 0),  # u = -3 and u = 3, outside
+        ([5], 0),
+    ],
+)
+def test_univariate_lines_count_distinct_roots_in_the_closed_square(coeffs, lines):
+    for axis in "uv":
+        assert trace_boundary(Poly2.from_univariate(coeffs, axis)) == (4.0 * lines, lines)
+
+
+def _cubic_length():
+    # u = v^3 - 2v inside the square: v runs between the roots of v^3 - 2v = -2 and 2
+    top = max(r.real for r in np.roots([1, 0, -2, -2]) if abs(r.imag) < 1e-12)
+    return quad(lambda v: math.hypot(1.0, 3 * v * v - 2), -top, top, epsabs=1e-13)[0]
+
+
+@pytest.mark.parametrize(
+    "poly, exact, tol",
+    [
+        (disk(1).curves[0], lambda: 2 * math.pi, 2e-4),
+        (disk(Fraction(1, 2)).curves[0], lambda: math.pi, 2e-4),
+        (Poly2({(1, 0): -1, (0, 3): 1, (0, 1): -2}), _cubic_length, 2e-4),  # the certify bracket's curve
+        (Poly2({(0, 1): 1, (1, 0): -1}), lambda: 4 * math.sqrt(2), 1e-12),
+        (Poly2({(1, 1): 1}), lambda: 8.0, 1e-12),
+        (Poly2({(2, 0): 1, (0, 2): -1}), lambda: 8 * math.sqrt(2), 1e-12),
+        (
+            Poly2({(1, 1): 1, (1, 0): Fraction(-1, 3), (0, 1): Fraction(-1, 3), (0, 0): Fraction(1, 9)}),
+            lambda: 8.0,
+            1e-12,
+        ),
+    ],
+    ids=["circle", "circle(1/2)", "cubic", "v-u", "uv", "u2-v2", "(u-c)(v-c)"],
+)
+def test_length_against_exact(poly, exact, tol):
+    length, _ = trace_boundary(poly)
+    assert abs(length / 1.01 - exact()) <= tol
+
+
+def _ellipse(cu, cv, a, b):
+    """(u - cu)^2 / a^2 + (v - cv)^2 / b^2 = 1, times a^2 b^2."""
+    return Poly2({
+        (2, 0): b * b, (1, 0): -2 * b * b * cu, (0, 2): a * a, (0, 1): -2 * a * a * cv,
+        (0, 0): b * b * cu * cu + a * a * cv * cv - a * a * b * b,
+    })
+
+
+@st.composite
+def _ellipses(draw, low=100, equal=False):
+    """(cu, cv, a, b), semi-axes in thousandths from ``low`` to 2, centred
+    so that the ellipse lies in the square (it may touch an edge)."""
+    a = Fraction(draw(st.integers(low, 2000)), 1000)
+    b = a if equal else Fraction(draw(st.integers(low, 2000)), 1000)
+    cu, cv = (Fraction(draw(st.integers(-int(2000 - 1000 * s), int(2000 - 1000 * s))), 1000) for s in (a, b))
+    return cu, cv, a, b
+
+
+def _clipped_length(a, b, c):
+    """Length of the line a u + b v = c inside the square."""
+    ends = {(s, Fraction(c - a * s, b)) for s in (-2, 2) if b} | {(Fraction(c - b * s, a), s) for s in (-2, 2) if a}
+    ends = sorted(p for p in ends if -2 <= p[0] <= 2 and -2 <= p[1] <= 2)
+    return math.dist(ends[0], ends[-1]) if ends else 0.0
+
+
+def _assert_length(poly, exact):
+    length, _ = trace_boundary(poly)
+    assert abs(length / 1.01 - exact) <= 5e-4
+    assert length >= exact
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ellipses(equal=True))
+# touches the edge v = 2 at u = 372/401, where the two edge crossings came
+# out equal; counted as a jump there, they added 3.8e-3
+@example((Fraction(372, 401), Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)))
+def test_circle_length_property(circle):
+    _assert_length(_ellipse(*circle), 2 * math.pi * circle[2])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ellipses(low=250))
+def test_ellipse_length_property(ellipse):
+    # semi-axes from 1/4: the length is accurate where the curve's radius of
+    # curvature (here at least 1/32) spans several of the sweeps' line gaps
+    big, small = sorted(ellipse[2:], reverse=True)
+    _assert_length(_ellipse(*ellipse), 4 * float(big) * ellipe(float(1 - (small / big) ** 2)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool), st.integers(-8000, 8000))
+def test_line_length_property(a, b, c):
+    # a line in u or v alone is counted exactly, without the 1% pad
+    _assert_length(Poly2({(1, 0): a, (0, 1): b, (0, 0): -Fraction(c, 1000)}), _clipped_length(a, b, Fraction(c, 1000)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(_ellipses(equal=True), min_size=1, max_size=3))
+def test_disjoint_circles_count_as_components(circles):
+    assume(all(
+        math.dist(p[:2], q[:2]) > p[2] + q[2] for i, p in enumerate(circles) for q in circles[i + 1:]
+    ))
+    _, comps = trace_boundary(functools.reduce(operator.mul, (_ellipse(*c) for c in circles)))
+    assert comps >= len(circles)
+
+
+@pytest.mark.xfail(strict=True, reason="the per-line counts cannot see one circle end where the next begins")
+def test_component_estimate_sees_a_handover_between_lines():
+    # the circles' u-ranges and v-ranges abut at -1/2 and 1/2, both cell
+    # boundaries of the sweeps, so each sweep's count stays at 2 throughout
+    r = Fraction(1, 2)
+    _, comps = trace_boundary(functools.reduce(operator.mul, (_ellipse(c, c, r, r) for c in (-1, 0, 1))))
+    assert comps >= 3
 
 
 # -- composed regions -----------------------------------------------------------------------
