@@ -1,13 +1,16 @@
 """Exact bivariate polynomials over the rationals.
 
 Coefficients are Python ints or Fractions, so composition and algebra never
-round.  Float evaluation (scalar, grid, and per-cell interval enclosures) is
+round; the real roots of a univariate polynomial in [-2, 2] are isolated
+exactly (``poly1_roots``).  Float evaluation (scalar, grid, and per-cell interval enclosures) is
 layered on top for the numeric paths; interval results carry a conservative
 rounding pad so that a "definite sign over this box" verdict is trustworthy.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +170,14 @@ class Poly2:
 
     def is_constant(self):
         return all(key == (0, 0) for key in self.coeffs)
+
+    def univariate(self):
+        """The ascending coefficients, as a tuple, of P in the one variable it
+        depends on; P must not depend on both."""
+        out = [0] * (max(self.degree_u(), self.degree_v(), 0) + 1)
+        for key, c in self.coeffs.items():
+            out[max(key)] = c
+        return tuple(out)
 
     def sign_flip(self, s, t):
         """Return P(s*u, t*v) for s, t in {+1, -1}."""
@@ -358,6 +369,97 @@ def poly1_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+# -- exact real roots in [-2, 2] ---------------------------------------------------
+
+
+def poly1_primitive(p):
+    """The primitive integer positive multiple of p (ascending ints or
+    Fractions, the last one nonzero)."""
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
+def poly1_sign(p, a, k=0):
+    """Sign of the integer polynomial p at a / 2^k: Horner on the integer
+    2^(k deg p) p(a / 2^k), which has the same sign."""
+    acc = 0
+    for i, c in enumerate(reversed(p)):
+        acc = acc * a + (c << (k * i))
+    return (acc > 0) - (acc < 0)
+
+
+def _pdiv(a, b):
+    """Integer pseudo-division: (q, r) with c a = q b + r for an integer
+    c > 0 and deg r < deg b."""
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        off, g = len(a) - len(b), math.gcd(a[-1], b[-1])
+        s, t = abs(b[-1]) // g, a[-1] // g * (1 if b[-1] > 0 else -1)
+        q = [s * c for c in q]
+        q[off] = t
+        a = [s * c - (t * b[i - off] if i >= off else 0) for i, c in enumerate(a)]
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def poly1_sturm(p):
+    """Sturm chain of the squarefree part q of p != 0: primitive integer
+    positive multiples of q, q', -rem(q, q') and so on, down to a constant."""
+    chain = [poly1_primitive(p)]
+    chain.append(poly1_primitive([i * c for i, c in enumerate(chain[0])][1:]))
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in poly1_primitive(_pdiv(chain[-2], chain[-1])[1])])
+    chain = [f for f in chain if f]
+    # the chain ends at gcd(p, p'); p / gcd has integer coefficients (Gauss)
+    return chain if len(chain[-1]) == 1 else poly1_sturm(_pdiv(chain[0], chain[-1])[0])
+
+
+def _variations(chain, a, k=0):
+    signs = [s for f in chain if (s := poly1_sign(f, a, k))]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def poly1_root_count(p):
+    """Number of distinct real roots of p in [-2, 2]: Sturm's theorem counts
+    those in (-2, 2], and a root at -2 is added."""
+    chain = poly1_sturm(p)
+    return _variations(chain, -2) - _variations(chain, 2) + (poly1_sign(chain[0], -2) == 0)
+
+
+@functools.lru_cache(maxsize=256)
+def poly1_roots(p):
+    """The distinct real roots in [-2, 2] of p (a tuple as for
+    ``poly1_primitive``), ascending, each as floats lo <= root <= hi: the root
+    itself if it is a float, else the neighbours of its nearest float.
+
+    Sturm bisection at dyadic points isolates each root of the squarefree
+    part q in an interval (a, b]; bisection by the sign of q, which changes
+    at each root, narrows it until both ends round alike.
+    """
+    chain = poly1_sturm(p)
+    q = chain[0]
+    out = [(-2.0, -2.0)] if poly1_sign(q, -2) == 0 else []
+    todo = [(-2, 2, 0, _variations(chain, -2), _variations(chain, 2))]
+    while todo:  # (a / 2^k, b / 2^k] holds va - vb roots
+        a, b, k, va, vb = todo.pop()
+        if va - vb > 1:
+            vm = _variations(chain, a + b, k + 1)
+            todo += [(2 * a, a + b, k + 1, va, vm), (a + b, 2 * b, k + 1, vm, vb)]
+        elif va > vb:
+            s = poly1_sign(q, b, k)  # q has sign s on (root, b], -s on (a, root)
+            while s and a / (1 << k) != b / (1 << k):
+                k, m = k + 1, a + b
+                sm = poly1_sign(q, m, k)
+                a, b, s = (m, 2 * b, s) if sm == -s else (2 * a, m, sm)
+            x = b / (1 << k)
+            exact = not s and Fraction(x) == Fraction(b, 1 << k)
+            out.append((x, x) if exact else (math.nextafter(x, -3.0), math.nextafter(x, 3.0)))
+    return tuple(sorted(out))
 
 
 def compose_bivariate(P, u_sub, v_sub):

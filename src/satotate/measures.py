@@ -2,13 +2,15 @@
 
 The 1-D measure has density (1/pi) sqrt(1 - u^2/4) on [-2, 2]; its exact
 antiderivative F drives every interval computation, so rectangles and tensor
-products are closed-form.  Region measures are computed as certified
-brackets: boxes (in the angle coordinates u = 2 cos t, v = 2 cos s, where the
-density becomes (4/pi^2) sin^2 t sin^2 s and has no endpoint singularity) are
-classified by interval arithmetic, undecided boxes are subdivided, and the
-total undecided mass is an upper bound on the true error.  A per-cell
-Gauss/root-isolation pass then polishes the returned value far below the
-certificate without ever leaving the bracket.
+products are closed-form.  So is a region whose constraints each involve one
+variable: its pieces end at the exact real roots of its constraints.  Other
+region measures are certified brackets: boxes (in the angle coordinates
+u = 2 cos t, v = 2 cos s, where the density becomes (4/pi^2) sin^2 t sin^2 s
+and has no endpoint singularity) are classified by interval arithmetic,
+undecided boxes are subdivided, and the total undecided mass is an upper
+bound on the true error.  A per-cell Gauss/root-isolation pass then polishes
+the returned value far below the certificate without ever leaving the
+bracket.
 
 Density constants: d_ell is the measure of {U_ell(u/2) > 0}; the positivity
 density of a product of symmetric-power coefficients is
@@ -27,9 +29,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .bipoly import poly1_primitive, poly1_roots, poly1_sign
 from .chebyshev import check_degree
 from .errors import BudgetError, DomainError, InvariantError
 
@@ -152,11 +156,13 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
     on which all constraints have definite interval-arithmetic sign is
     settled, the rest are subdivided until their total mass is below
     ``target_abs_error``.  The reported ``abs_error`` always dominates the
-    distance from the returned value to the true measure.  Regions whose
-    constraints are all univariate resolve through exact 1-D partitions
-    (tight certificates); general boundaries additionally get a per-cell
-    Gauss/root-counting estimate so the returned value is far more accurate
-    than the certificate.
+    distance from the returned value to the true measure.  General
+    boundaries additionally get a per-cell Gauss/root-counting estimate, so
+    the returned value is far more accurate than the certificate.  A region
+    whose constraints each involve one variable ignores the target: its
+    pieces end at the exact roots of its constraints (``_axis_pieces``), and
+    ``abs_error``, the undecided mass of the isolating intervals, is a few
+    ulps.
 
     The measure is invariant under the eight symmetries of the square
     (u -> -u, v -> -v, u <-> v; see ``symmetry``).  A region that one of
@@ -177,7 +183,7 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
     if region.symmetries[1]:
         return MeasureValue(0.5, 0.0)
     if region.is_separable:
-        return _tensor_bracket(region, target_abs_error)
+        return _tensor_bracket(region)
     return _quadtree_bracket(region, target_abs_error, budget)
 
 
@@ -203,12 +209,6 @@ def leaf_statuses(leaves, u_lo, u_hi, v_lo, v_hi):
     return [np.concatenate(out) for out in blocks]
 
 
-def _leaf_status_1d(leaves, lo, hi, axis):
-    if axis == "u":
-        return leaf_statuses(leaves, lo, hi, 0.0, 0.0)
-    return leaf_statuses(leaves, 0.0, 0.0, lo, hi)
-
-
 def _direction_status(op, f_lo, f_hi):
     # +1 definitely satisfied, -1 definitely violated, 0 unknown; boundary
     # sets have measure zero so strict and non-strict ops classify alike
@@ -217,49 +217,45 @@ def _direction_status(op, f_lo, f_hi):
     return np.where(f_hi < 0, 1, np.where(f_lo > 0, -1, 0)).astype(np.int8)
 
 
-def _axis_partition(leaves, axis, target):
-    """Certified 1-D partition of [-2, 2] for univariate constraints.
+def tensor_sums(status, u_ends, v_ends):
+    """(mass of the +1 boxes, mass of the 0 boxes) of an int8 status matrix
+    over the boxes of the tensor grid with these ascending axis ends."""
+    du, dv = np.diff(st_antiderivative(u_ends)), np.diff(st_antiderivative(v_ends))
+    mass = du[:, None] * dv[None, :]
+    return float(mass[status == 1].sum()), float(mass[status == 0].sum())
 
-    Returns (lo, hi, statuses, undecided_mass) where statuses is one int8
-    array per leaf and cells undecided for some leaf carry total ST-mass at
-    most ``target`` (up to the float width floor).
+
+def _axis_pieces(leaves):
+    """Breakpoints of [-2, 2] for leaves in one variable, and each leaf's
+    exact int8 status on the pieces between them.
+
+    The ends of the leaves' isolating intervals (``bipoly.poly1_roots``) and
+    +-2 cut the axis.  An isolating interval is undecided (0) for its leaf;
+    on any other piece the leaf has no root, so its status is its sign at the
+    piece's (dyadic) midpoint.  Neighbouring pieces with equal statuses merge.
     """
-    lo = np.array([-2.0])
-    hi = np.array([2.0])
-    for _ in range(_MAX_DEPTH):
-        statuses = _leaf_status_1d(leaves, lo, hi, axis)
-        unknown = np.zeros(lo.shape, dtype=bool)
-        for st in statuses:
-            unknown |= st == 0
-        mass = st_antiderivative(hi) - st_antiderivative(lo)
-        und = float(mass[unknown].sum())
-        splittable = unknown & (hi - lo > _MIN_WIDTH)
-        if und <= target or not splittable.any():
-            return lo, hi, statuses, und
-        keep = ~splittable
-        mid = 0.5 * (lo[splittable] + hi[splittable])
-        lo = np.concatenate([lo[keep], lo[splittable], mid])
-        hi = np.concatenate([hi[keep], mid, hi[splittable]])
-    return lo, hi, statuses, und
+    roots = [poly1_roots(leaf.poly.univariate()) for leaf in leaves]
+    ends = sorted({-2.0, 2.0, *(x for rs in roots for iv in rs for x in iv)})
+    mids = [(Fraction(lo) + Fraction(hi)) / 2 for lo, hi in zip(ends, ends[1:])]
+    stat = np.zeros((len(leaves), len(mids)), dtype=np.int8)
+    for row, leaf, rs in zip(stat, leaves, roots):
+        p = poly1_primitive(leaf.poly.univariate())
+        row[:] = leaf.status([poly1_sign(p, x.numerator, x.denominator.bit_length() - 1) for x in mids])
+        row[[any(a < x < b for a, b in rs) for x in mids]] = 0
+    starts = [0, *np.flatnonzero((stat[:, 1:] != stat[:, :-1]).any(axis=0)) + 1]
+    return np.array(ends)[starts + [-1]], stat[:, starts]
 
 
-def _tensor_bracket(region, target):
-    u_idx = [i for i, ax in enumerate(region.leaf_axes()) if ax == "u"]
-    v_idx = [i for i, ax in enumerate(region.leaf_axes()) if ax == "v"]
-    leaves = region.leaves
-    u_lo, u_hi, u_stat, _ = _axis_partition([leaves[i] for i in u_idx], "u", target / 4)
-    v_lo, v_hi, v_stat, _ = _axis_partition([leaves[i] for i in v_idx], "v", target / 4)
-    statuses = [None] * len(leaves)
-    for pos, i in enumerate(u_idx):
-        statuses[i] = u_stat[pos][:, None]
-    for pos, i in enumerate(v_idx):
-        statuses[i] = v_stat[pos][None, :]
-    tree = region.tree_status(statuses, shape=(u_lo.size, v_lo.size))
-    mu_u = st_antiderivative(u_hi) - st_antiderivative(u_lo)
-    mu_v = st_antiderivative(v_hi) - st_antiderivative(v_lo)
-    mass = mu_u[:, None] * mu_v[None, :]
-    inside = float(mass[tree == 1].sum())
-    und = float(mass[tree == 0].sum())
+def _tensor_bracket(region):
+    statuses, ends = [None] * len(region.leaves), []
+    for axis, shape in (("u", (-1, 1)), ("v", (1, -1))):
+        idx = [i for i, ax in enumerate(region.leaf_axes()) if ax == axis]
+        axis_ends, stat = _axis_pieces([region.leaves[i] for i in idx])
+        for i, row in zip(idx, stat):
+            statuses[i] = row.reshape(shape)
+        ends.append(axis_ends)
+    tree = region.tree_status(statuses, shape=(ends[0].size - 1, ends[1].size - 1))
+    inside, und = tensor_sums(tree, *ends)
     return MeasureValue(min(1.0, inside + 0.5 * und), 0.5 * und)
 
 

@@ -22,7 +22,6 @@ algebraic curve, its degree; vertical lines are exempt).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import measures, symmetry
-from .bipoly import Poly2, compose_bivariate
+from .bipoly import Poly2, compose_bivariate, poly1_primitive, poly1_root_count
 from .chebyshev import check_degree, s_poly
 from .errors import (
     BudgetError,
@@ -237,8 +236,9 @@ def disk(radius=1):
 def sign_product(m, n, sign=1):
     """Region where U_m(u/2) * U_n(v/2) has the requested sign.
 
-    Built from univariate factors so the measure bracket can use exact 1-D
-    partitions.  Index 0 contributes the constant factor 1 and is dropped.
+    Built from univariate factors, so its measure is exact up to rounding
+    (see ``measures.mu_jst_region``).  Index 0 contributes the constant
+    factor 1 and is dropped.
     """
     check_degree(m)
     check_degree(n)
@@ -321,12 +321,9 @@ def _newton_certificate(poly):
     if not _integrally_indecomposable(_convex_hull(keys)):
         return None
     order = sorted(keys, reverse=True)
-    exact = [Fraction(poly.coeffs[key]) for key in order]
-    denom = math.lcm(*(c.denominator for c in exact))
-    ints = [c.numerator * (denom // c.denominator) for c in exact]
+    ints = poly1_primitive([poly.coeffs[key] for key in order])
     csign = 1 if ints[0] > 0 else -1
-    scale = csign * math.gcd(*ints)
-    return csign, [(Poly2({key: Fraction(c // scale) for key, c in zip(order, ints)}), 1)]
+    return csign, [(Poly2({key: Fraction(csign * c) for key, c in zip(order, ints)}), 1)]
 
 
 def _convex_hull(points):
@@ -415,13 +412,13 @@ def poly_positive(P, m, n, sign=1):
     """Positivity (or negativity) set of P(U_m(u/2), U_n(v/2)).
 
     When the composed polynomial factors as A(u)*B(v) the region is built
-    from the univariate factors (exact tensor brackets).  Otherwise it is
-    split into irreducible factors and the sign condition becomes one sign
-    node over them: interval arithmetic certifies each factor near its own
-    zero set far faster than the expanded product, whose enclosures
-    degenerate wherever several factors vanish together.  Factors of even
-    multiplicity cannot change the sign off a measure-zero set and are
-    dropped.
+    from the univariate factors, whose exact roots give its measure.
+    Otherwise it is split into irreducible factors and the sign condition
+    becomes one sign node over them: interval arithmetic certifies each
+    factor near its own zero set far faster than the expanded product, whose
+    enclosures degenerate wherever several factors vanish together.  Factors
+    of even multiplicity cannot change the sign off a measure-zero set and
+    are dropped.
     """
     if P.is_constant():
         raise DomainError("P must be non-constant")
@@ -502,12 +499,6 @@ class GridApproximation:
         return (self.mu_low, self.mu_high)
 
 
-def _box_mass(grid):
-    f = measures.st_antiderivative(grid.edges)
-    d = np.diff(f)
-    return d[:, None] * d[None, :]
-
-
 #: the first round of classify_boxes classifies blocks of b x b boxes, b the
 #: largest power of two leaving at least this many whole blocks per axis
 _FIRST_BLOCKS = 16
@@ -547,9 +538,7 @@ def classify_boxes(region, m):
             lines = grid.edges[np.minimum(np.arange(n + 1) * b, m)]
             statuses = measures.leaf_statuses(region.leaves, lines[i], lines[i + 1], lines[j], lines[j + 1])
             tree[i, j] = region.tree_status(statuses, shape=i.shape)
-    mass = _box_mass(grid)
-    mu_low = float(mass[tree == 1].sum())
-    mu_boundary = float(mass[tree == 0].sum())
+    mu_low, mu_boundary = measures.tensor_sums(tree, grid.edges, grid.edges)
     return GridApproximation(
         region=region,
         grid=grid,
@@ -622,39 +611,6 @@ def strip_merge(approx):
 LINES = 1024
 
 
-def _poly1_value(p, x):
-    return functools.reduce(lambda acc, c: acc * x + c, reversed(p), 0)
-
-
-def _univariate_line_trace(poly):
-    """The lines of a polynomial in u (or v) alone, one of length 4 through
-    each distinct root in [-2, 2], counted exactly by Sturm's theorem once
-    the roots at -2 and 2 are counted and divided out."""
-    axis = 0 if poly.depends_on_u() else 1
-    p = [0] * (max(poly.degree_u(), poly.degree_v()) + 1)
-    for key, c in poly.coeffs.items():
-        p[key[axis]] = c
-    lines = 0
-    for x in (-2, 2):
-        lines += _poly1_value(p, x) == 0
-        while _poly1_value(p, x) == 0:  # divide by u - x, synthetically
-            p = list(itertools.accumulate(p[:0:-1], lambda acc, c: c + x * acc))[::-1]
-    chain = [p, [k * c for k, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        rem, div = list(chain[-2]), chain[-1]
-        while len(rem) >= len(div):
-            q = Fraction(rem[-1]) / div[-1]
-            for i, c in enumerate(div, start=len(rem) - len(div)):
-                rem[i] -= q * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        chain.append([-c for c in rem])  # [] once the gcd is reached
-    for x, sign in ((-2, 1), (2, -1)):
-        signs = [v > 0 for q in chain if (v := _poly1_value(q, x))]
-        lines += sign * sum(a != b for a, b in zip(signs, signs[1:]))
-    return 4.0 * lines, lines
-
-
 def _share(p_u, p_v):
     """|cos|^5 / (|cos|^6 + |sin|^6) of the angle between the u-axis and the
     tangent normal to the gradient (p_u, p_v); 0 where the gradient is 0."""
@@ -695,7 +651,8 @@ def trace_boundary(poly):
 
     Returns (upper length estimate, component count); the estimate carries a
     1% safety factor on top of the computed length.  A curve in u (or v)
-    alone is a set of lines, counted exactly.  Any other curve is integrated
+    alone is a set of lines, one of length 4 through each distinct root in
+    [-2, 2], counted exactly (``bipoly.poly1_root_count``).  Any other curve is integrated
     over the lines u = c and v = c (``_sweep``); the shares of its tangent's
     angle to the u-axis, |cos|^6 and |sin|^6 over |cos|^6 + |sin|^6, count
     every arc once (README, numerical notes).  A curve parallel to one
@@ -704,7 +661,8 @@ def trace_boundary(poly):
     if poly.is_zero:
         raise DegenerateError("cannot trace the zero polynomial")
     if not (poly.depends_on_u() and poly.depends_on_v()):
-        return _univariate_line_trace(poly)
+        lines = poly1_root_count(poly.univariate())
+        return 4.0 * lines, lines
     (length_u, comps_u), (length_v, comps_v) = _sweep(poly), _sweep(poly.swap_vars())
     return (length_u + length_v) * 1.01, max(comps_u, comps_v)
 

@@ -270,9 +270,7 @@ def direct_grid_approximation(reg, m):
     enclosures = {poly: poly.interval_eval_grid(grid.edges, grid.edges) for poly in reg.curves}
     statuses = [measures._direction_status(leaf.op, *enclosures[leaf.poly]) for leaf in reg.leaves]
     tree = reg.tree_status(statuses, shape=(m, m))
-    mass = region._box_mass(grid)
-    mu_low = float(mass[tree == 1].sum())
-    mu_boundary = float(mass[tree == 0].sum())
+    mu_low, mu_boundary = measures.tensor_sums(tree, grid.edges, grid.edges)
     return region.GridApproximation(
         region=reg,
         grid=grid,

@@ -81,7 +81,7 @@ def test_criterion_2_density_constants():
                 if (m, n) == (0, 0):
                     continue
                 quad = mu_jst_region(region.sign_product(m, n), 1e-7)
-                assert abs(d_mn(m, n) - quad.value) <= 1e-6, (m, n)
+                assert abs(d_mn(m, n) - quad.value) <= 1e-14, (m, n)
         for m in range(1, 21):
             for n in range(1, 21):
                 dm, dn = d_ell(m), d_ell(n)
@@ -93,7 +93,7 @@ def test_criterion_3_d22_dual_evaluation(capsys):
     with _Budget("C3 d22-dual-evaluation", 10.0):
         closed = d_mn(2, 2)
         quad = mu_jst_region(region.sign_product(2, 2), 1e-7)
-        assert abs(closed - quad.value) <= 1e-6
+        assert abs(closed - quad.value) <= 1e-14
         assert abs(closed - 0.523762) <= 1e-6
         assert abs(closed - 0.534) > 1e-2  # must not match the misprint
         assert cli_main(["--out", ".", "measure", "--sign-product", "2,2", "--target", "1e-7"]) == 0

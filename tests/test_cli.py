@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import satotate
-from satotate import bundled, cli, coeffs, counting, region
+from satotate import bundled, cli, coeffs, counting, measures, region
 from satotate.cli import RunConfig, load_config, main, resolve_table
 from satotate.errors import ConfigError
 
@@ -105,6 +105,21 @@ def test_measure_rect_cross_check(capsys, tmp_path):
     )
     assert code == 0
     assert "0.370878297" in out
+
+
+def test_measure_of_a_squared_lift_is_one(capsys, tmp_path, monkeypatch):
+    # {S_2(u)^2 >= 0}: the double roots at +-1 are found exactly, where the
+    # cells of an interval bisection never decide; no cell is classified
+    def refuse(*args, **kwargs):
+        raise AssertionError("a separable region reached the cell classifier")
+
+    monkeypatch.setattr(measures, "leaf_statuses", refuse)
+    code, out, _ = run(
+        ["--out", str(tmp_path), "measure", "--poly-interval", "0,0,0,1", "--lift", "2,2", "--target", "1e-6"],
+        capsys,
+    )
+    assert code == 0
+    assert "measure = 1.000000000" in out
 
 
 def test_measure_grid_bracket(capsys, tmp_path):

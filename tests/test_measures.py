@@ -143,13 +143,35 @@ def test_region_full_square():
 
 def test_region_sign_symmetry_half():
     mv = mu_jst_region(region.sign_product(1, 1), 1e-7)
-    assert mv.value == pytest.approx(0.5, abs=1e-7)
+    assert mv.abs_error <= 1e-14
+    assert mv.value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_region_matches_closed_form_d22():
     mv = mu_jst_region(region.sign_product(2, 2), 1e-7)
-    assert mv.abs_error <= 1e-7
-    assert mv.value == pytest.approx(d_mn(2, 2), abs=1e-7)
+    assert mv.abs_error <= 1e-14
+    assert mv.value == pytest.approx(d_mn(2, 2), abs=1e-14)
+
+
+def test_separable_sign_products_match_closed_form():
+    pairs = [(m, n) for m in range(13) for n in range(13) if (m, n) != (0, 0)]
+    for m, n in pairs + [(24, 24), (48, 64), (64, 64)]:
+        mv = mu_jst_region(region.sign_product(m, n), 1e-7)
+        assert mv.abs_error <= 1e-14, (m, n)
+        assert abs(mv.value - d_mn(m, n)) <= 1e-14, (m, n)
+
+
+def _refuse_cells(*args, **kwargs):
+    raise AssertionError("a separable region reached the cell classifier")
+
+
+def test_separable_measure_classifies_no_cells(monkeypatch):
+    # the root pieces decide every sign: no interval enclosure, and no
+    # subdivision toward the target, which ran away at 1e-7 for (24, 24)
+    monkeypatch.setattr(measures, "leaf_statuses", _refuse_cells)
+    mv = mu_jst_region(region.sign_product(64, 64), 1e-8)
+    assert mv.abs_error <= 1e-14
+    assert abs(mv.value - d_mn(64, 64)) <= 1e-14
 
 
 def test_region_riemann_sanity():
@@ -167,7 +189,29 @@ def test_region_disk_against_section_oracle():
 
 def test_region_rect_tensor():
     mv = mu_jst_region(region.rect(-1, 1, -1, 1), 1e-8)
-    assert mv.value == pytest.approx(0.37087829731679517, abs=1e-8)
+    assert mv.abs_error <= 1e-14
+    assert mv.value == pytest.approx(0.37087829731679517, abs=1e-14)
+
+
+@pytest.mark.parametrize("ends", [(-1, 1, -1, 1), (-0.3, 1.7, 0.25, 2), (-2, 2, -1.5, 0.1), (0.5, 0.5, -1, 1)])
+def test_region_rect_matches_the_product_of_1d_measures(ends):
+    mv = mu_jst_region(region.rect(*ends), 1e-4)
+    closed = mu_jst_rect(Interval(*ends[:2]), Interval(*ends[2:])).value
+    assert mv.abs_error <= 1e-14
+    assert abs(mv.value - closed) <= 1e-14
+
+
+def test_separable_boundaries_off_the_dyadic_grid_and_on_the_edge():
+    # 1 - F(4/3): 4/3 is no dyadic number, so it sits in an isolating interval
+    mv = mu_jst_region(PolynomialRegion((Constraint(Poly2({(0, 1): 3, (0, 0): -4}), ">"),)), 1e-4)
+    assert mv.abs_error <= 1e-14
+    assert abs(mv.value - 0.10955101870852402) <= 1e-14
+    # a boundary on the square's edge, and a double root at +-1: both regions
+    # are the whole square, measured exactly
+    edge = PolynomialRegion((Constraint(Poly2({(1, 0): 1, (0, 0): -2}), "<"),))
+    square = region.region_from_poly_interval(Poly2({(2, 0): 1}), Interval(0, math.inf), 2, 2)
+    for reg in (edge, square):
+        assert mu_jst_region(reg, 1e-4) == MeasureValue(1.0, 0.0)
 
 
 def test_region_target_validation():

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipe
 
 from satotate import region
-from satotate.bipoly import Poly2, compose_bivariate
+from satotate.bipoly import Poly2, compose_bivariate, poly1_mul, poly1_root_count, poly1_roots
 from satotate.chebyshev import s_poly
 from satotate.counting import count_in_region
 from satotate.errors import (
@@ -405,6 +406,60 @@ def test_univariate_lines_are_counted_exactly(m):
 def test_univariate_lines_count_distinct_roots_in_the_closed_square(coeffs, lines):
     for axis in "uv":
         assert trace_boundary(Poly2.from_univariate(coeffs, axis)) == (4.0 * lines, lines)
+
+
+def _from_roots(factors):
+    """Ascending integer coefficients of the product of (d x - n)^k over the
+    triples (n, d, k)."""
+    p = [1]
+    for n, d, k in factors:
+        for _ in range(k):
+            p = poly1_mul(p, [-n, d])
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 9).flatmap(lambda d: st.tuples(st.just(d), st.sets(st.integers(-3 * d, 3 * d), max_size=8))),
+    st.integers(0, 3),
+)
+def test_isolator_matches_numpy_on_separated_simple_roots(d_nums, c):
+    # roots n/d at least 1/d apart, some outside the square; x^2 + c adds a
+    # complex pair.  A float root finder cannot place a root on +-2 exactly.
+    d, nums = d_nums
+    nums = sorted(n for n in nums if abs(n) != 2 * d)
+    p = poly1_mul(_from_roots([(n, d, 1) for n in nums]), [c, 0, 1] if c else [1])
+    found = poly1_roots(tuple(p))
+    expected = sorted(r.real for r in np.roots(p[::-1]) if abs(r.imag) < 1e-9 and abs(r.real) <= 2)
+    inside = [Fraction(n, d) for n in nums if abs(n) <= 2 * d]
+    assert len(found) == len(expected) == len(inside) == poly1_root_count(p)
+    for (lo, hi), r, exact in zip(found, expected, inside):
+        assert Fraction(lo) <= exact <= Fraction(hi)
+        assert lo - 1e-9 <= r <= hi + 1e-9
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 4), st.integers(1, 3)), max_size=4),
+    st.sampled_from([None, -1, 2, 3]),
+    st.fractions(-5, 5, max_denominator=7).filter(bool),
+)
+@example([(4, 3, 1)], None, Fraction(1))
+@example([(1, 3, 2)], None, Fraction(1))
+@example([(2, 1, 2), (-2, 1, 3)], 2, Fraction(-3, 7))
+def test_isolator_matches_sympy_on_multiple_and_edge_roots(factors, c, scale):
+    # multiple roots, roots on +-2, non-dyadic rationals (4/3, 1/3 doubled),
+    # irrational pairs x^2 - c, and Fraction coefficients
+    p = [scale * a for a in poly1_mul(_from_roots(factors), [-c, 0, 1] if c else [1])]
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in reversed(p)], x)
+    expected = sorted({r for r in sympy.real_roots(poly) if -2 <= r <= 2})
+    found = poly1_roots(tuple(p))
+    assert len(found) == len(expected) == poly1_root_count(p)
+    for (lo, hi), r in zip(found, expected):
+        assert sympy.Rational(Fraction(lo)) <= r <= sympy.Rational(Fraction(hi))
+        if r.is_Rational and r.q & (r.q - 1) == 0:  # a dyadic root is met exactly
+            assert lo == hi == float(r)
 
 
 def _cubic_length():
