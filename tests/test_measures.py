@@ -201,6 +201,38 @@ def test_region_rect_matches_the_product_of_1d_measures(ends):
     assert abs(mv.value - closed) <= 1e-14
 
 
+def _tan_gap_40(ell):
+    import mpmath
+
+    return -mpmath.pi if ell == 0 else mpmath.tan(mpmath.pi / (ell + 1)) - mpmath.pi / (ell + 1)
+
+
+def test_separable_brackets_hold_the_40_digit_measure():
+    # the masses are float differences of the antiderivative: sign(2, 2)
+    # lands 1.9e-17 below its measure and rect(-1, 1, -1, 1) 4.6e-17 above,
+    # so abs_error must cover the rounding, not only the undecided mass
+    import mpmath
+
+    with mpmath.workdps(40):
+        for m in range(13):
+            for n in range(13):
+                if (m, n) == (0, 0):
+                    continue
+                mv = mu_jst_region(region.sign_product(m, n), 1e-7)
+                if m % 2 or n % 2:
+                    truth = mpmath.mpf(1) / 2
+                else:
+                    truth = mpmath.mpf(1) / 2 + _tan_gap_40(m) * _tan_gap_40(n) / (2 * mpmath.pi**2)
+                assert abs(mv.value - truth) <= mv.abs_error <= 1e-14, (m, n)
+        # F(1) - F(-1) = (sqrt(3) / 2 + pi / 3) / pi
+        side = (mpmath.sqrt(3) / 2 + mpmath.pi / 3) / mpmath.pi
+        square = mu_jst_rect(Interval(-1, 1), Interval(-1, 1))
+        for mv in (mu_jst_region(region.rect(-1, 1, -1, 1), 1e-4), square):
+            assert abs(mv.value - side**2) <= mv.abs_error <= 1e-15
+        mv = mu_st(Interval(-1, 1))
+        assert abs(mv.value - side) <= mv.abs_error <= 1e-15
+
+
 def test_separable_boundaries_off_the_dyadic_grid_and_on_the_edge():
     # 1 - F(4/3): 4/3 is no dyadic number, so it sits in an isolating interval
     mv = mu_jst_region(PolynomialRegion((Constraint(Poly2({(0, 1): 3, (0, 0): -4}), ">"),)), 1e-4)
@@ -244,15 +276,31 @@ def test_poly_positive_symmetric_is_half():
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda: region.disk(1), lambda: region.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), 2, 3)],
+    "build, target",
+    [
+        (lambda: region.disk(1), 1e-5),
+        (lambda: region.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), 2, 3), 1e-3),
+    ],
     ids=["disk", "poly(2,3)"],
 )
-def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build):
-    reg = build()
-    reference = mu_jst_region(reg, 1e-3)
-    monkeypatch.setattr(measures, "_CELL_BLOCK", 1000)
-    assert mu_jst_region(reg, 1e-3) == reference
+def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build, target):
+    # the deepest levels (174,763 disk cells, 26,940 of the (2,3) region)
+    # span several blocks of 2^10 and 2^14, and the disk's several of 2^16
+    real = measures.leaf_statuses
+    runs = set()
+    for block in (1 << 10, 1 << 14, 1 << 16):
+        sizes = []
+
+        def spy(leaves, u_lo, u_hi, v_lo, v_hi):
+            sizes.append(int(u_lo.size))
+            return real(leaves, u_lo, u_hi, v_lo, v_hi)
+
+        monkeypatch.setattr(measures, "_CELL_BLOCK", block)
+        monkeypatch.setattr(measures, "leaf_statuses", spy)
+        mv = mu_jst_region(build(), target)
+        assert max(sizes) > 1 << 14
+        runs.add((mv.value.hex(), mv.abs_error.hex(), tuple(sizes)))
+    assert len(runs) == 1
 
 
 # -- symmetry folding ---------------------------------------------------------------
