@@ -2,19 +2,17 @@
 
 Exact q-expansions (eta quotients, files, remote fetch), Chebyshev
 symmetric-power lifts, closed-form and certified-quadrature joint measures,
-grid-bracket approximations with boundary-count certificates, and prime
+grid brackets of regions with boundary-count certificates, and prime
 sign/dominance statistics with effective error envelopes.
 """
 
 from .bipoly import Poly2
-from .chebyshev import ChebyshevU, eval_u, s_poly, sympower_coeff, u_poly
+from .chebyshev import eval_u, s_poly
 from .coeffs import (
     CoefficientTable,
     NewformDescriptor,
-    PentagonalSeries,
     expand_eta_quotient,
     load_coefficient_file,
-    pentagonal_series,
     write_coefficient_file,
 )
 from .counting import (

@@ -3,36 +3,25 @@
 U_m satisfies U_0 = 1, U_1 = 2u, U_{m+1} = 2u U_m - U_{m-1}, and
 U_m(cos t) = sin((m+1)t)/sin t.  The normalized prime coefficient a(p) of a
 newform lifts to its m-th symmetric power via a(p^m) = U_m(a(p)/2) whenever
-p does not divide the level.
+p does not divide the level; ``eval_u`` evaluates it, and
+``counting.PairFrame.lift`` applies it over a command's primes.
 
-We also expose the monic integer variant S_m(u) = U_m(u/2), which satisfies
-S_{m+1} = u S_m - S_{m-1}; composing with S keeps all coefficients integral,
-which the region and counting machinery relies on for exact composition;
-``counting`` makes the exact sign decisions.
+The monic integer variant S_m(u) = U_m(u/2) satisfies
+S_{m+1} = u S_m - S_{m-1} (U_m's coefficient of u^k is S_m's times 2^k);
+composing with S keeps all coefficients integral, which the region and
+counting machinery relies on for exact composition; ``counting`` makes the
+exact sign decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadPrimeError, CapError
+from .errors import CapError
 
 #: Degree cap keeping U_m coefficients comfortably inside exact 64-bit range
 #: (the leading coefficient is 2^m).  Adjustable if a caller truly needs more.
 DEGREE_CAP = 64
-
-
-@dataclass(frozen=True)
-class ChebyshevU:
-    """Exact monomial coefficients of U_m, ascending powers."""
-
-    degree: int
-    coefficients: tuple
-
-    def __call__(self, u):
-        return eval_u(self.degree, u)
 
 
 def check_degree(m):
@@ -40,20 +29,6 @@ def check_degree(m):
         raise CapError(f"degree must be nonnegative, got {m}")
     if m > DEGREE_CAP:
         raise CapError(f"degree {m} exceeds cap {DEGREE_CAP}")
-
-
-def u_poly(m):
-    """U_m in the monomial basis, computed by the three-term recurrence."""
-    check_degree(m)
-    prev, cur = [1], [0, 2]
-    if m == 0:
-        return ChebyshevU(0, (1,))
-    for _ in range(m - 1):
-        nxt = [0] + [2 * c for c in cur]
-        for k, c in enumerate(prev):
-            nxt[k] -= c
-        prev, cur = cur, nxt
-    return ChebyshevU(m, tuple(cur))
 
 
 def s_poly(m):
@@ -84,16 +59,3 @@ def eval_u(m, u):
     for _ in range(m - 1):
         prev, cur = cur, 2.0 * u_arr * cur - prev
     return float(cur) if cur.shape == () else cur
-
-
-def sympower_coeff(table, p, m):
-    """Coefficient a(p^m) = U_m(a(p)/2) of the m-th symmetric power at p.
-
-    Only valid for p coprime to the level of the underlying form.
-    """
-    if table.descriptor.level % p == 0:
-        raise BadPrimeError(
-            f"p={p} divides level {table.descriptor.level}; the lift is undefined there"
-        )
-    ap = table.normalized_prime_value(p)
-    return eval_u(m, ap / 2.0)

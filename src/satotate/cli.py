@@ -5,8 +5,9 @@ bracket.  Global flags: --config (key = value file; command-line flags win),
 --cache-dir, --out, --seedless (lifts the quadrature cell budget).  Runs are
 single-process and deterministic.
 
-Exit codes: 0 success, 2 usage/config error, 3 data or coverage error,
-4 numerical budget exhausted.
+Exit codes: 0 success, else the ``exit_code`` of the package error raised
+(``errors``): 2 usage/config error, 3 data or coverage error, 4 numerical
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -19,30 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import bundled, charts, coeffs, counting, measures, region
-from .errors import (
-    BudgetError,
-    ConfigError,
-    CoverageError,
-    DomainError,
-    HypothesisError,
-    InvariantError,
-    NetworkError,
-    ParseError,
-    RecipeError,
-    SatotateError,
-    OutOfRangeError,
-)
-
-_USAGE_ERRORS = (ConfigError, DomainError)
-_DATA_ERRORS = (
-    ParseError,
-    InvariantError,
-    CoverageError,
-    NetworkError,
-    RecipeError,
-    OutOfRangeError,
-)
-_BUDGET_ERRORS = (BudgetError, HypothesisError)
+from .errors import ConfigError, InvariantError, RecipeError, SatotateError
 
 _D22_FLAG = (
     "note: the (2,2) density is 0.523761 by both the closed form and certified "
@@ -208,12 +186,21 @@ def _add_region_flags(sub):
         help="graded-lex coefficients of P, e.g. '0,0,0,0,1,0' for uv; "
         "combine with --interval lo,hi and --lift m,n",
     )
-    sub.add_argument("--interval", default="0,inf", help="interval for --poly-interval")
-    sub.add_argument("--lift", default="1,1", help="symmetric-power indices for --poly-interval")
+    sub.add_argument("--interval", help="interval for --poly-interval, default 0,inf")
+    sub.add_argument("--lift", help="symmetric-power indices for --poly-interval, default 1,1")
     sub.add_argument("--region-file", help="constraint file (see docs)")
 
 
+_REGION_FLAGS = ("rect", "sign_product", "disk", "halfplane_u", "full_square", "poly_interval", "region_file")
+
+
 def _region_from_args(args):
+    given = [name for name in _REGION_FLAGS if getattr(args, name) not in (None, False)]
+    if len(given) > 1:
+        flags = " ".join("--" + name.replace("_", "-") for name in given)
+        raise ConfigError(f"one region flag at most, got {flags}")
+    if args.poly_interval is None and (args.interval, args.lift) != (None, None):
+        raise ConfigError("--interval and --lift apply only to --poly-interval")
     if args.rect:
         return region.rect(*_parse_numbers(args.rect, "--rect", float, count=4))
     if args.sign_product:
@@ -230,11 +217,11 @@ def _region_from_args(args):
         except ValueError as exc:
             raise ConfigError(f"--poly-interval: {exc}") from None
         try:
-            lo_s, hi_s = args.interval.split(",")
+            lo_s, hi_s = ("0,inf" if args.interval is None else args.interval).split(",")
             lo, hi = float(lo_s or "-inf"), float(hi_s or "inf")
         except ValueError:
             raise ConfigError(f"--interval: expected lo,hi, got {args.interval!r}") from None
-        m, n = _parse_numbers(args.lift, "--lift", int, count=2)
+        m, n = _parse_numbers("1,1" if args.lift is None else args.lift, "--lift", int, count=2)
         return region.region_from_poly_interval(P, measures.Interval(lo, hi), m, n)
     if args.region_file:
         return region.parse_region_file(args.region_file)
@@ -248,6 +235,8 @@ def cmd_expand(cfg, args):
     n_max = _n_max(args)
     if args.label:
         _check_label(args.label, "--label")
+    if not args.eta and (args.weight, args.level) != (None, None):
+        raise ConfigError("--weight and --level apply only to --eta")
     if args.eta:
         try:
             recipe = tuple(
@@ -286,6 +275,8 @@ def cmd_fetch(cfg, args):
         _check_label(args.label, "--label")
     cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else coeffs.default_cache_dir()
     if args.seed_bundled:
+        if args.label:
+            raise ConfigError("--seed-bundled seeds every bundled form and takes no --label")
         written = bundled.seed_cache(cache_dir, n_max)
         for path in written:
             print(f"seeded {path}")
@@ -299,11 +290,7 @@ def cmd_fetch(cfg, args):
 
 def cmd_measure(cfg, args):
     reg = _region_from_args(args)
-    resolutions = ()
-    if args.grid_bracket:
-        resolutions = _parse_numbers("64" if args.m is None else args.m, "--m", int)
-    target = args.target
-    mv = measures.mu_jst_region(reg, target, budget=cfg.budget)
+    mv = measures.mu_jst_region(reg, args.target, budget=cfg.budget)
     print(f"region: {reg.label}")
     print(f"measure = {mv.value:.9f}  (certified +- {mv.abs_error:.3g})")
     lines = [f"region,value,abs_error", f"{reg.label},{mv.value:.12g},{mv.abs_error:.12g}"]
@@ -317,25 +304,9 @@ def cmd_measure(cfg, args):
         print(f"closed form d({m},{n}) = {closed:.9f}   |difference| = {abs(closed - mv.value):.2e}")
         if (m, n) == (2, 2):
             print(_D22_FLAG)
-    for m_res, approx, n_obs, bound, strips in _grid_brackets(reg, resolutions):
-        print(
-            f"m={m_res:4d}  bracket=[{approx.mu_low:.9f}, {approx.mu_high:.9f}] "
-            f"width={approx.mu_high - approx.mu_low:.3g}  N={n_obs} (bound {bound:.0f})  "
-            f"max strip components={strips}"
-        )
     if args.out_csv:
         _output_file(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
-
-
-def _grid_brackets(reg, resolutions):
-    """For each grid resolution m: m, the grid bracket, the boundary box
-    count and its bound, and the most components of one strip."""
-    for m_res in resolutions:
-        approx = region.classify_boxes(reg, m_res)
-        n_obs, bound = region.boundary_bound_check(approx)
-        merge = region.strip_merge(approx)
-        yield m_res, approx, n_obs, bound, int(merge.per_strip_counts.max(initial=0))
 
 
 def _pair_frame(cfg):
@@ -440,11 +411,15 @@ def cmd_first_sign(cfg, args):
 
 
 def cmd_bracket(cfg, args):
+    """For each grid resolution m: the grid bracket, the boundary box count
+    and its bound, and the most components of one strip."""
     reg = _region_from_args(args)
     out = Path(cfg.out)
     rows = ["m,mu_low,mu_high,width,boundary_count,area_bound,max_strip_components"]
-    resolutions = _parse_numbers("16,32,64,128" if args.m is None else args.m, "--m", int)
-    for m_res, approx, n_obs, bound, strips in _grid_brackets(reg, resolutions):
+    for m_res in _parse_numbers("16,32,64,128" if args.m is None else args.m, "--m", int):
+        approx = region.classify_boxes(reg, m_res)
+        n_obs, bound = region.boundary_bound_check(approx)
+        strips = int(region.strip_merge(approx).per_strip_counts.max(initial=0))
         width = approx.mu_high - approx.mu_low
         print(
             f"m={m_res:4d}  [{approx.mu_low:.9f}, {approx.mu_high:.9f}]  width={width:.3g}  "
@@ -492,8 +467,6 @@ def build_parser():
     p = sub.add_parser("measure", help="joint measure of a region")
     _add_region_flags(p)
     p.add_argument("--target", type=float, default=1e-6)
-    p.add_argument("--grid-bracket", action="store_true")
-    p.add_argument("--m", help="grid resolutions, e.g. 16,32,64")
     p.add_argument("--out-csv", dest="out_csv")
     p.set_defaults(func=cmd_measure)
 
@@ -542,18 +515,9 @@ def main(argv=None):
                 setattr(cfg, key, getattr(args, key))
         cfg.validate()
         return args.func(cfg, args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _BUDGET_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except SatotateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -198,12 +198,6 @@ class CoefficientTable:
     def raw(self):
         return tuple(self._values.tolist())
 
-    def normalized_prime_value(self, p):
-        """Deligne-normalized a(p) = A(p) / p^{(k-1)/2} as a float."""
-        if p > self.bound:
-            raise OutOfRangeError(f"p={p} exceeds table bound {self.bound}")
-        return int(self._values[p - 1]) / p ** ((self.descriptor.weight - 1) / 2)
-
     def normalized_values(self, primes):
         """Vectorized a(p) for an integer array of primes within the bound;
         each A(p) is rounded to a float once, as float(A(p)) would."""
@@ -228,15 +222,6 @@ class CoefficientTable:
 # -- pentagonal series and the eta engine --------------------------------------
 
 
-@dataclass(frozen=True)
-class PentagonalSeries:
-    """Truncation of prod_{n>=1} (1 - q^n); nonzero terms are +-1 at the
-    generalized pentagonal numbers j(3j-1)/2."""
-
-    bound: int
-    coeffs: tuple
-
-
 def _pentagonal_terms(bound, step=1):
     """(exponent, sign) pairs of prod (1 - q^{step*n}) up to q^bound, sorted:
     Euler's (-1)^j q^{step j(3j-1)/2}, where j(3j-1)/2 >= j^2 bounds j."""
@@ -251,14 +236,6 @@ def _cube_terms(bound, step=1):
     Jacobi's sum_j (-1)^j (2j+1) q^{step j(j+1)/2}."""
     count = (math.isqrt(8 * (bound // step) + 1) + 1) // 2
     return [(step * j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(count)]
-
-
-def pentagonal_series(bound):
-    """Exact coefficients of prod (1 - q^n) through degree ``bound``."""
-    if bound < 1:
-        raise RecipeError(f"bound must be >= 1, got {bound}")
-    terms = dict(_pentagonal_terms(bound))
-    return PentagonalSeries(bound, tuple(terms.get(n, 0) for n in range(bound + 1)))
 
 
 def _is_prime(n):

@@ -1,24 +1,27 @@
 """Exception types shared across the package.
 
-Everything derives from SatotateError so callers can catch the whole family;
-the CLI maps subfamilies onto exit codes (usage=2, data=3, budget=4).
+Everything derives from SatotateError so callers can catch the whole family.
+Each family carries its CLI exit code as ``exit_code``, which ``cli.main``
+returns: 2 for usage (DomainError, ConfigError and their subclasses), 4 for
+an exhausted budget (BudgetError, HypothesisError), and 3 for data and
+coverage errors, every other class.
 """
 
 
 class SatotateError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+
 
 class DomainError(SatotateError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
+    exit_code = 2
+
 
 class CapError(DomainError):
     """A hard degree/size cap was exceeded."""
-
-
-class BadPrimeError(DomainError):
-    """A prime dividing the level was passed where p coprime to the level is required."""
 
 
 class OutOfRangeError(DomainError):
@@ -62,6 +65,8 @@ class CoverageError(SatotateError):
 class BudgetError(SatotateError):
     """A subdivision/size budget was exhausted before the target was met."""
 
+    exit_code = 4
+
 
 class DegenerateError(SatotateError):
     """A constraint polynomial is identically zero."""
@@ -70,6 +75,10 @@ class DegenerateError(SatotateError):
 class HypothesisError(SatotateError):
     """A strip component count exceeded the 1 + alpha*beta certificate."""
 
+    exit_code = 4
+
 
 class ConfigError(SatotateError):
     """A run configuration is invalid (bad key, unwritable directory...)."""
+
+    exit_code = 2

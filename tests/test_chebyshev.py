@@ -1,36 +1,44 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from satotate.chebyshev import eval_u, s_poly, sympower_coeff, u_poly
-from satotate.errors import BadPrimeError, CapError
+from satotate.chebyshev import eval_u, s_poly
+from satotate.counting import PairFrame
+from satotate.errors import CapError
 
 
-def test_u_poly_base_cases():
-    assert u_poly(0).coefficients == (1,)
-    assert u_poly(1).coefficients == (0, 2)
-    assert u_poly(2).coefficients == (-1, 0, 4)
+def test_s_poly_base_cases():
+    # S_m(u) = U_m(u/2): U_0 = 1, U_1 = 2u, U_2 = 4u^2 - 1
+    assert s_poly(0) == (1,)
+    assert s_poly(1) == (0, 1)
+    assert s_poly(2) == (-1, 0, 1)
 
 
-def test_u_poly_structure():
+def test_s_poly_structure():
     for m in range(12):
-        coeffs = u_poly(m).coefficients
-        assert coeffs[-1] == 2**m  # leading coefficient
+        coeffs = s_poly(m)
+        assert len(coeffs) == m + 1 and coeffs[-1] == 1  # monic of degree m
         for k, c in enumerate(coeffs):
             if (k - m) % 2 != 0:
                 assert c == 0  # parity
+        if m >= 2:  # S_m = u S_{m-1} - S_{m-2}, exactly
+            shifted = (0,) + s_poly(m - 1)
+            prev = s_poly(m - 2) + (0, 0)
+            assert coeffs == tuple(a - b for a, b in zip(shifted, prev))
 
 
 def test_degree_cap():
-    u_poly(64)
+    s_poly(64)
+    eval_u(64, 0.3)
     with pytest.raises(CapError):
-        u_poly(65)
+        s_poly(65)
     with pytest.raises(CapError):
         eval_u(65, 0.3)
     with pytest.raises(CapError):
-        u_poly(-1)
+        s_poly(-1)
+    with pytest.raises(CapError):
+        eval_u(-1, 0.3)
 
 
 def test_eval_u_examples():
@@ -42,10 +50,11 @@ def test_eval_u_examples():
 
 
 def test_eval_u_matches_monomial_form():
+    # U_m's coefficient of u^k is S_m's times 2^k
     for m in range(0, 21):
-        coeffs = u_poly(m).coefficients
+        coeffs = s_poly(m)
         for u in np.linspace(-1, 1, 17):
-            direct = sum(c * u**k for k, c in enumerate(coeffs))
+            direct = sum(c * 2**k * u**k for k, c in enumerate(coeffs))
             assert eval_u(m, u) == pytest.approx(direct, abs=1e-9)
 
 
@@ -79,19 +88,20 @@ def test_eval_u_vectorized():
         assert eval_u(5, float(u)) == pytest.approx(v, abs=1e-14)
 
 
-def test_s_poly_is_scaled_u_poly():
-    for m in range(0, 15):
-        s = s_poly(m)
-        u = u_poly(m).coefficients
-        # U_m(u/2): coefficient k scales by 2^{-k}
-        assert [Fraction(c, 2**k) for k, c in enumerate(u)] == [Fraction(c) for c in s]
-
-
-def test_sympower_coeff(f54_table):
-    assert sympower_coeff(f54_table, 7, 0) == 1.0
-    a7 = f54_table.normalized_prime_value(7)
-    assert sympower_coeff(f54_table, 7, 1) == pytest.approx(a7, abs=1e-14)
+def test_sympower_coeff(f54_table, delta_table):
+    # the lift a(p^m) = U_m(a(p)/2) over a frame's primes, which leave out
+    # those dividing a level (5 for 5.4.a.a)
+    frame = PairFrame(f54_table, delta_table, 100)
+    assert 5 not in frame.primes.tolist()
+    assert (frame.lift(0, 0) == 1.0).all()
+    assert frame.lift(0, 1).tobytes() == frame.values[0].tobytes()
     # a(2) = -4 / 2^{3/2} = -sqrt(2), so U_2(a/2) = 4*(1/2) - 1 = 1
-    assert sympower_coeff(f54_table, 2, 2) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(BadPrimeError):
-        sympower_coeff(f54_table, 5, 2)
+    assert frame.lift(0, 2)[0] == pytest.approx(1.0, abs=1e-12)
+    # the table's own a(p^2) = A(p^2) / p^(k-1), and a(p^3) likewise
+    for side, table in enumerate(frame.tables):
+        k = table.descriptor.weight
+        for i, p in enumerate(frame.primes.tolist()):
+            for m in (2, 3):
+                if p**m <= table.bound:
+                    expected = table.a_int(p**m) / p ** (m * (k - 1) / 2)
+                    assert frame.lift(side, m)[i] == pytest.approx(expected, abs=1e-9), (table, p, m)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import satotate
-from satotate import bundled, cli, coeffs, counting, measures, region
+from satotate import bundled, cli, coeffs, counting, errors, measures, region
 from satotate.cli import RunConfig, load_config, main, resolve_table
 from satotate.errors import ConfigError
 
@@ -122,13 +122,13 @@ def test_measure_of_a_squared_lift_is_one(capsys, tmp_path, monkeypatch):
     assert "measure = 1.000000000" in out
 
 
-def test_measure_grid_bracket(capsys, tmp_path):
-    code, out, _ = run(
-        ["--out", str(tmp_path), "measure", "--halfplane-u", "--grid-bracket", "--m", "16,32"],
-        capsys,
-    )
-    assert code == 0
-    assert "m=  16" in out and "m=  32" in out
+def test_measure_takes_no_grid_bracket_flags(capsys, tmp_path):
+    # the grid brackets are the bracket command's; measure refuses its flags
+    for flags in (["--grid-bracket"], ["--m", "16,32"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "measure", "--halfplane-u", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_measure_requires_region(capsys, tmp_path):
@@ -367,6 +367,7 @@ def test_bracket_command(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+    assert "m=  16" in out and "m=  32" in out
     assert list(tmp_path.glob("bracket_*.csv"))
 
 
@@ -647,7 +648,6 @@ def test_runconfig_validation(tmp_path):
         # an empty value is malformed, never a request for the default
         ["bracket", "--disk", "--m", ""],
         ["bracket", "--disk", "--m", ","],
-        ["measure", "--disk", "--grid-bracket", "--m", ""],
         ["density", "--mn", "", "--x-max", "100"],
         ["dominance", "--mn", "", "--x-max", "100"],
         ["first-sign", "--mn", "", "--x-max", "100"],
@@ -657,6 +657,16 @@ def test_runconfig_validation(tmp_path):
         ["first-sign", "--d", "nan"],
         ["first-sign", "--d", "inf"],
         ["first-sign", "--d", "0"],
+        # flags that would change nothing: a second region, --interval or
+        # --lift without --poly-interval, --weight or --level without --eta,
+        # and --label beside --seed-bundled
+        ["measure", "--disk", "--rect=-1,1,-1,1"],
+        ["bracket", "--sign-product", "2,2", "--full-square", "--m", "16"],
+        ["measure", "--disk", "--interval", "0,1"],
+        ["bracket", "--halfplane-u", "--lift", "1,3", "--m", "16"],
+        ["expand", "--label", "5.4.a.a", "--n", "3", "--weight", "6", "--level", "7"],
+        ["expand", "--label", "5.4.a.a", "--n", "3", "--level", "7"],
+        ["fetch", "--seed-bundled", "--label", "5.4.a.a", "--n", "10"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
@@ -664,6 +674,41 @@ def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+#: The exit code of each package error raised from a command through main.
+_EXIT_CODES = {
+    **dict.fromkeys(["ConfigError", "DomainError", "CapError", "OutOfRangeError"], 2),
+    **dict.fromkeys(
+        ["RecipeError", "ParseError", "GapError", "InvariantError", "NetworkError", "NotFoundError",
+         "CoverageError", "DegenerateError", "SatotateError"],
+        3,
+    ),
+    **dict.fromkeys(["BudgetError", "HypothesisError"], 4),
+}
+
+
+def _package_errors(cls=errors.SatotateError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _package_errors(sub)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    sorted({*_package_errors(), *(getattr(errors, name) for name in _EXIT_CODES)}, key=lambda c: c.__name__),
+    ids=lambda c: c.__name__,
+)
+def test_every_package_error_exits_with_its_code(tmp_path, capsys, monkeypatch, cls):
+    # a class the table does not name exits as its nearest named ancestor
+    expected = next(_EXIT_CODES[k.__name__] for k in cls.__mro__ if k.__name__ in _EXIT_CODES)
+
+    def fail(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "resolve_table", fail)
+    argv = ["--cache-dir", str(tmp_path), "fetch", "--label", "5.4.a.a", "--n", "10"]
+    assert run(argv, capsys)[::2] == (expected, "error: boom\n")
 
 
 @pytest.mark.parametrize("command", ["measure", "bracket"])

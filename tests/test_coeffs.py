@@ -21,7 +21,6 @@ from satotate.coeffs import (
     eta_product_qexpansion,
     expand_eta_quotient,
     load_coefficient_file,
-    pentagonal_series,
     write_coefficient_file,
 )
 from satotate.errors import (
@@ -43,39 +42,44 @@ DELTA = NewformDescriptor("1.12.a.a", 12, 1, ((1, 24),))
 # -- pentagonal series ---------------------------------------------------------
 
 
+def _pentagonal_series(bound, step=1):
+    """Dense coefficients of prod (1 - q^{step*n}) through q^bound, from the
+    engine's sparse terms."""
+    terms = dict(coeffs._pentagonal_terms(bound, step))
+    return [terms.get(n, 0) for n in range(bound + 1)]
+
+
 def test_pentagonal_matches_naive_products():
-    for bound in (1, 2, 7, 40, 77):
-        assert list(pentagonal_series(bound).coeffs) == oracles.naive_product_series(bound)
+    for bound in (0, 1, 2, 7, 40, 77):
+        assert _pentagonal_series(bound) == oracles.naive_product_series(bound)
+    # the pass of an eta factor eta(d z): q -> q^d in the same product
+    for step in (2, 3, 5):
+        naive = oracles.naive_product_series(60 // step)
+        want = [naive[n // step] if n % step == 0 else 0 for n in range(61)]
+        assert _pentagonal_series(60, step) == want
 
 
 def test_pentagonal_bound_seven():
     # 1 - q - q^2 + q^5 + q^7
-    assert pentagonal_series(7).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
-
-
-def test_pentagonal_rejects_zero_bound():
-    with pytest.raises(RecipeError):
-        pentagonal_series(0)
-    assert pentagonal_series(1).coeffs == (1, -1)
+    assert _pentagonal_series(7) == [1, -1, -1, 0, 0, 1, 0, 1]
 
 
 def test_pentagonal_coefficient_twelve():
     # exponent 12 is hit by j = 3, so the sign is (-1)^3; the naive product
     # oracle agrees
-    series = pentagonal_series(12)
-    assert series.coeffs[12] == -1
+    assert _pentagonal_series(12)[12] == -1
     assert oracles.naive_product_series(12)[12] == -1
 
 
 def test_pentagonal_support_is_pentagonal_numbers():
-    series = pentagonal_series(200)
+    series = _pentagonal_series(200)
     pent = set()
     j = 1
     while j * (3 * j - 1) // 2 <= 200:
         pent.add(j * (3 * j - 1) // 2)
         pent.add(j * (3 * j + 1) // 2)
         j += 1
-    for e, c in enumerate(series.coeffs):
+    for e, c in enumerate(series):
         if e == 0:
             assert c == 1
         elif c != 0:
@@ -354,15 +358,15 @@ def test_multiplicativity_spot_check(f54_table, delta_table):
 
 
 def test_normalized_prime_values(f54_table, f66_table):
-    assert f54_table.normalized_prime_value(2) == pytest.approx(-4 / 2**1.5, abs=1e-9)
-    assert f66_table.normalized_prime_value(7) == pytest.approx(176 / 7**2.5, abs=1e-9)
+    assert f54_table.normalized_values([2])[0] == pytest.approx(-4 / 2**1.5, abs=1e-9)
+    assert f66_table.normalized_values([7])[0] == pytest.approx(176 / 7**2.5, abs=1e-9)
     with pytest.raises(OutOfRangeError):
-        f54_table.normalized_prime_value(10**6 + 3)
+        f54_table.normalized_values([2, 10**6 + 3])
 
 
 def test_normalized_zero_coefficient():
     table = CoefficientTable(NewformDescriptor("toy", 2, 33), [1, 0, 1])
-    assert table.normalized_prime_value(2) == 0.0
+    assert table.normalized_values([2]).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("table", ["f54_table", "f66_table", "delta_table"])
@@ -384,7 +388,6 @@ def test_normalized_values_round_beyond_2_53(A2):
     table = CoefficientTable(NewformDescriptor("t", 108, 1), [1, A2, 0])
     assert table._values.dtype == np.int64
     assert table.normalized_values([2])[0] == float(A2) / 2**53.5
-    assert table.normalized_prime_value(2) == float(A2) / 2**53.5
 
 
 # -- file format ---------------------------------------------------------------------

@@ -124,11 +124,7 @@ def test_count_sign_product_near_half(delta_table, f54_table):
     assert abs(count - 0.5 * pi_x) <= 0.05 * pi_x
     # cross-check against a direct brute-force scan
     primes = [int(p) for p in sieve(x).primes if p != 5]
-    brute = sum(
-        1
-        for p in primes
-        if delta_table.normalized_prime_value(p) * f54_table.normalized_prime_value(p) > 0
-    )
+    brute = sum(1 for p in primes if delta_table.a_int(p) * f54_table.a_int(p) > 0)
     assert count == brute
 
 
@@ -328,7 +324,7 @@ def test_exact_pair_value_reconstructs_float(f54_table, f66_table):
         X, Y = _exact_pair_value(W, p, (f54_table, f66_table))
         exact = float(X) + float(Y) * math.sqrt(p)
         direct = W.eval_float(
-            f54_table.normalized_prime_value(p), f66_table.normalized_prime_value(p)
+            f54_table.normalized_values([p])[0], f66_table.normalized_values([p])[0]
         )
         assert exact == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
