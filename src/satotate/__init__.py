@@ -48,7 +48,6 @@ from .region import (
     disk,
     error_envelope,
     full_square,
-    half_plane_u_positive,
     m_of_x,
     rect,
     region_from_poly_interval,

@@ -14,12 +14,10 @@ agreement through q^9 exceeds the Sturm bound (6) for weight 6 on
 Gamma_0(6) (J. Sturm, "On the congruence of modular forms", LNM 1240,
 1987), the match proves the combination equal to the newform, not merely
 an approximation.  Every full-table invariant (Deligne bound, ramified-prime
-values) is checked again on construction.
+values) is checked again on construction.  ``cli.resolve_table`` caches them.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from .coeffs import (
     CoefficientTable,
@@ -27,7 +25,6 @@ from .coeffs import (
     eta_bound,
     eta_combination,
     expand_eta_quotient,
-    write_coefficient_file,
 )
 from .errors import InvariantError, NotFoundError
 
@@ -96,20 +93,3 @@ def bundled_table(label, n_max):
     if descriptor.eta_recipe is None:
         return build_6_6_a_a(n_max)
     return expand_eta_quotient(descriptor, n_max, newform_bound(descriptor.weight, n_max))
-
-
-def seed_cache(cache_dir, n_max):
-    """Write the tables of 5.4.a.a and 6.6.a.a into a fetch cache, enabling
-    offline runs of the default pair.
-
-    Returns the list of files written.
-    """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for label in ("5.4.a.a", "6.6.a.a"):
-        table = bundled_table(label, n_max)
-        path = cache_dir / f"{label}.txt"
-        write_coefficient_file(path, table)
-        written.append(path)
-    return written

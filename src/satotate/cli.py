@@ -2,8 +2,8 @@
 
 Verbs: expand, fetch, measure, density, dominance, figures, first-sign,
 bracket.  Global flags: --config (key = value file; command-line flags win),
---cache-dir, --out, --seedless (lifts the quadrature cell budget).  Runs are
-single-process and deterministic.
+--cache-dir, --out.  An empty value counts as given, and every flag refuses
+it.  Runs are single-process and deterministic.
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 usage/config error, 3 data or coverage error, 4 numerical
@@ -42,7 +42,6 @@ class RunConfig:
     out: str = "."
     png: bool = True
     mn: tuple = ((1, 1),)
-    budget: int | None = 10_000_000
 
     def validate(self):
         if not (self.f and self.fp):
@@ -68,11 +67,13 @@ def _make_dir(path):
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
-def _output_file(path):
-    """The path of an output file flag, its directory created."""
-    path = Path(path)
-    _make_dir(path.parent)
-    return path
+def _output_file(path, flag):
+    """The path of an output file flag, its directory created; refused when it names no file."""
+    file = Path(path)
+    if not file.name or file.is_dir():
+        raise ConfigError(f"{flag}: expected a file path, got {path!r}")
+    _make_dir(file.parent)
+    return file
 
 
 def _n_max(args):
@@ -85,22 +86,27 @@ def _n_max(args):
 
 def load_config(path):
     """Parse a ``key = value`` configuration file (# starts a comment)."""
-    values = {}
-    for lineno, rawline in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {getattr(exc, 'strerror', 'not UTF-8 text')}") from None
+    cfg = RunConfig()
+    for lineno, rawline in enumerate(text.splitlines(), 1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    cfg = RunConfig()
-    for key, val in values.items():
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in ("out", "cache_dir") and not val:
+            raise ConfigError(f"{path}:{lineno}: {key}: expected a path, got ''")
         if key in ("f", "fp", "base_url", "out", "cache_dir"):
             setattr(cfg, key, val)
         elif key in ("x_max", "checkpoints"):
             setattr(cfg, key, _parse_numbers(val, key, int, count=1)[0])
         elif key == "png":
+            if val.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                raise ConfigError(f"{path}:{lineno}: expected a boolean png value, got {val!r}")
             cfg.png = val.lower() in ("1", "true", "yes", "on")
         elif key == "mn":
             cfg.mn = _parse_mn(val)
@@ -131,7 +137,7 @@ def _parse_mn(text):
         if chunk
     )
     if not pairs:
-        raise ConfigError("no (m,n) pairs supplied")
+        raise ConfigError("--mn (key mn): no (m,n) pairs supplied")
     return pairs
 
 
@@ -152,21 +158,21 @@ def _check_label(label, name):
 
 def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL):
     """Obtain a coefficient table, the same way for every label: the cache
-    file when it holds n_max coefficients, else the bundled offline
-    constructor for a bundled label, else the remote fetcher.  A table
-    built or downloaded here is written to the cache, so the next run finds
-    it there.  A corrupt cache file raises (exit 3); it is never skipped.
-    A label outside ``_LABEL_PATTERN`` is refused (exit 2)
-    before any path or URL is built from it."""
+    file when it holds n_max coefficients, else the bundled constructor,
+    else the remote fetcher.  The cache's one reader and one writer: what
+    it builds or downloads is cached for the next run.  A corrupt cache file
+    raises (exit 3), never skipped or overwritten.  A label outside
+    ``_LABEL_PATTERN`` is refused (exit 2) before any path or URL is built."""
     _check_label(label, "label")
-    cache_dir = Path(cache_dir) if cache_dir else coeffs.default_cache_dir()
+    cache_dir = Path(cache_dir) if cache_dir is not None else coeffs.default_cache_dir()
     table = coeffs.cached_table(label, n_max, cache_dir)
     if table is not None:
         return table
-    if label not in bundled.BUNDLED_FORMS:
-        return coeffs.download_table(label, n_max, base_url, cache_dir)
-    table = bundled.bundled_table(label, n_max)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    if label in bundled.BUNDLED_FORMS:
+        table = bundled.bundled_table(label, n_max)
+    else:
+        table = coeffs.download_table(label, n_max, base_url)
+    _make_dir(cache_dir)
     coeffs.write_coefficient_file(cache_dir / f"{label}.txt", table)
     return table
 
@@ -178,8 +184,6 @@ def _add_region_flags(sub):
     sub.add_argument("--rect", help="u_lo,u_hi,v_lo,v_hi")
     sub.add_argument("--sign-product", dest="sign_product", help="m,n")
     sub.add_argument("--disk", nargs="?", const="1", help="radius (default 1)")
-    sub.add_argument("--halfplane-u", action="store_true", help="the region u > 0")
-    sub.add_argument("--full-square", action="store_true")
     sub.add_argument(
         "--poly-interval",
         dest="poly_interval",
@@ -191,27 +195,23 @@ def _add_region_flags(sub):
     sub.add_argument("--region-file", help="constraint file (see docs)")
 
 
-_REGION_FLAGS = ("rect", "sign_product", "disk", "halfplane_u", "full_square", "poly_interval", "region_file")
+_REGION_FLAGS = ("rect", "sign_product", "disk", "poly_interval", "region_file")
 
 
 def _region_from_args(args):
-    given = [name for name in _REGION_FLAGS if getattr(args, name) not in (None, False)]
+    given = [name for name in _REGION_FLAGS if getattr(args, name) is not None]
     if len(given) > 1:
         flags = " ".join("--" + name.replace("_", "-") for name in given)
         raise ConfigError(f"one region flag at most, got {flags}")
     if args.poly_interval is None and (args.interval, args.lift) != (None, None):
         raise ConfigError("--interval and --lift apply only to --poly-interval")
-    if args.rect:
+    if args.rect is not None:
         return region.rect(*_parse_numbers(args.rect, "--rect", float, count=4))
-    if args.sign_product:
+    if args.sign_product is not None:
         return region.sign_product(*_parse_numbers(args.sign_product, "--sign-product", int, count=2))
     if args.disk is not None:
         return region.disk(*_parse_numbers(args.disk, "--disk", float, count=1))
-    if args.halfplane_u:
-        return region.half_plane_u_positive()
-    if args.full_square:
-        return region.full_square()
-    if args.poly_interval:
+    if args.poly_interval is not None:
         try:
             P = region.graded_lex_poly(args.poly_interval.split(","))
         except ValueError as exc:
@@ -223,7 +223,7 @@ def _region_from_args(args):
             raise ConfigError(f"--interval: expected lo,hi, got {args.interval!r}") from None
         m, n = _parse_numbers("1,1" if args.lift is None else args.lift, "--lift", int, count=2)
         return region.region_from_poly_interval(P, measures.Interval(lo, hi), m, n)
-    if args.region_file:
+    if args.region_file is not None:
         return region.parse_region_file(args.region_file)
     raise ConfigError("no region specified")
 
@@ -233,11 +233,11 @@ def _region_from_args(args):
 
 def cmd_expand(cfg, args):
     n_max = _n_max(args)
-    if args.label:
+    if args.label is not None:
         _check_label(args.label, "--label")
-    if not args.eta and (args.weight, args.level) != (None, None):
+    if args.eta is None and (args.weight, args.level) != (None, None):
         raise ConfigError("--weight and --level apply only to --eta")
-    if args.eta:
+    if args.eta is not None:
         try:
             recipe = tuple(
                 (int(d), int(e))
@@ -248,7 +248,7 @@ def cmd_expand(cfg, args):
         # --label only names the recipe, bundled or not
         try:
             descriptor = coeffs.NewformDescriptor(
-                label=args.label or f"eta.{args.eta}",
+                label=f"eta.{args.eta}" if args.label is None else args.label,
                 weight=sum(e for _, e in recipe) // 2 if args.weight is None else args.weight,
                 level=max(d for d, _ in recipe) if args.level is None else args.level,
                 eta_recipe=recipe,
@@ -257,12 +257,12 @@ def cmd_expand(cfg, args):
         except (InvariantError, RecipeError) as exc:
             raise ConfigError(f"expand: {exc}") from None
         table = coeffs.expand_eta_quotient(descriptor, n_max)
-    elif args.label:
+    elif args.label is not None:
         table = resolve_table(args.label, n_max, cfg.cache_dir, cfg.base_url)
     else:
         raise ConfigError("expand requires --eta or --label")
-    if args.out_file:
-        coeffs.write_coefficient_file(_output_file(args.out_file), table)
+    if args.out_file is not None:
+        coeffs.write_coefficient_file(_output_file(args.out_file, "--out-file"), table)
         print(f"wrote {table.bound} coefficients to {args.out_file}")
     else:
         sys.stdout.writelines(coeffs.coefficient_file_blocks(table))
@@ -271,17 +271,17 @@ def cmd_expand(cfg, args):
 
 def cmd_fetch(cfg, args):
     n_max = _n_max(args)
-    if args.label:
+    if args.label is not None:
         _check_label(args.label, "--label")
-    cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else coeffs.default_cache_dir()
+    cache_dir = Path(cfg.cache_dir) if cfg.cache_dir is not None else coeffs.default_cache_dir()
     if args.seed_bundled:
-        if args.label:
-            raise ConfigError("--seed-bundled seeds every bundled form and takes no --label")
-        written = bundled.seed_cache(cache_dir, n_max)
-        for path in written:
-            print(f"seeded {path}")
+        if args.label is not None:
+            raise ConfigError("--seed-bundled seeds the default pair and takes no --label")
+        for label in (RunConfig.f, RunConfig.fp):
+            resolve_table(label, n_max, cache_dir, cfg.base_url)
+            print(f"seeded {cache_dir / f'{label}.txt'}")
         return 0
-    if not args.label:
+    if args.label is None:
         raise ConfigError("fetch requires --label (or --seed-bundled)")
     table = resolve_table(args.label, n_max, cache_dir, cfg.base_url)
     print(f"{table.descriptor.label}: {table.bound} coefficients cached under {cache_dir}")
@@ -290,22 +290,22 @@ def cmd_fetch(cfg, args):
 
 def cmd_measure(cfg, args):
     reg = _region_from_args(args)
-    mv = measures.mu_jst_region(reg, args.target, budget=cfg.budget)
+    mv = measures.mu_jst_region(reg, args.target, **({"budget": None} if args.seedless else {}))
     print(f"region: {reg.label}")
     print(f"measure = {mv.value:.9f}  (certified +- {mv.abs_error:.3g})")
     lines = [f"region,value,abs_error", f"{reg.label},{mv.value:.12g},{mv.abs_error:.12g}"]
-    if args.rect:
+    if args.rect is not None:
         u_lo, u_hi, v_lo, v_hi = _parse_numbers(args.rect, "--rect", float, count=4)
         closed = measures.mu_jst_rect(measures.Interval(u_lo, u_hi), measures.Interval(v_lo, v_hi)).value
         print(f"closed form (product of 1-D measures) = {closed:.9f}")
-    if args.sign_product:
+    if args.sign_product is not None:
         m, n = _parse_numbers(args.sign_product, "--sign-product", int, count=2)
         closed = measures.d_mn(m, n)
         print(f"closed form d({m},{n}) = {closed:.9f}   |difference| = {abs(closed - mv.value):.2e}")
         if (m, n) == (2, 2):
             print(_D22_FLAG)
-    if args.out_csv:
-        _output_file(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if args.out_csv is not None:
+        _output_file(args.out_csv, "--out-csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
@@ -446,7 +446,6 @@ def build_parser():
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--cache-dir", dest="cache_dir")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seedless", action="store_true", help="lift the quadrature cell budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="expand an eta quotient to a coefficient file")
@@ -467,6 +466,7 @@ def build_parser():
     p = sub.add_parser("measure", help="joint measure of a region")
     _add_region_flags(p)
     p.add_argument("--target", type=float, default=1e-6)
+    p.add_argument("--seedless", action="store_true", help="lift the quadrature cell budget")
     p.add_argument("--out-csv", dest="out_csv")
     p.set_defaults(func=cmd_measure)
 
@@ -503,14 +503,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.cache_dir:
-            cfg.cache_dir = args.cache_dir
-        if args.out:
-            cfg.out = args.out
-        if args.seedless:
-            cfg.budget = None
-        for key in ("f", "fp", "x_max"):
+        for key in ("config", "cache_dir", "out"):
+            if getattr(args, key) == "":
+                raise ConfigError(f"--{key.replace('_', '-')}: expected a path, got ''")
+        cfg = load_config(args.config) if args.config is not None else RunConfig()
+        for key in ("cache_dir", "out", "f", "fp", "x_max"):
             if getattr(args, key, None) is not None:
                 setattr(cfg, key, getattr(args, key))
         cfg.validate()

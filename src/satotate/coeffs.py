@@ -5,9 +5,10 @@ f = sum A(n) q^n (so A(n) = a(n) * n^{(k-1)/2} with a(n) the Deligne-normalized
 eigenvalue) and lazily exposes a(p) = A(p) / p^{(k-1)/2} in floating point.
 
 Three sources of tables: eta-quotient expansion (exact integer power-series
-arithmetic), file ingestion, and an HTTP client.  ``cached_table`` is the one
-cache lookup: ``cli.resolve_table`` consults it before the bundled
-constructors and ``download_table``.
+arithmetic), file ingestion, and an HTTP client.  ``cli.resolve_table`` is
+the cache's one reader and one writer: it looks a label up with
+``cached_table`` before the bundled constructors and ``download_table``, and
+writes what they return with ``write_coefficient_file``.
 
 The expansion engine runs its sparse pentagonal and cube passes (and long
 division, for negative net exponents) on residue rows and lifts once.  Every
@@ -684,25 +685,25 @@ def cached_table(label, n_max, cache_dir):
     return _truncate_table(table, n_max) if table.bound >= n_max else None
 
 
-def download_table(label, n_max, base_url, cache_dir, timeout=30.0):
-    """Fetch a q-expansion over HTTP, persisting it to the cache directory.
+def download_table(label, n_max, base_url, timeout=30.0):
+    """Fetch a q-expansion over HTTP; the caller caches it.
 
     GETs ``<base>/q_expansion/<label>?n=<n_max>`` and accepts either a JSON
-    array of integers or whitespace/comma separated text.
+    array of integers or whitespace/comma separated text.  A malformed base
+    URL, an unreachable host or a broken reply is a NetworkError.
     """
+    import http.client
     import urllib.request  # http.client, ssl and email: only when a table is downloaded
 
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     url = f"{base_url.rstrip('/')}/q_expansion/{label}?n={n_max}"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
-            body = resp.read().decode("utf-8")
+            body = resp.read().decode("utf-8", errors="replace")  # U+FFFD fails every grammar
     except urllib.error.HTTPError as exc:
         if exc.code == 404:
             raise NotFoundError(f"label {label!r} unknown at {base_url}") from exc
         raise NetworkError(f"HTTP {exc.code} fetching {url}") from exc
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
+    except (urllib.error.URLError, OSError, TimeoutError, http.client.HTTPException, ValueError) as exc:
         raise NetworkError(f"cannot reach {url}: {exc}") from exc
 
     coeffs = _parse_remote_body(body)
@@ -712,9 +713,7 @@ def download_table(label, n_max, base_url, cache_dir, timeout=30.0):
         )
     N, k = parse_label(label)
     descriptor = NewformDescriptor(label=label, weight=k, level=N)
-    table = CoefficientTable(descriptor, coeffs[:n_max])
-    write_coefficient_file(cache_dir / f"{label}.txt", table)
-    return table
+    return CoefficientTable(descriptor, coeffs[:n_max])
 
 
 def _parse_remote_body(body):

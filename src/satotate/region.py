@@ -56,6 +56,8 @@ class Constraint:
             raise DomainError(f"unknown comparison {self.op!r}")
         if self.poly.is_zero:
             raise DegenerateError("constraint polynomial is identically zero")
+        if sum(abs(c) * 2 ** (i + j) for (i, j), c in self.poly.coeffs.items()) >= 2**500:
+            raise DomainError("constraint too large for float evaluation: |P| may reach 2^500")
 
     def status(self, value):
         """int8 status of the polynomial's point values: +1 where the
@@ -215,12 +217,6 @@ def rect(u_lo, u_hi, v_lo, v_hi):
     if not cons:
         return full_square()
     return PolynomialRegion(tuple(cons), label=f"rect[{u_lo},{u_hi}]x[{v_lo},{v_hi}]")
-
-
-def half_plane_u_positive():
-    return PolynomialRegion(
-        (Constraint(Poly2({(1, 0): 1}), ">"),), label="u>0"
-    )
 
 
 def disk(radius=1):
@@ -817,29 +813,33 @@ def parse_region_file(path):
     v^2; ...) and <op> is one of <, <=, >, >=.
     """
     cons = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if tokens[0] != "poly":
-                    raise ValueError("line must start with 'poly'")
-                cmp_at = tokens.index("cmp")
-                bound_at = tokens.index("bound")
-                coeff_tokens = tokens[1:cmp_at]
-                op = tokens[cmp_at + 1]
-                bound = Fraction(tokens[bound_at + 1])
-            except (ValueError, IndexError, ZeroDivisionError) as exc:
-                raise ParseError(str(exc), lineno) from None
-            if op not in _HOLDS:
-                raise ParseError(f"unknown comparison {op!r}", lineno)
-            try:
-                poly = graded_lex_poly(coeff_tokens) - Poly2.constant(bound)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            cons.append(Constraint(poly, op))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"region file {path}: {getattr(exc, 'strerror', 'not UTF-8 text')}") from None
+    for lineno, rawline in enumerate(text.split("\n"), start=1):
+        line = rawline.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            if tokens[0] != "poly":
+                raise ValueError("line must start with 'poly'")
+            cmp_at = tokens.index("cmp")
+            bound_at = tokens.index("bound")
+            coeff_tokens = tokens[1:cmp_at]
+            op = tokens[cmp_at + 1]
+            bound = Fraction(tokens[bound_at + 1])
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ParseError(str(exc), lineno) from None
+        if op not in _HOLDS:
+            raise ParseError(f"unknown comparison {op!r}", lineno)
+        try:
+            poly = graded_lex_poly(coeff_tokens) - Poly2.constant(bound)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        cons.append(Constraint(poly, op))
     if not cons:
         raise ParseError("region file defines no constraints")
     return PolynomialRegion(tuple(cons), label=str(path))

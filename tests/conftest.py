@@ -4,7 +4,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from satotate import bundled, coeffs
+from satotate import bundled, cli, coeffs
 
 
 @pytest.fixture(autouse=True)
@@ -12,6 +12,20 @@ def _private_cache_dir(tmp_path_factory, monkeypatch):
     """A run without --cache-dir uses a fresh cache of its own: a test never
     reads the user's ~/.cache/satotate, nor writes tables built offline to it."""
     monkeypatch.setenv(coeffs.CACHE_ENV_VAR, str(tmp_path_factory.mktemp("cache")))
+
+
+def _seed(cache_dir, n_max):
+    """Seed ``cache_dir`` with the default pair through ``cli.resolve_table``,
+    as ``fetch --seed-bundled`` does."""
+    for label in (cli.RunConfig.f, cli.RunConfig.fp):
+        cli.resolve_table(label, n_max, cache_dir)
+
+
+@pytest.fixture(scope="session")
+def seed_cache():
+    """The function ``seed_cache(cache_dir, n_max)``: the one way a test
+    seeds a cache."""
+    return _seed
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +71,9 @@ class _QExpansionHandler(BaseHTTPRequestHandler):
 
 class _PayloadHandler(BaseHTTPRequestHandler):
     def do_GET(self):
-        body = self.server.payload.encode()
+        self.server.hits.append(self.path)
+        payload = self.server.payload
+        body = payload if isinstance(payload, bytes) else payload.encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -87,5 +103,6 @@ def coeff_server():
 
 @pytest.fixture()
 def payload_server():
-    """Local HTTP server answering every GET with ``server.payload``."""
+    """Local HTTP server answering every GET with ``server.payload`` (text,
+    or bytes sent as they are)."""
     yield from _serve(_PayloadHandler)

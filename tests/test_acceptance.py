@@ -54,11 +54,11 @@ class _Budget:
 
 
 @pytest.fixture(scope="module")
-def full_scale_pair(tmp_path_factory):
+def full_scale_pair(tmp_path_factory, seed_cache):
     """The weight-4/level-5 and weight-6/level-6 pair to 10^5 via a seeded
     cache, exercising the pre-fetched-cache path."""
     cache = tmp_path_factory.mktemp("cache")
-    bundled.seed_cache(cache, 10**5)
+    seed_cache(cache, 10**5)
     f = resolve_table("5.4.a.a", 10**5, cache_dir=cache, base_url="http://127.0.0.1:9")
     fp = resolve_table("6.6.a.a", 10**5, cache_dir=cache, base_url="http://127.0.0.1:9")
     return f, fp
@@ -106,7 +106,7 @@ def test_criterion_4_grid_brackets():
         cases = {
             "full": (region.full_square(), 1.0),
             "rect": (region.rect(-1, 1, -1, 1), 0.37087829731679517),
-            "half": (region.half_plane_u_positive(), 0.5),
+            "half": (region.rect(0, 2, -2, 2), 0.5),
             "disk": (region.disk(1), oracles.disk_measure(1.0)),
             "u2u2": (region.sign_product(2, 2), d_mn(2, 2)),
         }

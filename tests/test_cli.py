@@ -1,10 +1,15 @@
 
+import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satotate
 from satotate import bundled, cli, coeffs, counting, errors, measures, region
@@ -126,9 +131,34 @@ def test_measure_takes_no_grid_bracket_flags(capsys, tmp_path):
     # the grid brackets are the bracket command's; measure refuses its flags
     for flags in (["--grid-bracket"], ["--m", "16,32"]):
         with pytest.raises(SystemExit) as exc:
-            main(["--out", str(tmp_path), "measure", "--halfplane-u", *flags])
+            main(["--out", str(tmp_path), "measure", "--rect=0,2,-2,2", *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--halfplane-u", "--full-square"])
+def test_region_aliases_are_gone(capsys, tmp_path, flag):
+    # --rect=0,2,-2,2 and --rect=-2,2,-2,2 name these regions
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "measure", flag])
+    assert exc.value.code == 2
+
+
+def test_measure_seedless_lifts_the_cell_budget(capsys, tmp_path, monkeypatch):
+    budgets = []
+
+    def record(reg, target, budget="default"):
+        budgets.append(budget)
+        return measures.MeasureValue(0.5, 0.0)
+
+    monkeypatch.setattr(measures, "mu_jst_region", record)
+    for flags in ([], ["--seedless"]):
+        assert run(["--out", str(tmp_path), "measure", "--disk", *flags], capsys)[0] == 0
+    assert budgets == ["default", None]
+    # the flag is measure's own: the other commands never read it
+    with pytest.raises(SystemExit) as exc:
+        main(["--seedless", "measure", "--disk"])
+    assert exc.value.code == 2
 
 
 def test_measure_requires_region(capsys, tmp_path):
@@ -386,6 +416,40 @@ def test_fetch_seed_and_cache(tmp_path, capsys, coeff_server):
     assert len(server.hits) == 0
 
 
+def test_seeding_a_warm_cache_rewrites_nothing(tmp_path, capsys):
+    argv = ["--cache-dir", str(tmp_path), "fetch", "--seed-bundled", "--n", "30"]
+    assert run(argv, capsys)[0] == 0
+    paths = [tmp_path / "5.4.a.a.txt", tmp_path / "6.6.a.a.txt"]
+    before = [(p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in paths]
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (0, "".join(f"seeded {p}\n" for p in paths))
+    assert [(p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in paths] == before  # no rename over them
+
+
+def test_seeding_refuses_a_corrupt_cache_file(tmp_path, capsys, seed_cache):
+    # seeding is a lookup like any other: a truncated file exits 3 and stays
+    seed_cache(tmp_path, 30)
+    path = tmp_path / "6.6.a.a.txt"
+    path.write_bytes(path.read_bytes()[:-3])
+    truncated = path.read_bytes()
+    code, _, err = run(["--cache-dir", str(tmp_path), "fetch", "--seed-bundled", "--n", "30"], capsys)
+    assert code == 3 and "truncated" in err
+    assert path.read_bytes() == truncated
+
+
+def test_only_resolve_table_and_expand_write_coefficient_files():
+    # resolve_table is the cache's one writer; expand --out-file writes the
+    # file its flag names
+    callers = set()
+    for path in sorted(Path(_SRC, "satotate").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "write_coefficient_file" in ast.unparse(node.func):
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"cli.resolve_table", "cli.cmd_expand"}
+
+
 def test_fetch_label_resolves_a_bundled_table_offline(tmp_path, capsys):
     # fetch finds a table as every command does: cache, then the bundled
     # constructor, then the network, which an unreachable base_url refuses
@@ -414,8 +478,8 @@ def test_fetch_unknown_label_exit_code(tmp_path, capsys, coeff_server):
     assert code == 3
 
 
-def test_truncated_cache_file_exit_code(tmp_path, capsys):
-    bundled.seed_cache(tmp_path, 30)
+def test_truncated_cache_file_exit_code(tmp_path, capsys, seed_cache):
+    seed_cache(tmp_path, 30)
     path = tmp_path / "6.6.a.a.txt"
     path.write_bytes(path.read_bytes()[:-3])  # cut inside the last line
     code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", "30"], capsys)
@@ -423,8 +487,8 @@ def test_truncated_cache_file_exit_code(tmp_path, capsys):
     assert "line 31" in err and "truncated" in err
 
 
-def test_non_utf8_cache_file_exit_code(tmp_path, capsys):
-    bundled.seed_cache(tmp_path, 30)
+def test_non_utf8_cache_file_exit_code(tmp_path, capsys, seed_cache):
+    seed_cache(tmp_path, 30)
     path = tmp_path / "6.6.a.a.txt"
     lines = path.read_bytes().split(b"\n")
     lines[3] = lines[3] + b"\xff"
@@ -465,9 +529,9 @@ def _count_loads(monkeypatch):
     return loads
 
 
-def test_figures_on_a_seeded_cache_expands_no_eta_quotient(tmp_path, capsys, monkeypatch):
+def test_figures_on_a_seeded_cache_expands_no_eta_quotient(tmp_path, capsys, monkeypatch, seed_cache):
     cache = tmp_path / "cache"
-    bundled.seed_cache(cache, 3000)
+    seed_cache(cache, 3000)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an eta combination was expanded")
@@ -493,9 +557,9 @@ def test_short_cache_of_a_bundled_label_falls_back_to_the_constructor(tmp_path, 
     assert coeffs.load_coefficient_file(tmp_path / f"{label}.txt").raw == table.raw
 
 
-def test_offline_builds_are_written_back_to_the_cache(tmp_path, capsys, monkeypatch):
+def test_offline_builds_are_written_back_to_the_cache(tmp_path, capsys, monkeypatch, seed_cache):
     cache = tmp_path / "cache"
-    bundled.seed_cache(cache, 1000)
+    seed_cache(cache, 1000)
     _refuse_network(monkeypatch)
     argv = ["--config", _offline_config(tmp_path), "--cache-dir", str(cache), "--out", str(tmp_path)]
     code, _, err = run(argv + ["figures", "--x-max", "3000"], capsys)
@@ -526,18 +590,18 @@ def _main_leaves_out(module, argv):
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_figures_imports_no_sympy(tmp_path):
+def test_figures_imports_no_sympy(tmp_path, seed_cache):
     cache, out = tmp_path / "cache", tmp_path / "out"
-    bundled.seed_cache(cache, 3000)
+    seed_cache(cache, 3000)
     proc = _main_leaves_out("sympy", ["--cache-dir", str(cache), "--out", str(out), "figures", "--x-max", "3000"])
     assert proc.returncode == 0, proc.stderr
     assert (out / "figure2.csv").exists()
 
 
-def test_warm_cache_density_imports_no_urllib_request(tmp_path):
+def test_warm_cache_density_imports_no_urllib_request(tmp_path, seed_cache):
     # the HTTP client (http.client, ssl, email) loads only for a download
     cache, out = tmp_path / "cache", tmp_path / "out"
-    bundled.seed_cache(cache, 3000)
+    seed_cache(cache, 3000)
     argv = ["--cache-dir", str(cache), "--out", str(out), "density",
             "--f", "5.4.a.a", "--fp", "6.6.a.a", "--mn", "1,1", "--x-max", "3000"]
     proc = _main_leaves_out("urllib.request", argv)
@@ -560,10 +624,10 @@ def test_short_cache_is_read_once_on_the_way_to_the_remote(tmp_path, monkeypatch
     assert coeffs.load_coefficient_file(tmp_path / "5.4.b.b.txt").bound == 40
 
 
-def test_corrupt_cache_file_of_an_eta_form_exits_3(tmp_path, capsys, monkeypatch):
+def test_corrupt_cache_file_of_an_eta_form_exits_3(tmp_path, capsys, monkeypatch, seed_cache):
     # as for 6.6.a.a (test_truncated_cache_file_exit_code): refused, not rebuilt
     cache = tmp_path / "cache"
-    bundled.seed_cache(cache, 3000)
+    seed_cache(cache, 3000)
     path = cache / "5.4.a.a.txt"
     path.write_bytes(path.read_bytes()[:-3])  # cut inside the last line
     _refuse_network(monkeypatch)
@@ -661,12 +725,28 @@ def test_runconfig_validation(tmp_path):
         # --lift without --poly-interval, --weight or --level without --eta,
         # and --label beside --seed-bundled
         ["measure", "--disk", "--rect=-1,1,-1,1"],
-        ["bracket", "--sign-product", "2,2", "--full-square", "--m", "16"],
+        ["bracket", "--sign-product", "2,2", "--rect=-2,2,-2,2", "--m", "16"],
         ["measure", "--disk", "--interval", "0,1"],
-        ["bracket", "--halfplane-u", "--lift", "1,3", "--m", "16"],
+        ["bracket", "--rect=0,2,-2,2", "--lift", "1,3", "--m", "16"],
         ["expand", "--label", "5.4.a.a", "--n", "3", "--weight", "6", "--level", "7"],
         ["expand", "--label", "5.4.a.a", "--n", "3", "--level", "7"],
         ["fetch", "--seed-bundled", "--label", "5.4.a.a", "--n", "10"],
+        # an empty value is a given value: refused, and named by its flag
+        ["expand", "--eta", "", "--label", "5.4.a.a", "--n", "3"],
+        ["--out", "", "figures"],
+        ["--cache-dir", "", "fetch", "--label", "5.4.a.a", "--n", "3"],
+        ["--config", "", "figures"],
+        ["measure", "--rect", ""],
+        ["measure", "--sign-product", ""],
+        ["measure", "--poly-interval", ""],
+        ["expand", "--label", "", "--n", "3"],
+        ["expand", "--label", "5.4.a.a", "--n", "3", "--out-file", ""],
+        ["measure", "--disk", "--target", "1e-2", "--out-csv", ""],
+        # an output file flag that names a directory, a cache directory that
+        # is a file
+        ["expand", "--label", "5.4.a.a", "--n", "3", "--out-file", "/"],
+        ["measure", "--disk", "--target", "1e-2", "--out-csv", "."],
+        ["--cache-dir", "/dev/null", "fetch", "--label", "5.4.a.a", "--n", "3"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
@@ -674,6 +754,47 @@ def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if "" in argv:
+        assert argv[argv.index("") - 1] in err
+
+
+#: The reason given for each file that cannot be read.
+_UNREADABLE = {"missing": "No such file or directory", "directory": "Is a directory", "not-utf8": "not UTF-8 text"}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE))
+@pytest.mark.parametrize("flag, kind, code", [("--config", "config", 2), ("--region-file", "region", 3)])
+def test_a_file_that_a_flag_names_never_exits_1(tmp_path, capsys, case, flag, kind, code):
+    # a config file is a usage error (2); a region file is data, like its
+    # malformed lines (3)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    path = {"missing": tmp_path / "missing.txt", "directory": tmp_path, "not-utf8": bad}[case]
+    argv = [flag, str(path), "figures"] if flag == "--config" else ["measure", flag, str(path)]
+    code_, _, err = run(["--out", str(tmp_path), *argv], capsys)
+    assert (code_, err) == (code, f"error: {kind} file {path}: {_UNREADABLE[case]}\n")
+
+
+@pytest.mark.parametrize(
+    "value, png",
+    [("on", True), ("YES", True), ("True", True), ("1", True), ("Off", False), ("no", False), ("false", False),
+     ("0", False), ("maybe", None)],
+)
+def test_png_key_takes_only_booleans(tmp_path, value, png):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"png = {value}\n")
+    if png is None:
+        with pytest.raises(ConfigError, match="boolean png value"):
+            load_config(cfg_file)
+    else:
+        assert load_config(cfg_file).png is png
+
+
+def test_config_error_names_the_line_of_its_key(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("bogus = 1\nf = 5.4.a.a\n")
+    with pytest.raises(ConfigError, match=":1: unknown key 'bogus'"):
+        load_config(cfg_file)
 
 
 #: The exit code of each package error raised from a command through main.
@@ -764,3 +885,138 @@ def test_figures_trace_no_curves(tmp_path, capsys, pipeline_calls):
     assert run(argv, capsys)[0] == 0
     assert pipeline_calls.get("trace_boundary", 0) == 0
     assert pipeline_calls["poly_positive"] == 1  # the (2,3) dominance prediction
+
+
+# -- generated argv: every run exits 0, 2, 3 or 4 ----------------------------------------
+
+_HOSTILE = ("nan", "inf", "-inf", "-0", "", "1e400", "٣", "２", "../x")
+_GEN_LABELS = ("5.4.a.a", "6.6.a.a", "1.12.a.a", "7.4.x.y", "5.4.a.a/../../x")
+
+
+def _sometimes_hostile(good, hostile=_HOSTILE):
+    """A value of ``good``, or one draw in eight a hostile token (the last
+    choice, since Hypothesis leans towards the first)."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(hostile) if k == 7 else good)
+
+
+def _pick(*good):
+    return _sometimes_hostile(st.sampled_from(good))
+
+
+def _ints(lo, hi):
+    return _sometimes_hostile(st.integers(lo, hi).map(str))
+
+
+def _joined(part, count, sep=","):
+    """``count`` parts joined by ``sep``, now and then one too few or many."""
+    return st.lists(part, min_size=max(count - 1, 1), max_size=count + 1).map(sep.join)
+
+
+_REGION_FLAGS = ("--rect", "--sign-product", "--disk", "--poly-interval", "--region-file")
+
+#: Flags every run of a command takes, so that no default is large: the
+#: default --target is 1e-6 and the default --m reaches 128.
+_ALWAYS = {"measure": ("--target",), "bracket": ("--m",)}
+
+#: Per command, the flag sets of which a run takes one (an --n and a source
+#: for expand and fetch, a region for measure and bracket).
+_CORES = {
+    "expand": [("--n", "--eta"), ("--n", "--label")],
+    "fetch": [("--n", "--label"), ("--n", "--seed-bundled")],
+    "measure": [(flag,) for flag in _REGION_FLAGS],
+    "bracket": [(flag,) for flag in _REGION_FLAGS],
+}
+
+
+def _grammar(files):
+    """Each command's flags, a flag mapped to the strategy of its value
+    (None: the bare flag).  Sizes stay small: --n and --x-max at most
+    2000, --m at most 32, --target at least 1e-2, indices at most 4."""
+    index, label = _ints(0, 4), _pick(*_GEN_LABELS)
+    out_file = _pick(str(files["out"] / "o.txt"), "missing/dir/o.txt", ".")
+    regions = {
+        "--rect": _joined(_pick("-2", "-1", "-0.5", "0", "0.5", "1", "2"), 4),
+        "--sign-product": _joined(index, 2),
+        "--disk": st.none() | _pick("1", "0.5", "3"),
+        "--poly-interval": _joined(_pick("-1", "0", "1", "2"), 4),
+        "--interval": _joined(_pick("0", "1", "-1", "inf", "-inf"), 2),
+        "--lift": _joined(index, 2),
+        "--region-file": _pick(*map(str, (files["region"], files["missing"], files["out"], files["bad"]))),
+    }
+    pair_series = {"--f": label, "--fp": label, "--x-max": _ints(0, 2000), "--mn": _joined(_joined(index, 2), 2, ";")}
+    return {
+        "expand": {
+            "--eta": _pick("1:4,5:4", "1:24", "1:6,3:6", "2:16,1:-8", "1:12,2:1", "1:4:5"),
+            "--label": label, "--weight": _ints(-2, 12), "--level": _ints(-1, 12),
+            "--n": _ints(-3, 2000), "--out-file": out_file,
+        },
+        "fetch": {"--label": label, "--n": _ints(-3, 2000), "--seed-bundled": st.none()},
+        "measure": {**regions, "--target": _pick("1e-2", "0.05", "0.5"), "--seedless": st.none(), "--out-csv": out_file},
+        "bracket": {**regions, "--m": _joined(_ints(1, 32), 2)},
+        "density": pair_series,
+        "dominance": pair_series,
+        "figures": {k: pair_series[k] for k in ("--f", "--fp", "--x-max")},
+        # the first-sign bound 2^j is built as an integer, of j bits: j is
+        # about 1e5 at d = 1 and 3e9 at d = 3, so d stays at most 1
+        "first-sign": {
+            **pair_series,
+            "--d": _sometimes_hostile(st.sampled_from(("0.6", "1", "٠.٦")), ("nan", "inf", "-0", "", "1e400")),
+        },
+    }
+
+
+@st.composite
+def _argv(draw, files):
+    """Global flags, a command, its ``_ALWAYS`` flags, one of its cores and
+    up to two more of its flags; the cache and output directories, a core
+    and the absence of a foreign flag each fail one draw in eight."""
+    grammar = _grammar(files)
+    command = draw(st.sampled_from(sorted(grammar)))
+    argv = [
+        f"--config={files['config']}",
+        f"--cache-dir={draw(_sometimes_hostile(st.just(str(files['cache']))))}",
+        f"--out={draw(_sometimes_hostile(st.just(str(files['out']))))}",
+        command,
+    ]
+    core = draw(st.sampled_from(_CORES.get(command, [()]))) if draw(st.integers(0, 7)) < 7 else ()
+    extra = draw(st.lists(st.sampled_from(sorted(grammar[command])), max_size=2, unique=True))
+    for flag in dict.fromkeys(_ALWAYS.get(command, ()) + core + tuple(extra)):
+        value = draw(grammar[command][flag])
+        argv += [flag] if value is None else [f"{flag}={value}"]
+    if draw(st.integers(0, 7)) == 7:
+        argv.append("--bogus")  # the one foreign flag
+    return argv
+
+
+def test_generated_argv_exits_with_a_contract_code(tmp_path, seed_cache):
+    files = {
+        "cache": tmp_path / "cache", "out": tmp_path / "out", "config": tmp_path / "offline.cfg",
+        "region": tmp_path / "region.txt", "missing": tmp_path / "missing.txt", "bad": tmp_path / "bad.txt",
+    }
+    seed_cache(files["cache"], 2000)
+    files["out"].mkdir()
+    files["config"].write_text(f"base_url = {_UNREACHABLE}\nx_max = 2000\npng = off\n")
+    files["region"].write_text("poly 0 1 1 cmp > bound 0\n")
+    files["bad"].write_bytes(b"\xff\xfe")
+    work = tmp_path / "a" / "b"  # relative paths such as ../x stay inside tmp_path
+    work.mkdir(parents=True)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        argv = data.draw(_argv(files), label="argv")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        check()
+    finally:
+        os.chdir(cwd)

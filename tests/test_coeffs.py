@@ -794,46 +794,67 @@ def test_int64_field_grammar(tmp_path, capsys, field, value, wide):
 # -- remote fetch ----------------------------------------------------------------------
 
 
-def test_fetch_matches_eta(tmp_path, coeff_server):
+def test_fetch_matches_eta(tmp_path, monkeypatch, coeff_server):
+    # the client only returns the table; cli.resolve_table caches it
     server, base = coeff_server
-    table = download_table("5.4.a.a", 9, base, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    table = download_table("5.4.a.a", 9, base)
     assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
+    assert not any(tmp_path.iterdir()) and not any(coeffs.default_cache_dir().iterdir())
 
 
-def test_fetch_66_snapshot(tmp_path, coeff_server):
+def test_fetch_66_snapshot(coeff_server):
     server, base = coeff_server
-    table = download_table("6.6.a.a", 9, base, tmp_path)
+    table = download_table("6.6.a.a", 9, base)
     assert table.raw == bundled.SNAPSHOT_6_6_A_A
 
 
-def test_fetch_cache_idempotent(tmp_path, coeff_server):
-    server, base = coeff_server
-    t1 = download_table("5.4.a.a", 20, base, tmp_path)
-    hits_after_first = len(server.hits)
-    t2 = cached_table("5.4.a.a", 20, tmp_path)
-    assert len(server.hits) == hits_after_first  # warm cache: no network
-    assert t1.raw == t2.raw
+def _serve_5_4_a_a_as(payload_server, n):
+    """The server's base URL; every GET answers 5.4.a.a's first n
+    coefficients, which stand in for the unbundled 5.4.b.b of the same
+    weight and level."""
+    server, base = payload_server
+    server.payload = str(list(bundled.bundled_table("5.4.a.a", n).raw))
+    return base
 
 
-def test_fetch_unknown_label(tmp_path, coeff_server):
+def test_fetch_cache_idempotent(tmp_path, payload_server):
+    base = _serve_5_4_a_a_as(payload_server, 20)
+    t1 = cli.resolve_table("5.4.b.b", 20, tmp_path, base)
+    assert len(payload_server[0].hits) == 1
+    t2 = cli.resolve_table("5.4.b.b", 20, tmp_path, base)
+    assert len(payload_server[0].hits) == 1  # warm cache: no network
+    assert t1.raw == t2.raw == cached_table("5.4.b.b", 20, tmp_path).raw
+
+
+def test_fetch_unknown_label(coeff_server):
     server, base = coeff_server
     with pytest.raises(NotFoundError):
-        download_table("99.99.z.z", 9, base, tmp_path)
+        download_table("99.99.z.z", 9, base)
 
 
-def test_leftover_lock_file_does_not_block_fetch(tmp_path, coeff_server):
+def test_leftover_lock_file_does_not_block_fetch(tmp_path, payload_server):
     # a "<label>.txt.lock" left by a crashed writer is ignored: cache writes
     # are atomic renames and need no lock
-    server, base = coeff_server
-    (tmp_path / "5.4.a.a.txt.lock").touch()
-    table = download_table("5.4.a.a", 9, base, tmp_path, timeout=5)
+    base = _serve_5_4_a_a_as(payload_server, 9)
+    (tmp_path / "5.4.b.b.txt.lock").touch()
+    table = cli.resolve_table("5.4.b.b", 9, tmp_path, base)
     assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
-    assert load_coefficient_file(tmp_path / "5.4.a.a.txt").raw == table.raw
+    assert load_coefficient_file(tmp_path / "5.4.b.b.txt").raw == table.raw
 
 
-def test_fetch_network_error(tmp_path):
-    with pytest.raises(NetworkError):
-        download_table("5.4.a.a", 9, "http://127.0.0.1:9", tmp_path, timeout=0.5)
+def test_fetch_network_error():
+    # an unreachable host, and base URLs that are no http URL
+    for base in ("http://127.0.0.1:9", "127.0.0.1:9", "http://127.0.0.1:9/a b"):
+        with pytest.raises(NetworkError):
+            download_table("5.4.a.a", 9, base, timeout=0.5)
+
+
+def test_fetch_refuses_a_payload_that_is_not_utf8(payload_server):
+    server, base = payload_server
+    server.payload = b"[1, -4, 2\xff]"
+    with pytest.raises(ParseError, match="not an integer list"):
+        download_table("5.4.b.b", 3, base)
 
 
 @pytest.mark.parametrize(
@@ -887,8 +908,9 @@ def test_level6_reconstruction_agrees_with_snapshot():
     assert table.a_int(35) == table.a_int(5) * table.a_int(7)
 
 
-def test_seed_cache(tmp_path):
-    files = bundled.seed_cache(tmp_path, 30)
-    assert sorted(f.name for f in files) == ["5.4.a.a.txt", "6.6.a.a.txt"]
+def test_seed_cache(tmp_path, capsys):
+    # fetch --seed-bundled looks up the default pair through resolve_table
+    assert cli.main(["--cache-dir", str(tmp_path), "fetch", "--seed-bundled", "--n", "30"]) == 0
+    assert capsys.readouterr().out == f"seeded {tmp_path / '5.4.a.a.txt'}\nseeded {tmp_path / '6.6.a.a.txt'}\n"
     table = load_coefficient_file(tmp_path / "6.6.a.a.txt")
     assert table.bound == 30

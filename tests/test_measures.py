@@ -326,7 +326,7 @@ def test_reflections_of_named_regions():
     # the four leaves of a centred square are permuted by every symmetry
     assert region.rect(-1, 1, -1, 1).symmetries == (SQUARE_GROUP, ())
     assert region.rect(-1, 1, -0.5, 0.5).symmetries == ((E, FLIP_V, FLIP_U, ROT180), ())
-    assert region.half_plane_u_positive().symmetries == ((E, FLIP_V), (FLIP_U, ROT180))
+    assert region.rect(0, 2, -2, 2).symmetries == ((E, FLIP_V), (FLIP_U, ROT180))
 
 
 def test_one_uneven_leaf_anywhere_stops_the_fold_on_its_axis():
@@ -350,7 +350,7 @@ def test_one_uneven_leaf_anywhere_stops_the_fold_on_its_axis():
         lambda: region.region_from_poly_interval(V_MINUS_U, Interval(0, math.inf), 1, 3),
         lambda: region.sign_product(1, 1),
         lambda: region.sign_product(3, 2),
-        region.half_plane_u_positive,
+        lambda: region.rect(0, 2, -2, 2),
     ],
     ids=["dominance(2,2)", "dominance(4,4)", "dominance(1,3)", "cubic", "sign(1,1)", "sign(3,2)", "u>0"],
 )

@@ -36,7 +36,6 @@ from satotate.region import (
     disk,
     error_envelope,
     full_square,
-    half_plane_u_positive,
     m_of_x,
     parse_region_file,
     poly_positive,
@@ -52,7 +51,7 @@ import oracles
 REGIONS = {
     "full": (full_square, lambda: 1.0),
     "rect": (lambda: rect(-1, 1, -1, 1), lambda: 0.37087829731679517),
-    "half": (half_plane_u_positive, lambda: 0.5),
+    "half": (lambda: rect(0, 2, -2, 2), lambda: 0.5),
     "disk": (lambda: disk(1), lambda: oracles.disk_measure(1.0)),
     "u2u2": (lambda: sign_product(2, 2), lambda: d_mn(2, 2)),
 }
@@ -108,7 +107,7 @@ def test_classify_full_square():
 
 
 def test_classify_halfplane_m2():
-    approx = classify_boxes(half_plane_u_positive(), 2)
+    approx = classify_boxes(rect(0, 2, -2, 2), 2)
     # the strip containing u = 0 is undecided; the right strip is interior
     assert (approx.status == 1).sum() == 2
     assert approx.boundary_count == 2
@@ -269,7 +268,7 @@ def test_degenerate_constraint_rejected():
 
 def test_boundary_bound_halfplane_linear_growth():
     for m in (8, 16, 32, 64):
-        approx = classify_boxes(half_plane_u_positive(), m)
+        approx = classify_boxes(rect(0, 2, -2, 2), m)
         ratio = approx.boundary_count / m
         assert 0.5 <= ratio <= 4.0
 
@@ -294,7 +293,7 @@ def test_disk_radius_must_be_finite_and_positive(radius):
 
 
 def test_strip_merge_halfplane():
-    merge = strip_merge(classify_boxes(half_plane_u_positive(), 32))
+    merge = strip_merge(classify_boxes(rect(0, 2, -2, 2), 32))
     assert merge.per_strip_counts.max() <= 1
 
 
