@@ -264,8 +264,10 @@ class Poly2:
                 lo += cf * thi
                 hi += cf * tlo
             mag += abs(cf) * p_abs * q_abs
-        pad = _IV_PAD * mag + 1e-300
-        return lo - pad, hi + pad
+        pad = np.add(np.multiply(_IV_PAD, mag, out=mag), 1e-300, out=mag)
+        lo -= pad
+        hi += pad
+        return lo, hi
 
     def interval_eval_grid(self, u_edges, v_edges):
         """Enclosures over every box of a tensor grid.
@@ -306,20 +308,21 @@ class Poly2:
         nlo, nhi = self._interval_eval(u_pows, v_pows)
         if not (self.depends_on_u() or self.depends_on_v()):
             return nlo, nhi
-        u_lo, u_hi, v_lo, v_hi = u_pows.lo, u_pows.hi, v_pows.lo, v_pows.hi
-        uc, vc = 0.5 * (u_lo + u_hi), 0.5 * (v_lo + v_hi)
-        fc = self.eval_float(uc, vc)
+        # the arrays of the box's shape are updated in place where the
+        # arithmetic allows, so fewer of them are live at once
+        uc, vc = 0.5 * (u_pows.lo + u_pows.hi), 0.5 * (v_pows.lo + v_pows.hi)
+        fc = np.asarray(self.eval_float(uc, vc))
         rad = _IV_PAD * self.eval_abs_float(np.abs(uc), np.abs(vc)) + 1e-300
-        hu, hv = 0.5 * (u_hi - u_lo), 0.5 * (v_hi - v_lo)
-        du = self.derivative("u")
-        if not du.is_zero:
-            dlo, dhi = du._interval_eval(u_pows, v_pows)
-            rad = rad + np.maximum(np.abs(dlo), np.abs(dhi)) * hu
-        dv = self.derivative("v")
-        if not dv.is_zero:
-            dlo, dhi = dv._interval_eval(u_pows, v_pows)
-            rad = rad + np.maximum(np.abs(dlo), np.abs(dhi)) * hv
-        return np.maximum(nlo, fc - rad), np.minimum(nhi, fc + rad)
+        del uc, vc
+        for axis, pows in (("u", u_pows), ("v", v_pows)):
+            d = self.derivative(axis)
+            if not d.is_zero:
+                dlo, dhi = d._interval_eval(u_pows, v_pows)
+                slope = np.maximum(np.abs(dlo, out=dlo), np.abs(dhi, out=dhi), out=dlo)
+                del dhi
+                rad += slope * (0.5 * (pows.hi - pows.lo))
+        lo = np.maximum(nlo, np.subtract(fc, rad), out=nlo)
+        return lo, np.minimum(nhi, np.add(fc, rad, out=fc), out=nhi)
 
 
 class _Powers(dict):

@@ -76,6 +76,15 @@ def _output_file(path, flag):
     return file
 
 
+def _derived_file(out, name):
+    """The output file ``name`` of the --out directory; refused when a
+    directory stands in its place."""
+    file = Path(out) / name
+    if file.is_dir():
+        raise ConfigError(f"output file {file}: Is a directory")
+    return file
+
+
 def _n_max(args):
     """The --n of expand and fetch, checked before any work: a table past
     the sieve's bound could never be checked on ingest."""
@@ -328,7 +337,7 @@ def _series_commands(cfg, args, kind):
     for m, n in pairs:
         rep = builder(*frame.tables, m, n, checkpoints)
         stem = f"{kind}_{m}_{n}"
-        rep.write_csv(out / f"{stem}.csv")
+        rep.write_csv(_derived_file(out, f"{stem}.csv"))
         final = rep.final()
         print(
             f"{kind} ({m},{n}): final empirical {final.emp_density:.4f} "
@@ -337,7 +346,7 @@ def _series_commands(cfg, args, kind):
         if cfg.png:
             xs = [r.x for r in rep.rows]
             series = [charts.Series(f"({m},{n})", tuple(r.emp_density for r in rep.rows), final.pred_density)]
-            charts.render_png(out / f"{stem}.png", xs, series, f"{kind} ({m},{n})", "x", "density")
+            charts.render_png(_derived_file(out, f"{stem}.png"), xs, series, f"{kind} ({m},{n})", "x", "density")
     return 0
 
 
@@ -362,10 +371,10 @@ def cmd_figures(cfg, args):
             series.append(charts.Series(f"({m},{n})", emp, pred))
         xs = [r[0] for r in rows]
         pi_xs = [r[1] for r in rows]
-        charts.write_multi_series_csv(out / f"{name}.csv", xs, pi_xs, columns)
-        charts.render_svg(out / f"{name}.svg", xs, series, title, "x", "density")
+        charts.write_multi_series_csv(_derived_file(out, f"{name}.csv"), xs, pi_xs, columns)
+        charts.render_svg(_derived_file(out, f"{name}.svg"), xs, series, title, "x", "density")
         if cfg.png:
-            charts.render_png(out / f"{name}.png", xs, series, title, "x", "density")
+            charts.render_png(_derived_file(out, f"{name}.png"), xs, series, title, "x", "density")
         print(f"{name}: wrote {out / (name + '.csv')} and {out / (name + '.svg')}")
 
     emit(
@@ -400,13 +409,10 @@ def cmd_first_sign(cfg, args):
                 print(f"({m},{n}) {rule}: no sign change up to {res.searched_bound}")
         if args.d is not None:
             df, dfp = table_f.descriptor, table_fp.descriptor
-            bound = counting.theoretical_first_sign_bound(
+            j = counting.theoretical_first_sign_bound(
                 m, n, df.weight, dfp.weight, df.level, dfp.level, args.d
             )
-            print(
-                f"({m},{n}) doubling-grid theoretical bound with d={args.d}: "
-                f"x = 2^{bound.bit_length() - 1}"
-            )
+            print(f"({m},{n}) doubling-grid theoretical bound with d={args.d}: x = 2^{j}")
     return 0
 
 
@@ -429,7 +435,7 @@ def cmd_bracket(cfg, args):
             f"{m_res},{approx.mu_low:.12g},{approx.mu_high:.12g},{width:.12g},"
             f"{n_obs},{bound:.12g},{strips}"
         )
-    (out / f"bracket_{reg.label.replace('/', '_')}.csv").write_text("\n".join(rows) + "\n", "utf-8")
+    _derived_file(out, f"bracket_{reg.label.replace('/', '_')}.csv").write_text("\n".join(rows) + "\n", "utf-8")
     return 0
 
 

@@ -677,11 +677,15 @@ def _truncate_table(table, n_max):
 
 def cached_table(label, n_max, cache_dir):
     """The cached table of ``label`` cut to n_max, or None when the cache
-    file is missing or shorter.  A corrupt file raises, as on any load."""
+    file is missing or shorter.  A corrupt file raises, as on any load, and
+    so does one that cannot be read (a ParseError, exit 3)."""
     cache_file = Path(cache_dir) / f"{label}.txt"
     if not cache_file.exists():
         return None
-    table = load_coefficient_file(cache_file)
+    try:
+        table = load_coefficient_file(cache_file)
+    except OSError as exc:  # a directory in the file's place, no permission
+        raise ParseError(f"cache file {cache_file}: {exc.strerror}") from None
     return _truncate_table(table, n_max) if table.bound >= n_max else None
 
 

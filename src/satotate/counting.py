@@ -479,13 +479,13 @@ def first_sign_change(table_f, table_fp, m, n, exclusion="AllPrimes", search_bou
 
 
 def theoretical_first_sign_bound(m, n, k, k_prime, level, level_prime, d):
-    """Smallest x = 2^j with (1 - d_{m,n}) * sqrt(M(x)) > d.
+    """Smallest j such that x = 2^j satisfies (1 - d_{m,n}) * sqrt(M(x)) > d.
 
     This is the doubling-grid solution of the inequality whose first success
     witnesses a sign change: past it, the guaranteed count of primes with a
-    negative product is positive.  Returned as an exact integer power of two
-    (the solution grows like exp(const * (log kk'NN')^2) and can exceed
-    float range).
+    negative product is positive.  Returned as the exponent j: the solution
+    grows like exp(const * (log kk'NN')^2), so x itself leaves float range,
+    and as an integer it would take 364 Mbit for 1.12.a.a at d = 2.5.
     """
     if not 0 < d < math.inf:  # NaN fails this too
         raise DomainError(f"the envelope constant d must be finite and positive, got {d}")
@@ -510,4 +510,4 @@ def theoretical_first_sign_bound(m, n, k, k_prime, level, level_prime, d):
             hi_j = mid
         else:
             lo_j = mid
-    return 2**hi_j
+    return hi_j

@@ -239,11 +239,10 @@ def mu_jst_region(region, target_abs_error, budget=10_000_000):
     return _quadtree_bracket(region, target_abs_error, budget)
 
 
-#: cells per block in leaf_statuses and _polish_cells.  A float64 row of a
-#: block is 128 KiB, so a block's temporaries stay in cache and their memory
-#: is reused from block to block instead of being touched fresh: a sweep
-#: over 2^12..2^16 found the disk at 1e-5 fastest, with half the page faults,
-#: at 2^13..2^14, and the (2,3) prediction at 1e-3 slower below 2^14
+#: boxes per block in leaf_statuses.  A float64 row of a block is 128 KiB,
+#: so a block's temporaries stay in cache and their memory is reused from
+#: block to block instead of being touched fresh: a sweep over 2^12..2^16
+#: found the disk at 1e-5 fastest, with half the page faults, at 2^13..2^14
 _CELL_BLOCK = 1 << 14
 
 
@@ -449,15 +448,35 @@ def _real_roots_batched(coeff_rows):
     return out
 
 
+#: cells per block in _polish_cells's estimates, whose rows are a few times
+#: wider than a classification's: 2^12 keeps a block's temporaries near the
+#: size of a classification block's
+_POLISH_BLOCK = 1 << 12
+
+
 def _section_roots(poly, u_nodes):
     """Real roots in v of poly(u0, v) at each node u0, as _real_roots_batched.
 
-    The cells of one t-column share both Gauss nodes, so each section is
-    solved once per distinct node and its roots are indexed back to the
-    cells.  Identical nodes give identical roots, so only the work changes.
+    Cells of one t-column share both Gauss nodes, so each distinct node is
+    solved once, in chunks of _POLISH_BLOCK nodes that keep the companion
+    stacks small, and its roots are indexed back to the nodes.  A node's
+    roots do not depend on the other rows of its chunk, and identical nodes
+    give identical roots, so only the work changes.
     """
     nodes, back = np.unique(u_nodes, return_inverse=True)
-    return _real_roots_batched(poly.v_coefficients_at(nodes)).take(back, axis=0)
+    roots = np.concatenate([
+        _real_roots_batched(poly.v_coefficients_at(nodes[at : at + _POLISH_BLOCK]))
+        for at in range(0, nodes.size, _POLISH_BLOCK)
+    ])
+    return roots.take(back, axis=0)
+
+
+def _gauss_angles(t_lo, t_hi):
+    """Half-widths of the angle intervals [t_lo, t_hi], and their two Gauss
+    angles as rows (node, interval)."""
+    half = 0.5 * (t_hi - t_lo)
+    mid = 0.5 * (t_lo + t_hi)
+    return half, np.stack([mid + half * x for x in _GL2_NODES])
 
 
 def _polish_cells(region, t_lo, t_hi, s_lo, s_hi, weight):
@@ -468,47 +487,48 @@ def _polish_cells(region, t_lo, t_hi, s_lo, s_hi, weight):
     coordinate is resolved exactly by polynomial root isolation, and the
     member sub-intervals are measured with the exact antiderivative.  Each
     cell estimate is clipped to [0, cell mass], so the overall value cannot
-    leave the certified bracket.  The bounds are _angle_ends records; cells
-    are estimated in blocks of _CELL_BLOCK and summed once.  Within a block,
-    each section is solved once per distinct node (see _section_roots).
+    leave the certified bracket.  The bounds are _angle_ends records.  The
+    sections at all the cells' nodes are solved first, once per leaf
+    polynomial (see _section_roots); the cells are then estimated from
+    those roots in blocks of _POLISH_BLOCK and summed once.
     """
     polys = []
     for leaf in region.leaves:
         if leaf.poly not in polys and leaf.poly.degree_v() >= 1:
             polys.append(leaf.poly)
+    # the root tables have rows (node, cell); a block recomputes its nodes
+    # rather than the level holding them
+    u_nodes = 2.0 * np.cos(_gauss_angles(t_lo[0], t_hi[0])[1])
+    roots = [_section_roots(p, u_nodes.ravel()).reshape(*u_nodes.shape, -1) for p in polys]
+    del u_nodes
     estimates = np.concatenate([
-        _polish_block(region, polys, *(ends[:, at : at + _CELL_BLOCK] for ends in (t_lo, t_hi, s_lo, s_hi)))
-        for at in range(0, t_lo.shape[1], _CELL_BLOCK)
+        _polish_block(region, t_lo[0][b], t_hi[0][b], [r[:, b] for r in roots], s_hi[1][b], s_lo[1][b])
+        for b in (slice(at, at + _POLISH_BLOCK) for at in range(0, t_lo.shape[1], _POLISH_BLOCK))
     ])
     cell_mass = (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
     return float((weight * np.clip(estimates, 0.0, cell_mass)).sum())
 
 
-def _polish_block(region, polys, t_lo, t_hi, s_lo, s_hi):
-    """Unclipped estimates for a block of cells; ``polys`` are the distinct
-    leaf polynomials that involve v.  The two Gauss nodes of a cell are those
-    of its whole t-column, so each section is solved once per distinct node
-    and its roots are indexed back to the cells."""
-    t1, t2 = t_lo[0], t_hi[0]
-    half = 0.5 * (t2 - t1)
-    mid = 0.5 * (t1 + t2)
-    thetas = np.concatenate([mid + half * x for x in _GL2_NODES])
+def _polish_block(region, t_lo, t_hi, roots, v_lo, v_hi):
+    """Unclipped estimates for a block of cells [t_lo, t_hi] x [v_lo, v_hi]
+    in (angle, v).  Each of ``roots`` has rows (node, cell) and holds along
+    its last axis the real roots in v of one leaf polynomial's sections at
+    the cells' Gauss nodes (_section_roots).  A region in the quadtree has
+    a leaf in both variables, so ``roots`` is never empty."""
+    half, thetas = _gauss_angles(t_lo, t_hi)
+    thetas = thetas.ravel()
     u_nodes = 2.0 * np.cos(thetas)
-    n_cells = t1.size
-    v_lo = np.concatenate([s_hi[1], s_hi[1]])[:, None]
-    v_hi = np.concatenate([s_lo[1], s_lo[1]])[:, None]
-    if polys:
-        roots = np.concatenate([_section_roots(p, u_nodes) for p in polys], axis=1)
-        # a root outside the section, or missing (NaN), becomes v_hi: it
-        # leaves trailing zero-length segments of mass exactly +0.0
-        roots = np.where((roots > v_lo) & (roots < v_hi), roots, v_hi)
-        if roots.shape[1] == 2:
-            roots = np.stack([np.minimum(roots[:, 0], roots[:, 1]), np.maximum(roots[:, 0], roots[:, 1])], axis=1)
-        else:
-            roots.sort(axis=1)
-        breaks = np.concatenate([v_lo, roots, v_hi], axis=1)
+    roots = np.concatenate([r.reshape(thetas.size, -1) for r in roots], axis=1)
+    v_lo = np.concatenate([v_lo, v_lo])[:, None]
+    v_hi = np.concatenate([v_hi, v_hi])[:, None]
+    # a root outside the section, or missing (NaN), becomes v_hi: it
+    # leaves trailing zero-length segments of mass exactly +0.0
+    roots = np.where((roots > v_lo) & (roots < v_hi), roots, v_hi)
+    if roots.shape[1] == 2:
+        roots = np.stack([np.minimum(roots[:, 0], roots[:, 1]), np.maximum(roots[:, 0], roots[:, 1])], axis=1)
     else:
-        breaks = np.concatenate([v_lo, v_hi], axis=1)
+        roots.sort(axis=1)
+    breaks = np.concatenate([v_lo, roots, v_hi], axis=1)
     mids = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
     member = region.contains_many(np.broadcast_to(u_nodes[:, None], mids.shape), mids)
     f = st_antiderivative(breaks)
@@ -516,4 +536,4 @@ def _polish_block(region, polys, t_lo, t_hi, s_lo, s_hi):
     node_mass = np.where(member, seg, 0.0).sum(axis=1)
     density = (2.0 / math.pi) * np.sin(thetas) ** 2
     weighted = density * node_mass
-    return half * (weighted[:n_cells] + weighted[n_cells:])
+    return half * (weighted[: half.size] + weighted[half.size :])

@@ -185,13 +185,13 @@ def test_criterion_8_first_sign_change(full_scale_pair):
         res_ex = first_sign_change(f, fp, 1, 1, "ExcludeLevelPrimes", search_bound=10**4)
         assert res_ex.found and res_ex.prime <= 100
         assert res_ex.prime == 11  # frozen regression value from the first scan
-        x = theoretical_first_sign_bound(2, 2, 4, 6, 5, 6, 0.6)
+        j = theoretical_first_sign_bound(2, 2, 4, 6, 5, 6, 0.6)
 
         def satisfied(xx):
             mv = m_of_x(xx, 4 * 6 * 5 * 6)
             return (1 - d_mn(2, 2)) * math.sqrt(mv) > 0.6
 
-        assert satisfied(x) and not satisfied(x // 2)
+        assert satisfied(2**j) and not satisfied(2 ** (j - 1))
 
 
 def test_criterion_9_error_envelopes():

@@ -775,6 +775,30 @@ def test_a_file_that_a_flag_names_never_exits_1(tmp_path, capsys, case, flag, ki
     assert (code_, err) == (code, f"error: {kind} file {path}: {_UNREADABLE[case]}\n")
 
 
+def test_a_directory_in_place_of_a_cache_file_is_a_data_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    (cache / "5.4.a.a.txt").mkdir(parents=True)
+    code, _, err = run(["--cache-dir", str(cache), "fetch", "--label", "5.4.a.a", "--n", "30"], capsys)
+    assert (code, err) == (3, f"error: cache file {cache / '5.4.a.a.txt'}: Is a directory\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["figures", "--x-max", "300"], "figure1.csv"),
+        (["bracket", "--disk", "--m", "8"], "bracket_disk(r=1.0).csv"),
+    ],
+)
+def test_a_directory_in_place_of_an_output_file_is_a_usage_error(tmp_path, capsys, seed_cache, argv, name):
+    # the files that the commands name inside --out, as --out-file and
+    # --out-csv are refused when they name a directory
+    seed_cache(tmp_path / "cache", 300)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code, _, err = run(["--cache-dir", str(tmp_path / "cache"), "--out", str(out), *argv], capsys)
+    assert (code, err) == (2, f"error: output file {out / name}: Is a directory\n")
+
+
 @pytest.mark.parametrize(
     "value, png",
     [("on", True), ("YES", True), ("True", True), ("1", True), ("Off", False), ("no", False), ("false", False),
@@ -956,11 +980,11 @@ def _grammar(files):
         "density": pair_series,
         "dominance": pair_series,
         "figures": {k: pair_series[k] for k in ("--f", "--fp", "--x-max")},
-        # the first-sign bound 2^j is built as an integer, of j bits: j is
-        # about 1e5 at d = 1 and 3e9 at d = 3, so d stays at most 1
+        # the first-sign bound x = 2^j is solved for j alone, which is
+        # about 1e5 at d = 1 and 3e9 at d = 3
         "first-sign": {
             **pair_series,
-            "--d": _sometimes_hostile(st.sampled_from(("0.6", "1", "٠.٦")), ("nan", "inf", "-0", "", "1e400")),
+            "--d": _sometimes_hostile(st.sampled_from(("0.6", "1", "3", "٠.٦")), ("nan", "inf", "-0", "", "1e400")),
         },
     }
 

@@ -277,7 +277,7 @@ def test_level6_newform_bound_build_equals_l1_build(n_max):
 def test_products_start_from_their_two_costliest_passes(monkeypatch, label, dense_passes):
     # each primitive product starts from the exact product of two
     # multiplying passes, so only the rest run densely: eta(z)^4 eta(5z)^4
-    # 4 -> 2; eta(z)^6 eta(3z)^6 4 -> 2 and eta(z)^5 eta(2z)^5 eta(3z) eta(6z)
+    # 4 -> 2; eta(z)^6 eta(3z)^6 4 -> 2 and eta(z) eta(2z) eta(3z)^5 eta(6z)^5
     # 8 -> 6; eta(z)^24 8 -> 6
     calls, real = [], coeffs._apply_sparse
 

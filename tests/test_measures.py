@@ -285,10 +285,13 @@ def test_poly_positive_symmetric_is_half():
 )
 def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build, target):
     # the deepest levels (174,763 disk cells, 26,940 of the (2,3) region)
-    # span several blocks of 2^10 and 2^14, and the disk's several of 2^16
+    # span several blocks of 2^10 and 2^14, and the disk's several of 2^16;
+    # the polished cells (87,382 and 13,467) span several polish blocks of
+    # 2^10 and 2^12, and one of 2^17; _section_roots solves their distinct
+    # nodes in chunks of the same size
     real = measures.leaf_statuses
     runs = set()
-    for block in (1 << 10, 1 << 14, 1 << 16):
+    for block, polish_block in ((1 << 10, 1 << 12), (1 << 14, 1 << 10), (1 << 14, 1 << 12), (1 << 16, 1 << 17)):
         sizes = []
 
         def spy(leaves, u_lo, u_hi, v_lo, v_hi):
@@ -296,6 +299,7 @@ def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build, targe
             return real(leaves, u_lo, u_hi, v_lo, v_hi)
 
         monkeypatch.setattr(measures, "_CELL_BLOCK", block)
+        monkeypatch.setattr(measures, "_POLISH_BLOCK", polish_block)
         monkeypatch.setattr(measures, "leaf_statuses", spy)
         mv = mu_jst_region(build(), target)
         assert max(sizes) > 1 << 14
@@ -546,13 +550,20 @@ def test_polished_measure_is_bit_identical_to_ungrouped_polish(monkeypatch, buil
 
 
 @pytest.mark.parametrize(
-    "reg",
-    [region.disk(1), region.poly_positive(V_MINUS_U, 2, 4)],
-    ids=["disk(1)", "dominance(2,4)"],
+    "reg, target",
+    [
+        (region.disk(1), 1e-4),
+        (region.poly_positive(V_MINUS_U, 2, 3), 1e-3),
+        (region.poly_positive(V_MINUS_U, 2, 4), 1e-3),
+    ],
+    ids=["disk(1)", "dominance(2,3)", "dominance(2,4)"],
 )
-def test_sections_are_solved_once_per_node(monkeypatch, reg):
-    # the disk's sections are quadratic; those of (2,4), U_4(v/2) - U_2(u/2),
-    # are quartic in v, so their roots take companion eigenvalues
+def test_sections_are_solved_once_per_node(monkeypatch, reg, target):
+    # the disk's sections are quadratic; those of (2,3) and (2,4),
+    # U_n(v/2) - U_2(u/2), cubic and quartic in v, so their roots take
+    # companion eigenvalues.  Blocks of 2^10 split the 10,923, 13,467 and
+    # 8,689 polished cells, and the cells of one t-column, over several
+    # blocks: a node is still solved once in all of them
     calls = []
     real = Poly2.v_coefficients_at
 
@@ -560,8 +571,10 @@ def test_sections_are_solved_once_per_node(monkeypatch, reg):
         calls.append(np.asarray(u_values))
         return real(self, u_values)
 
+    monkeypatch.setattr(measures, "_CELL_BLOCK", 1 << 10)
+    monkeypatch.setattr(measures, "_POLISH_BLOCK", 1 << 10)
     monkeypatch.setattr(Poly2, "v_coefficients_at", spy)
-    mu_jst_region(reg, 1e-3)
-    assert calls
-    for nodes in calls:
-        assert nodes.ndim == 1 and np.unique(nodes).size == nodes.size
+    mu_jst_region(reg, target)
+    assert calls and all(nodes.ndim == 1 for nodes in calls)
+    nodes = np.concatenate(calls)
+    assert np.unique(nodes).size == nodes.size
