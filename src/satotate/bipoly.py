@@ -247,8 +247,8 @@ class Poly2:
         hi = np.zeros(shape)
         mag = np.zeros(shape)
         for (i, j), c in self.coeffs.items():
-            plo, phi, p_abs = u_pows[i]
-            qlo, qhi, q_abs = v_pows[j]
+            plo, phi = u_pows[i]
+            qlo, qhi = v_pows[j]
             # a factor [1, 1] leaves the other unchanged: skip the product
             if i == 0:
                 tlo, thi = qlo, qhi
@@ -263,7 +263,7 @@ class Poly2:
             else:
                 lo += cf * thi
                 hi += cf * tlo
-            mag += abs(cf) * p_abs * q_abs
+            mag += abs(cf) * u_pows.abs_power(i) * v_pows.abs_power(j)
         pad = np.add(np.multiply(_IV_PAD, mag, out=mag), 1e-300, out=mag)
         lo -= pad
         hi += pad
@@ -309,7 +309,12 @@ class Poly2:
         if not (self.depends_on_u() or self.depends_on_v()):
             return nlo, nhi
         # the arrays of the box's shape are updated in place where the
-        # arithmetic allows, so fewer of them are live at once
+        # arithmetic allows, and the powers that no derivative uses are
+        # dropped, so fewer of them are live at once
+        terms = [key for axis in "uv" for key in self.derivative(axis).coeffs]
+        for pows, used in ((u_pows, {i for i, _ in terms}), (v_pows, {j for _, j in terms})):
+            for k in set(pows) - used - {0}:
+                del pows[k]
         uc, vc = 0.5 * (u_pows.lo + u_pows.hi), 0.5 * (v_pows.lo + v_pows.hi)
         fc = np.asarray(self.eval_float(uc, vc))
         rad = _IV_PAD * self.eval_abs_float(np.abs(uc), np.abs(vc)) + 1e-300
@@ -326,18 +331,23 @@ class Poly2:
 
 
 class _Powers(dict):
-    """Per-exponent cache of (lo, hi, max |x|^k) over the intervals [lo, hi];
-    shared by a polynomial and its derivatives over the same boxes."""
+    """Per-exponent cache of the enclosures (lo, hi) of x^k over the
+    intervals [lo, hi]; shared by a polynomial and its derivatives over the
+    same boxes.  max |x|^k, which only pads a sum, is not cached."""
 
     def __init__(self, lo, hi):
-        super().__init__({0: (1.0, 1.0, 1.0)})
+        super().__init__({0: (1.0, 1.0)})
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         self.abs = np.maximum(np.abs(self.lo), np.abs(self.hi))
 
     def __missing__(self, k):
-        self[k] = (*_pow_interval(self.lo, self.hi, k), self.abs**k)
+        self[k] = _pow_interval(self.lo, self.hi, k)
         return self[k]
+
+    def abs_power(self, k):
+        """max |x|^k over each interval."""
+        return 1.0 if k == 0 else self.abs**k
 
 
 def _pow_interval(lo, hi, k):

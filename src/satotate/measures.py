@@ -87,9 +87,16 @@ def st_antiderivative(u):
 
     Accepts scalars or arrays; arguments are clipped to [-2, 2].
     """
-    u_arr = np.clip(np.asarray(u, dtype=float), -2.0, 2.0)
-    val = (0.5 * u_arr * np.sqrt(4.0 - u_arr**2) + 2.0 * np.arcsin(0.5 * u_arr)) / (2.0 * math.pi)
-    return float(val) if val.shape == () else val
+    u = np.asarray(u, dtype=float)
+    # (0.5 u sqrt(4 - u^2) + 2 arcsin(0.5 u)) / (2 pi), evaluated in the
+    # same order in two arrays of u's shape
+    x = np.clip(u, -2.0, 2.0, out=np.empty(u.shape))
+    half = np.multiply(x, 0.5, out=np.empty(u.shape))
+    np.sqrt(np.subtract(4.0, np.square(x, out=x), out=x), out=x)
+    x *= half
+    x += np.multiply(np.arcsin(half, out=half), 2.0, out=half)
+    x /= 2.0 * math.pi
+    return float(x) if x.shape == () else x
 
 
 #: scale of the reference antiderivative: integers in units of 2^-_REF_BITS
@@ -332,10 +339,15 @@ def _angle_ends(t):
 
 
 def _quadtree_bracket(region, target, budget):
-    # a cell is [t_lo, t_hi] x [s_lo, s_hi] in the angles; each bound is an
-    # _angle_ends record, computed once where the bound first appears and
-    # carried to the children.  The cell maps to the (u, v) box
-    # [2 cos t_hi, 2 cos t_lo] x [2 cos s_hi, 2 cos s_lo], as cos decreases.
+    # a cell is [t_lo, t_hi] x [s_lo, s_hi] in the angles, and maps to the
+    # (u, v) box [2 cos t_hi, 2 cos t_lo] x [2 cos s_hi, 2 cos s_lo], as cos
+    # decreases.  The cells of a level all have one width, so each axis keeps
+    # an edge store: the _angle_ends records of the distinct edges of the
+    # level's cells, ascending, each computed once where the edge first
+    # appears.  A cell holds the store index t of its lower edge in each axis
+    # (int32); its upper edge is t + 1, since no edge of the level lies
+    # strictly inside it.  With the stabiliser byte below that is 9 bytes a
+    # cell (a linear quadtree: Gargantini, CACM 25(12), 1982).
     # The region's stabiliser H (its fixing symmetries) maps the cells of a
     # level onto one another and preserves the measure, so one cell of each
     # H-orbit is kept, its masses weighted by the orbit size |H| / |H_c|:
@@ -350,42 +362,56 @@ def _quadtree_bracket(region, target, budget):
     drops = [sum(1 << k for k, perm in enumerate(quadrants) if perm[q] < q) for q in range(4)]
     orbit_size = np.array([len(fixing) / (1 + bin(h).count("1")) for h in range(1 << len(quadrants))])
     stab = np.array([(1 << len(quadrants)) - 1], dtype=np.uint8)
-    t_lo, t_hi = _angle_ends(np.array([0.0])), _angle_ends(np.array([math.pi]))
-    s_lo, s_hi = t_lo, t_hi
+    t_ends = s_ends = _angle_ends(np.array([0.0, math.pi]))
+    t = s = np.zeros(1, dtype=np.int32)
     inside = 0.0
     processed = 0
     for _ in range(_MAX_DEPTH):
-        statuses = leaf_statuses(region.leaves, t_hi[1], t_lo[1], s_hi[1], s_lo[1])
-        tree = region.tree_status(statuses, t_lo.shape[1:])
-        mass = orbit_size.take(stab) * (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
+        statuses = leaf_statuses(region.leaves, *_cell_bounds(t_ends, t), *_cell_bounds(s_ends, s))
+        tree = region.tree_status(statuses, t.shape)
+        del statuses
+        mass = orbit_size.take(stab) * np.diff(t_ends[2]).take(t) * np.diff(s_ends[2]).take(s)
         processed += tree.size
         # index arrays: take() gathers far faster than boolean masks
         inside += float(mass.take(np.flatnonzero(tree == 1)).sum())
         unk = np.flatnonzero(tree == 0)
         und = float(mass.take(unk).sum())
-        t_lo, t_hi, s_lo, s_hi = (ends.take(unk, axis=1) for ends in (t_lo, t_hi, s_lo, s_hi))
-        stab = stab.take(unk)
-        wide = (t_hi[0] - t_lo[0] > _MIN_WIDTH) | (s_hi[0] - s_lo[0] > _MIN_WIDTH)
-        if und <= target or not wide.any():
+        del mass, tree
+        t_unk, s_unk = t.take(unk), s.take(unk)
+        wide = any((np.diff(e[0]) > _MIN_WIDTH).take(a).any() for e, a in ((t_ends, t_unk), (s_ends, s_unk)))
+        if und <= target or not wide:
             break
         # children q = di + 2*dj, quadrant-major; the parents whose quadrant
         # q child is kept, None where that is every parent
-        kept = [None if not (stab & d).any() else np.flatnonzero((stab & d) == 0) for d in drops]
-        children = sum(stab.size if k is None else k.size for k in kept)
+        stab_unk = stab.take(unk)
+        kept = [None if not (stab_unk & d).any() else np.flatnonzero((stab_unk & d) == 0) for d in drops]
+        children = sum(unk.size if k is None else k.size for k in kept)
         if budget is not None and processed + children > budget:
             raise BudgetError(
                 f"cell budget {budget} exhausted at certified error {und:.3e} "
                 f"(target {target:.3e})"
             )
-        t_mid = _angle_ends(0.5 * (t_lo[0] + t_hi[0]))
-        s_mid = _angle_ends(0.5 * (s_lo[0] + s_hi[0]))
-        t_lo, t_hi = _children(kept, t_lo, t_mid, t_lo, t_mid), _children(kept, t_mid, t_hi, t_mid, t_hi)
-        s_lo, s_hi = _children(kept, s_lo, s_lo, s_mid, s_mid), _children(kept, s_mid, s_mid, s_hi, s_hi)
-        stab = _children(kept, *(stab & s for s in stays))
-    if t_lo.shape[1]:
-        estimate = _polish_cells(region, t_lo, t_hi, s_lo, s_hi, orbit_size.take(stab))
+        (t_ends, t_at), (s_ends, s_at) = _split_edges(t_ends, t_unk), _split_edges(s_ends, s_unk)
+        del t_unk, s_unk
+        # each quadrant's children, gathered straight from the level's
+        # arrays at the parents that keep them; child q = di + 2*dj starts
+        # at its parent's lower edge or at the midpoint after it
+        parts = []
+        for q, k in enumerate(kept):
+            at = unk if k is None else unk.take(k)
+            child_t = t_at.take(t.take(at)) + q % 2
+            child_s = s_at.take(s.take(at)) + q // 2
+            parts.append((child_t, child_s, stab.take(at) & stays[q]))
+        del kept, at
+        t, s, stab = (np.concatenate(part) for part in zip(*parts))
+        del parts
+    if unk.size:
+        t, s = t.take(unk), s.take(unk)
+        estimate = _polish_cells(region, t_ends, t, s_ends, s, orbit_size.take(stab.take(unk)))
     else:
         estimate = 0.5 * und
+    del t, s, stab, unk, t_ends, s_ends
+    _trim_heap()
     value = min(1.0, inside + min(estimate, und))
     # value +- abs_error must stay in [0, 1]: a value nearer 0 or 1 than an
     # end of the certified bracket [inside, inside + und] moves inside it
@@ -394,13 +420,53 @@ def _quadtree_bracket(region, target, budget):
     return MeasureValue(value, min(abs_error, 1.0))
 
 
-def _children(kept, *quadrants):
-    """One record of a level's kept children, quadrant-major: the parents'
-    record for each quadrant, gathered at the parents that keep that child
-    (``kept``; None keeps them all, with no gather)."""
-    return np.concatenate(
-        [rec if k is None else rec.take(k, axis=-1) for rec, k in zip(quadrants, kept)], axis=-1
-    )
+def _trim_heap():
+    """Return the heap's free pages to the OS, where the C library can.
+
+    Most of a quadtree's arrays are small enough that glibc's malloc serves
+    them from the heap, whose pages stay resident after they are freed;
+    malloc_trim releases them, so the process's resident set falls back
+    when the quadtree returns.  A no-op without glibc's malloc_trim."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
+def _cell_bounds(ends, at):
+    """(2 cos t_hi, 2 cos t_lo) of the cells with lower edges ``at`` in the
+    edge store ``ends``: their interval in u (or v)."""
+    return ends[1, 1:].take(at), ends[1].take(at)
+
+
+def _split_edges(ends, at):
+    """The children's edge store of one axis, and where its parents' edges went.
+
+    ``at`` are the lower-edge indices of the cells to split.  Each gap
+    [ends[:, p], ends[:, p + 1]] that one of them spans gets its midpoint
+    record, computed once however many cells share the gap.  The new store
+    holds the split gaps' ends and midpoints, ascending; ``moved[p]`` is the
+    new index of edge p, and the midpoint follows at moved[p] + 1.
+    """
+    used = np.zeros(ends.shape[1], dtype=bool)
+    used[at] = True
+    gaps = np.flatnonzero(used)
+    # a gap's upper end is stored after its midpoint unless the next gap,
+    # which starts there, is split too
+    closed = ~used[1:].take(gaps)
+    width = 2 + closed
+    start = np.cumsum(width) - width
+    out = np.empty((3, int(start[-1] + width[-1])))
+    out[:, start] = ends[:, gaps]
+    out[:, start + 1] = _angle_ends(0.5 * (ends[0].take(gaps) + ends[0, 1:].take(gaps)))
+    out[:, start.compress(closed) + 2] = ends[:, 1:].take(gaps.compress(closed), axis=1)
+    moved = np.zeros(ends.shape[1], dtype=np.int32)
+    moved[gaps] = start
+    return out, moved
 
 
 def _real_roots_batched(coeff_rows):
@@ -455,20 +521,14 @@ _POLISH_BLOCK = 1 << 12
 
 
 def _section_roots(poly, u_nodes):
-    """Real roots in v of poly(u0, v) at each node u0, as _real_roots_batched.
-
-    Cells of one t-column share both Gauss nodes, so each distinct node is
-    solved once, in chunks of _POLISH_BLOCK nodes that keep the companion
-    stacks small, and its roots are indexed back to the nodes.  A node's
-    roots do not depend on the other rows of its chunk, and identical nodes
-    give identical roots, so only the work changes.
-    """
-    nodes, back = np.unique(u_nodes, return_inverse=True)
-    roots = np.concatenate([
-        _real_roots_batched(poly.v_coefficients_at(nodes[at : at + _POLISH_BLOCK]))
-        for at in range(0, nodes.size, _POLISH_BLOCK)
-    ])
-    return roots.take(back, axis=0)
+    """Real roots in v of poly(u0, v) at each node u0, as _real_roots_batched,
+    solved in chunks of _POLISH_BLOCK nodes that keep the companion stacks
+    small.  A node's roots do not depend on the other rows of its chunk."""
+    out = np.empty((u_nodes.size, poly.degree_v()))
+    for at in range(0, u_nodes.size, _POLISH_BLOCK):
+        chunk = u_nodes[at : at + _POLISH_BLOCK]
+        out[at : at + chunk.size] = _real_roots_batched(poly.v_coefficients_at(chunk))
+    return out
 
 
 def _gauss_angles(t_lo, t_hi):
@@ -479,7 +539,7 @@ def _gauss_angles(t_lo, t_hi):
     return half, np.stack([mid + half * x for x in _GL2_NODES])
 
 
-def _polish_cells(region, t_lo, t_hi, s_lo, s_hi, weight):
+def _polish_cells(region, t_ends, t, s_ends, s, weight):
     """High-order estimate of the member mass inside undecided cells, each
     cell's estimate multiplied by its ``weight``.
 
@@ -487,26 +547,41 @@ def _polish_cells(region, t_lo, t_hi, s_lo, s_hi, weight):
     coordinate is resolved exactly by polynomial root isolation, and the
     member sub-intervals are measured with the exact antiderivative.  Each
     cell estimate is clipped to [0, cell mass], so the overall value cannot
-    leave the certified bracket.  The bounds are _angle_ends records.  The
-    sections at all the cells' nodes are solved first, once per leaf
-    polynomial (see _section_roots); the cells are then estimated from
-    those roots in blocks of _POLISH_BLOCK and summed once.
+    leave the certified bracket.  The cells are given by their lower-edge
+    indices t, s into the edge stores of _quadtree_bracket.  The cells of a
+    t-column share its Gauss nodes, so the sections are solved once per
+    column and leaf polynomial (_section_roots); the cells are then
+    estimated in blocks of _POLISH_BLOCK, each gathering its columns' roots,
+    into one array that is summed once.
     """
     polys = []
     for leaf in region.leaves:
         if leaf.poly not in polys and leaf.poly.degree_v() >= 1:
             polys.append(leaf.poly)
-    # the root tables have rows (node, cell); a block recomputes its nodes
-    # rather than the level holding them
-    u_nodes = 2.0 * np.cos(_gauss_angles(t_lo[0], t_hi[0])[1])
+    used = np.zeros(t_ends.shape[1], dtype=bool)
+    used[t] = True
+    cols = np.flatnonzero(used)
+    u_nodes = 2.0 * np.cos(_gauss_angles(t_ends[0].take(cols), t_ends[0, 1:].take(cols))[1])
+    del cols
+    # the root tables have rows (node, column)
     roots = [_section_roots(p, u_nodes.ravel()).reshape(*u_nodes.shape, -1) for p in polys]
     del u_nodes
-    estimates = np.concatenate([
-        _polish_block(region, t_lo[0][b], t_hi[0][b], [r[:, b] for r in roots], s_hi[1][b], s_lo[1][b])
-        for b in (slice(at, at + _POLISH_BLOCK) for at in range(0, t_lo.shape[1], _POLISH_BLOCK))
-    ])
-    cell_mass = (t_hi[2] - t_lo[2]) * (s_hi[2] - s_lo[2])
-    return float((weight * np.clip(estimates, 0.0, cell_mass)).sum())
+    # each cell's column: the rank of its lower edge among the used ones
+    col = np.cumsum(used, dtype=np.int32)
+    col -= 1
+    col = col.take(t)
+    del used
+    dt, ds = np.diff(t_ends[2]), np.diff(s_ends[2])
+    out = np.empty(t.size)
+    for b in (slice(at, at + _POLISH_BLOCK) for at in range(0, t.size, _POLISH_BLOCK)):
+        tb, sb, c = t[b], s[b], col[b]
+        estimates = _polish_block(
+            region, t_ends[0].take(tb), t_ends[0, 1:].take(tb), [r.take(c, axis=1) for r in roots],
+            s_ends[1, 1:].take(sb), s_ends[1].take(sb),
+        )
+        cell_mass = dt.take(tb) * ds.take(sb)
+        np.multiply(weight[b], np.clip(estimates, 0.0, cell_mass, out=estimates), out=out[b])
+    return float(out.sum())
 
 
 def _polish_block(region, t_lo, t_hi, roots, v_lo, v_hi):
@@ -514,7 +589,9 @@ def _polish_block(region, t_lo, t_hi, roots, v_lo, v_hi):
     in (angle, v).  Each of ``roots`` has rows (node, cell) and holds along
     its last axis the real roots in v of one leaf polynomial's sections at
     the cells' Gauss nodes (_section_roots).  A region in the quadtree has
-    a leaf in both variables, so ``roots`` is never empty."""
+    a leaf in both variables, so ``roots`` is never empty.  The arrays of
+    the sections' shape are updated in place where the arithmetic allows,
+    so at most a few of them are live at once."""
     half, thetas = _gauss_angles(t_lo, t_hi)
     thetas = thetas.ravel()
     u_nodes = 2.0 * np.cos(thetas)
@@ -523,17 +600,25 @@ def _polish_block(region, t_lo, t_hi, roots, v_lo, v_hi):
     v_hi = np.concatenate([v_hi, v_hi])[:, None]
     # a root outside the section, or missing (NaN), becomes v_hi: it
     # leaves trailing zero-length segments of mass exactly +0.0
-    roots = np.where((roots > v_lo) & (roots < v_hi), roots, v_hi)
+    keep = roots > v_lo
+    keep &= roots < v_hi
+    np.copyto(roots, v_hi, where=~keep)
+    del keep
     if roots.shape[1] == 2:
         roots = np.stack([np.minimum(roots[:, 0], roots[:, 1]), np.maximum(roots[:, 0], roots[:, 1])], axis=1)
     else:
         roots.sort(axis=1)
     breaks = np.concatenate([v_lo, roots, v_hi], axis=1)
-    mids = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
+    del roots
+    mids = np.add(breaks[:, :-1], breaks[:, 1:])
+    mids *= 0.5
     member = region.contains_many(np.broadcast_to(u_nodes[:, None], mids.shape), mids)
+    del mids
     f = st_antiderivative(breaks)
-    seg = f[:, 1:] - f[:, :-1]
-    node_mass = np.where(member, seg, 0.0).sum(axis=1)
-    density = (2.0 / math.pi) * np.sin(thetas) ** 2
-    weighted = density * node_mass
+    del breaks
+    seg = np.subtract(f[:, 1:], f[:, :-1])
+    del f
+    np.copyto(seg, 0.0, where=np.logical_not(member, out=member))
+    weighted = (2.0 / math.pi) * np.sin(thetas) ** 2
+    weighted *= seg.sum(axis=1)
     return half * (weighted[: half.size] + weighted[half.size :])

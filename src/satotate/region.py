@@ -67,7 +67,8 @@ class Constraint:
         membership: whether a node is +1 depends only on which leaves are +1.
         """
         value = np.asarray(value)
-        return np.where(_HOLDS[self.op](value, 0), 1, np.where(value == 0, 0, -1)).astype(np.int8)
+        one, zero, minus = np.int8(1), np.int8(0), np.int8(-1)
+        return np.where(_HOLDS[self.op](value, 0), one, np.where(value == 0, zero, minus))
 
 
 class PolynomialRegion:

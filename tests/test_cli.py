@@ -821,6 +821,47 @@ def test_config_error_names_the_line_of_its_key(tmp_path):
         load_config(cfg_file)
 
 
+#: Each config key that has a flag, and the flag.
+_KEY_FLAGS = {"x_max": "--x-max", "f": "--f", "fp": "--fp", "mn": "--mn", "out": "--out", "cache_dir": "--cache-dir"}
+
+
+@pytest.fixture(scope="module")
+def parity_cache(tmp_path_factory, seed_cache):
+    cache = tmp_path_factory.mktemp("parity") / "cache"
+    seed_cache(cache, 2000)
+    return cache
+
+
+# empty, zero, a float where an integer goes, NaN, a name that climbs out
+# with ../, and a path through a regular file
+@pytest.mark.parametrize("value", ["", "0", "1e5", "nan", "../up", "plain.txt/below"])
+@pytest.mark.parametrize("key", list(_KEY_FLAGS))
+def test_config_keys_exit_with_the_codes_of_their_flags(tmp_path, monkeypatch, parity_cache, key, value):
+    work = tmp_path / "a" / "b"  # relative paths such as ../up stay inside tmp_path
+    work.mkdir(parents=True)
+    (work / "plain.txt").write_text("")
+    monkeypatch.chdir(work)
+    given = {"cache_dir": str(parity_cache), "out": str(tmp_path / "out"), "x_max": "2000"}
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+
+    def exit_code(settings, *extra):
+        flags = {k: f"{_KEY_FLAGS[k]}={v}" for k, v in settings.items()}
+        argv = [*extra, *(flags.pop(k) for k in ("cache_dir", "out") if k in flags), "dominance", *flags.values()]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert "Traceback" not in err.getvalue()
+        return code
+
+    by_flag = exit_code({**given, key: value})
+    by_key = exit_code({k: v for k, v in given.items() if k != key}, f"--config={config}")
+    assert by_key == by_flag
+    assert by_flag in (0, 2, 3)
+
+
 #: The exit code of each package error raised from a command through main.
 _EXIT_CODES = {
     **dict.fromkeys(["ConfigError", "DomainError", "CapError", "OutOfRangeError"], 2),

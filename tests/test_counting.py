@@ -179,16 +179,18 @@ def test_dominance_predictions():
 
 def test_dominance_prediction_memory_stays_small():
     # the (2,3) quadtree ends at 26,940 classified and 13,467 polished cells:
-    # the polish solves each section node once for the level and estimates
-    # the cells in blocks of 2^12, and the enclosures update their arrays in
-    # place; 10.3 MB traced when the polish ran blocks of 2^14
+    # a cell is two int32 edge indices and its stabiliser byte, the polish
+    # solves the sections once per t-column and estimates the cells in
+    # blocks of 2^12, and the enclosures drop the powers no derivative uses;
+    # 3.4 MB traced (6.1 MB with four float edge records per cell, 10.3 MB
+    # when the polish ran blocks of 2^14)
     tracemalloc.start()
     try:
         assert dominance_prediction(2, 3) > 0.5
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7_500_000
+    assert peak < 4_100_000
 
 
 def test_dominance_self_comparison_is_zero(f54_table):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,20 @@ def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build, targe
         assert max(sizes) > 1 << 14
         runs.add((mv.value.hex(), mv.abs_error.hex(), tuple(sizes)))
     assert len(runs) == 1
+
+
+def test_disk_quadtree_memory_stays_small():
+    # the disk at 1e-5 classifies 174,763 cells at its last level and
+    # polishes 87,382: 9 bytes a cell, an edge store per axis, and the
+    # level's float bounds while it is classified; 12.1 MB traced (30.3 MB
+    # with four float edge records per cell)
+    tracemalloc.start()
+    try:
+        mu_jst_region(region.disk(1), 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14_500_000
 
 
 # -- symmetry folding ---------------------------------------------------------------
