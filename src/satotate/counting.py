@@ -312,14 +312,12 @@ class DensityReport:
         event, pred = event_and_prediction(frame, kind, m, n)
         length, alpha, beta = stat_region.envelope_params()
         df, dfp = (t.descriptor for t in frame.tables)
+        envelope = region_mod.ErrorEnvelope(
+            "Unconditional12", df.weight, dfp.weight, df.level, dfp.level, length, alpha, beta,
+        )
         rows = []
         for x, pi_x, pos, neg, zero, emp in frame.tally(event, checkpoints):
-            ratio = float("inf")
-            if x >= 16:
-                ratio = region_mod.error_envelope(
-                    "Unconditional12", x, df.weight, dfp.weight, df.level, dfp.level,
-                    length, alpha, beta, pi_x=pi_x,
-                ) / pi_x
+            ratio = envelope.ratio(x) if x >= 16 else float("inf")
             rows.append(CheckpointRow(x, pi_x, pos, neg, zero, emp, pred, ratio))
         return cls(tuple(rows))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -667,6 +668,8 @@ def trace_boundary(poly):
 # -- effective error envelopes -----------------------------------------------------
 
 ENVELOPE_MODES = ("Unconditional13", "Unconditional12", "GRH13", "GRH12")
+#: the shapes that are pi(x) times a factor in M(x)
+_PI_SHAPES = ENVELOPE_MODES[:2]
 
 
 def m_of_x(x, conductor_product):
@@ -688,11 +691,23 @@ def m_of_log_x(log_x, conductor_product):
     return math.sqrt(math.sqrt(log_x) / math.log(inner))
 
 
+def _float_x(x, what):
+    """float(x); DomainError, not OverflowError, where an int x lies past
+    float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} needs x within float range (x <= {sys.float_info.max:.6g})") from None
+
+
 def _li(x):
-    """The logarithmic integral li(x), x > 1, by Ramanujan's series
+    """The logarithmic integral li(x), finite x > 1, by Ramanujan's series
     gamma + log log x + sqrt(x) sum_{n >= 1} (-1)^(n-1) (log x)^n / (n! 2^(n-1))
     * sum_{0 <= k <= (n-1)/2} 1/(2k+1), summed until its terms, past their
     peak near n = log x, no longer change the sum."""
+    x = _float_x(x, "li(x), the estimate of pi(x) past 10^11,")
+    if not 1 < x < math.inf:
+        raise DomainError(f"li(x) needs a finite x > 1, got {x}")
     log_x = math.log(x)
     total, term, inner, n = 0.0, -2.0, 0.0, 0
     while True:
@@ -737,22 +752,27 @@ class ErrorEnvelope:
     def conductor_product(self):
         return self.k * self.k_prime * self.level * self.level_prime
 
-    def value(self, x):
-        return error_envelope(
-            self.mode, x, self.k, self.k_prime, self.level, self.level_prime,
-            self.length, self.alpha, self.beta,
-        )
-
-    def ratio(self, x):
-        pi_x = _pi_x(x)
+    def _at(self, x, pi_x=None):
         return error_envelope(
             self.mode, x, self.k, self.k_prime, self.level, self.level_prime,
             self.length, self.alpha, self.beta, pi_x=pi_x,
-        ) / pi_x
+        )
+
+    def value(self, x):
+        return self._at(x)
+
+    def ratio(self, x):
+        """value(x) / pi(x).  An unconditional envelope is pi(x) times a
+        factor in M(x), so its ratio is that factor, in O(1) for any x >= 16
+        (ints past float range included); a GRH ratio divides by pi(x),
+        counted once per x."""
+        if self.mode in _PI_SHAPES:
+            return self._at(x, pi_x=1)
+        return self._at(x) / _pi_x(x)
 
 
 def error_envelope(mode, x, k, k_prime, level, level_prime, length, alpha, beta, pi_x=None):
-    """Envelope magnitude at x for the four error shapes.
+    """Envelope magnitude at finite x >= 16 for the four error shapes.
 
     Unconditional13: L a pi(x) / M(x)^(1/3)
     Unconditional12: L a b pi(x) / M(x)^(1/2)
@@ -761,24 +781,26 @@ def error_envelope(mode, x, k, k_prime, level, level_prime, length, alpha, beta,
 
     pi(x) may be supplied by the caller; otherwise it is exact up to 10^11
     (``counting.prime_count``, which lists no primes) and the
-    logarithmic-integral approximation beyond.
+    logarithmic-integral approximation beyond.  The GRH shapes, and pi(x)
+    past 10^11, need x within float range.
     """
     if mode not in ENVELOPE_MODES:
         raise DomainError(f"unknown envelope mode {mode!r}")
-    if x < 16:
-        raise DomainError(f"envelopes are defined for x >= 16, got {x}")
+    if not 16 <= x < math.inf:
+        raise DomainError(f"envelopes are defined for finite x >= 16, got {x}")
     K = k * k_prime * level * level_prime
     log_x = math.log(x)
-    if mode in ("Unconditional13", "Unconditional12"):
+    if mode in _PI_SHAPES:
         if pi_x is None:
             pi_x = _pi_x(x)
         if mode == "Unconditional13":
             return length * alpha * pi_x / m_of_x(x, K) ** (1.0 / 3.0)
         return length * alpha * beta * pi_x / math.sqrt(m_of_x(x, K))
+    x_float = _float_x(x, f"the {mode} envelope")
     log_kx = math.log(K * x)
     if mode == "GRH13":
-        return length * alpha * x ** (17.0 / 18.0) * log_kx ** (1.0 / 9.0) / log_x ** (2.0 / 3.0)
-    return length * alpha * beta * x ** (11.0 / 12.0) * log_kx ** (1.0 / 6.0) / math.sqrt(log_x)
+        return length * alpha * x_float ** (17.0 / 18.0) * log_kx ** (1.0 / 9.0) / log_x ** (2.0 / 3.0)
+    return length * alpha * beta * x_float ** (11.0 / 12.0) * log_kx ** (1.0 / 6.0) / math.sqrt(log_x)
 
 
 # -- region files -------------------------------------------------------------------

@@ -655,20 +655,26 @@ def test_li_series_matches_mpmath(x):
         assert abs((region._li(x) - ref) / ref) <= 1e-13
 
 
+def _run_python(script, *args, timeout):
+    """Run ``script`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(region.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def test_envelope_ratio_needs_no_scipy():
-    # beyond the exact prime count, pi(x) is li(x) without scipy
+    # beyond the exact prime count, pi(x) is li(x) without scipy; the
+    # unconditional ratio needs no pi(x) at all
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from satotate.region import ErrorEnvelope\n"
-        "env = ErrorEnvelope('Unconditional12', 4, 6, 5, 6, 10.0, 5, 4)\n"
-        "print(repr(env.ratio(1e12)))\n"
+        "for mode in ('Unconditional12', 'GRH12'):\n"
+        "    print(repr(ErrorEnvelope(mode, 4, 6, 5, 6, 10.0, 5, 4).ratio(1e12)))\n"
     )
-    src = str(Path(region.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_python(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert 0 < float(proc.stdout) < math.inf
+    assert all(0 < float(line) < math.inf for line in proc.stdout.split())
 
 
 def test_envelope_ratio_decreasing():
@@ -692,13 +698,25 @@ def test_envelope_ratio_decreasing():
         assert r[-1] < r[0], mode
 
 
+_ENVELOPE_PARAMS = (4, 6, 5, 6, 10.0, 5, 4)
+_UNCONDITIONAL = ("Unconditional13", "Unconditional12")
+
+
 def test_envelope_ratio_counts_primes_once_per_x(monkeypatch):
     from satotate import counting, region
     from satotate.region import ENVELOPE_MODES, ErrorEnvelope
 
     xs = [10**4, 10**5]
-    envs = [ErrorEnvelope(mode, 4, 6, 5, 6, 10.0, 5, 4) for mode in ENVELOPE_MODES]
-    expected = [env.value(x) / counting.sieve(x).count() for x in xs for env in envs]
+    envs = [ErrorEnvelope(mode, *_ENVELOPE_PARAMS) for mode in ENVELOPE_MODES]
+    # an unconditional envelope is pi(x) times a factor in M(x): its ratio is
+    # that factor, with no pi(x); a GRH ratio divides by the exact pi(x)
+    expected = [
+        error_envelope(env.mode, x, *_ENVELOPE_PARAMS, pi_x=1)
+        if env.mode in _UNCONDITIONAL
+        else env.value(x) / counting.sieve(x).count()
+        for x in xs
+        for env in envs
+    ]
     region._pi_x.cache_clear()
     counted = []
     real = counting.prime_count
@@ -706,6 +724,89 @@ def test_envelope_ratio_counts_primes_once_per_x(monkeypatch):
     monkeypatch.setattr(counting, "sieve", lambda bound: pytest.fail("pi(x) must not sieve"))
     assert [env.ratio(x) for x in xs for env in envs] == expected
     assert counted == xs
+
+
+_UNCONDITIONAL_RATIO_X = st.one_of(
+    st.floats(math.log10(16.0), 300.0).map(lambda e: min(max(10.0**e, 16.0), 1e300)),
+    st.integers(16, 10**400),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=_UNCONDITIONAL_RATIO_X, mode=st.sampled_from(_UNCONDITIONAL))
+@example(x=10**11, mode="Unconditional12")
+@example(x=10**400, mode="Unconditional13")
+def test_unconditional_ratio_is_the_m_factor(x, mode):
+    from satotate import counting
+    from satotate.region import ErrorEnvelope
+
+    k, kp, level, level_p, length, alpha, beta = _ENVELOPE_PARAMS
+    env = ErrorEnvelope(mode, *_ENVELOPE_PARAMS)
+
+    def refuse(*args):
+        raise AssertionError(f"an unconditional ratio evaluated pi(x) at {args}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "prime_count", refuse)
+        mp.setattr(region, "_li", refuse)
+        mp.setattr(region, "_pi_x", refuse)
+        got = env.ratio(x)
+    m = m_of_x(x, k * kp * level * level_p)
+    closed = length * alpha / m ** (1.0 / 3.0) if mode == "Unconditional13" else length * alpha * beta / math.sqrt(m)
+    assert got == closed
+    if x <= 10**7:
+        via_pi = env.value(x) / counting.prime_count(int(x))
+        assert abs(got - via_pi) <= 4 * math.ulp(via_pi)
+
+
+_NON_FINITE_SCRIPT = """
+import functools, sys, time
+from satotate import region
+from satotate.errors import DomainError
+x = float(sys.argv[1])
+calls = {f"li({x})": functools.partial(region._li, x)}
+for mode in region.ENVELOPE_MODES:
+    env = region.ErrorEnvelope(mode, 4, 6, 5, 6, 10.0, 5, 4)
+    for name in ("value", "ratio"):
+        calls[f"{mode}.{name}({x})"] = functools.partial(getattr(env, name), x)
+for label, call in calls.items():
+    started = time.perf_counter()
+    try:
+        got = call()
+    except DomainError:
+        spent = time.perf_counter() - started
+        if spent > 1.0:
+            sys.exit(f"{label} took {spent:.2f} s to refuse")
+    else:
+        sys.exit(f"{label} returned {got!r}")
+"""
+
+
+@pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+def test_envelope_refuses_non_finite_x(x):
+    # li(x)'s series never met its stop test on inf or nan, so the envelopes
+    # that counted pi(x) there summed until killed: run them where a hang
+    # is a timeout, not a stuck suite
+    proc = _run_python(_NON_FINITE_SCRIPT, x, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_envelope_past_float_range():
+    from satotate.region import ENVELOPE_MODES, ErrorEnvelope
+
+    big = 10**400
+    for mode in ENVELOPE_MODES:
+        env = ErrorEnvelope(mode, *_ENVELOPE_PARAMS)
+        with pytest.raises(DomainError, match="float range"):
+            env.value(big)
+        if mode in _UNCONDITIONAL:
+            # M(x) takes log x, so the ratio stays finite and keeps decaying
+            assert 0 < env.ratio(big) < env.ratio(1e300) < math.inf
+        else:
+            with pytest.raises(DomainError, match="float range"):
+                env.ratio(big)
+    with pytest.raises(DomainError, match="float range"):
+        region._li(big)
 
 
 def test_envelope_validation():
