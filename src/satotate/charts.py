@@ -1,4 +1,5 @@
-"""Chart emission: dependency-free SVG line charts plus matplotlib PNGs.
+"""Chart emission: dependency-free SVG line charts of density against x,
+matplotlib PNGs, and the one CSV writer.
 
 The SVG writer produces a fixed 800x500 viewBox with a log-scaled x axis,
 one polyline per series, and dashed horizontal reference lines; it is plain
@@ -8,6 +9,7 @@ importable the same data is also rendered to PNG for quick viewing.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +36,7 @@ def _nice_ylim(series_list):
     return lo - pad, hi + pad
 
 
-def render_svg(path, xs, series_list, title, xlabel, ylabel):
+def render_svg(path, xs, series_list, title):
     """Write a line chart; x values are plotted on a log10 scale."""
     y_lo, y_hi = _nice_ylim(series_list)
     lx = [math.log10(x) for x in xs]
@@ -74,7 +76,7 @@ def render_svg(path, xs, series_list, title, xlabel, ylabel):
             f'<text x="{px(x):.1f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle">1e{e}</text>'
         )
     out.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle">x</text>'
     )
     # y ticks
     step = 0.05 if y_hi - y_lo < 0.6 else 0.1
@@ -90,7 +92,7 @@ def render_svg(path, xs, series_list, title, xlabel, ylabel):
         tick += step
     out.append(
         f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">density</text>'
     )
     legend_y = _MARGIN_T + 10
     for i, s in enumerate(series_list):
@@ -116,7 +118,7 @@ def render_svg(path, xs, series_list, title, xlabel, ylabel):
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def render_png(path, xs, series_list, title, xlabel, ylabel):
+def render_png(path, xs, series_list, title):
     """Matplotlib rendering of the same chart; returns False if unavailable."""
     try:
         import matplotlib
@@ -133,8 +135,8 @@ def render_png(path, xs, series_list, title, xlabel, ylabel):
             ax.axhline(s.prediction, color=color, ls="--", lw=1.1, alpha=0.7)
     ax.set_xscale("log")
     ax.set_title(title)
-    ax.set_xlabel(xlabel)
-    ax.set_ylabel(ylabel)
+    ax.set_xlabel("x")
+    ax.set_ylabel("density")
     ax.legend(loc="best", fontsize=9)
     ax.grid(alpha=0.25)
     fig.tight_layout()
@@ -143,16 +145,18 @@ def render_png(path, xs, series_list, title, xlabel, ylabel):
     return True
 
 
+def write_csv(path, header, rows):
+    """The one CSV writer: comma-separated lines ending in a newline, a cell
+    quoted only when it holds a comma or a quote (RFC 4180); a float cell is
+    written as .12g, any other as str."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{c:.12g}" if isinstance(c, float) else str(c) for c in row] for row in rows)
+
+
 def write_multi_series_csv(path, xs, pi_xs, named_columns):
     """CSV with x, pi_x and (emp, pred) column pairs per series."""
-    header = ["x", "pi_x"]
-    for name in named_columns:
-        header.extend([f"emp_{name}", f"pred_{name}"])
-    lines = [",".join(header)]
-    for i, x in enumerate(xs):
-        row = [str(int(x)), str(int(pi_xs[i]))]
-        for name, (ys, pred) in named_columns.items():
-            row.append(f"{ys[i]:.12g}")
-            row.append(f"{pred:.12g}")
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["x", "pi_x", *(f"{kind}_{name}" for name in named_columns for kind in ("emp", "pred"))]
+    columns = [column for ys, pred in named_columns.values() for column in (ys, [pred] * len(xs))]
+    write_csv(path, header, zip(xs, pi_xs, *columns))

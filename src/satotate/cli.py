@@ -16,7 +16,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from . import bundled, charts, coeffs, counting, measures, region
@@ -244,8 +244,8 @@ def cmd_expand(cfg, args):
     n_max = _n_max(args)
     if args.label is not None:
         _check_label(args.label, "--label")
-    if args.eta is None and (args.weight, args.level) != (None, None):
-        raise ConfigError("--weight and --level apply only to --eta")
+    if args.eta is None and args.level is not None:
+        raise ConfigError("--level applies only to --eta")
     if args.eta is not None:
         try:
             recipe = tuple(
@@ -258,11 +258,11 @@ def cmd_expand(cfg, args):
         try:
             descriptor = coeffs.NewformDescriptor(
                 label=f"eta.{args.eta}" if args.label is None else args.label,
-                weight=sum(e for _, e in recipe) // 2 if args.weight is None else args.weight,
+                weight=sum(e for _, e in recipe) // 2,
                 level=max(d for d, _ in recipe) if args.level is None else args.level,
                 eta_recipe=recipe,
             )
-        # every check here reads only the --eta, --weight and --level flags
+        # every check here reads only the --eta and --level flags
         except (InvariantError, RecipeError) as exc:
             raise ConfigError(f"expand: {exc}") from None
         table = coeffs.expand_eta_quotient(descriptor, n_max)
@@ -302,7 +302,6 @@ def cmd_measure(cfg, args):
     mv = measures.mu_jst_region(reg, args.target, **({"budget": None} if args.seedless else {}))
     print(f"region: {reg.label}")
     print(f"measure = {mv.value:.9f}  (certified +- {mv.abs_error:.3g})")
-    lines = [f"region,value,abs_error", f"{reg.label},{mv.value:.12g},{mv.abs_error:.12g}"]
     if args.rect is not None:
         u_lo, u_hi, v_lo, v_hi = _parse_numbers(args.rect, "--rect", float, count=4)
         closed = measures.mu_jst_rect(measures.Interval(u_lo, u_hi), measures.Interval(v_lo, v_hi)).value
@@ -314,7 +313,8 @@ def cmd_measure(cfg, args):
         if (m, n) == (2, 2):
             print(_D22_FLAG)
     if args.out_csv is not None:
-        _output_file(args.out_csv, "--out-csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = _output_file(args.out_csv, "--out-csv")
+        charts.write_csv(path, ["region", "value", "abs_error"], [[reg.label, mv.value, mv.abs_error]])
     return 0
 
 
@@ -334,10 +334,11 @@ def _series_commands(cfg, args, kind):
     builder = (
         counting.sign_density_series if kind == "density" else counting.dominance_density_series
     )
+    header = [f.name for f in fields(counting.CheckpointRow)]
     for m, n in pairs:
         rep = builder(*frame.tables, m, n, checkpoints)
         stem = f"{kind}_{m}_{n}"
-        rep.write_csv(_derived_file(out, f"{stem}.csv"))
+        charts.write_csv(_derived_file(out, f"{stem}.csv"), header, map(astuple, rep.rows))
         final = rep.final()
         print(
             f"{kind} ({m},{n}): final empirical {final.emp_density:.4f} "
@@ -346,7 +347,7 @@ def _series_commands(cfg, args, kind):
         if cfg.png:
             xs = [r.x for r in rep.rows]
             series = [charts.Series(f"({m},{n})", tuple(r.emp_density for r in rep.rows), final.pred_density)]
-            charts.render_png(_derived_file(out, f"{stem}.png"), xs, series, f"{kind} ({m},{n})", "x", "density")
+            charts.render_png(_derived_file(out, f"{stem}.png"), xs, series, f"{kind} ({m},{n})")
     return 0
 
 
@@ -372,9 +373,9 @@ def cmd_figures(cfg, args):
         xs = [r[0] for r in rows]
         pi_xs = [r[1] for r in rows]
         charts.write_multi_series_csv(_derived_file(out, f"{name}.csv"), xs, pi_xs, columns)
-        charts.render_svg(_derived_file(out, f"{name}.svg"), xs, series, title, "x", "density")
+        charts.render_svg(_derived_file(out, f"{name}.svg"), xs, series, title)
         if cfg.png:
-            charts.render_png(_derived_file(out, f"{name}.png"), xs, series, title, "x", "density")
+            charts.render_png(_derived_file(out, f"{name}.png"), xs, series, title)
         print(f"{name}: wrote {out / (name + '.csv')} and {out / (name + '.svg')}")
 
     emit(
@@ -421,7 +422,7 @@ def cmd_bracket(cfg, args):
     and its bound, and the most components of one strip."""
     reg = _region_from_args(args)
     out = Path(cfg.out)
-    rows = ["m,mu_low,mu_high,width,boundary_count,area_bound,max_strip_components"]
+    rows = []
     for m_res in _parse_numbers("16,32,64,128" if args.m is None else args.m, "--m", int):
         approx = region.classify_boxes(reg, m_res)
         n_obs, bound = region.boundary_bound_check(approx)
@@ -431,11 +432,9 @@ def cmd_bracket(cfg, args):
             f"m={m_res:4d}  [{approx.mu_low:.9f}, {approx.mu_high:.9f}]  width={width:.3g}  "
             f"N={n_obs} <= {bound:.0f}  strip components <= {strips}"
         )
-        rows.append(
-            f"{m_res},{approx.mu_low:.12g},{approx.mu_high:.12g},{width:.12g},"
-            f"{n_obs},{bound:.12g},{strips}"
-        )
-    _derived_file(out, f"bracket_{reg.label.replace('/', '_')}.csv").write_text("\n".join(rows) + "\n", "utf-8")
+        rows.append([m_res, approx.mu_low, approx.mu_high, width, n_obs, bound, strips])
+    header = ["m", "mu_low", "mu_high", "width", "boundary_count", "area_bound", "max_strip_components"]
+    charts.write_csv(_derived_file(out, f"bracket_{reg.label.replace('/', '_')}.csv"), header, rows)
     return 0
 
 
@@ -457,7 +456,6 @@ def build_parser():
     p = sub.add_parser("expand", help="expand an eta quotient to a coefficient file")
     p.add_argument("--eta", help="recipe as divisor:exponent pairs, e.g. 1:4,5:4")
     p.add_argument("--label")
-    p.add_argument("--weight", type=int)
     p.add_argument("--level", type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out-file", dest="out_file")

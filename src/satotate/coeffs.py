@@ -271,12 +271,11 @@ def _crt_lift(residues, moduli):
     if moduli == (_WORD,):
         return residues[0].view(np.int64)  # the two's-complement reading
     modulus = math.prod(moduli)
-    # int64 while a sum of len(moduli) terms below modulus cannot overflow
-    dtype = np.int64 if len(moduli) * modulus < 2**63 else object
-    value = np.zeros(len(residues[0]), dtype=dtype)
+    # Python ints: primes are taken only past the word, so the sum outgrows int64
+    value = np.zeros(len(residues[0]), dtype=object)
     for row, p in zip(residues, moduli):
         cofactor = modulus // p
-        value += (row * pow(cofactor, -1, p) % p).astype(value.dtype) * cofactor
+        value += (row * pow(cofactor, -1, p) % p).astype(object) * cofactor
     value %= modulus
     value[value > modulus // 2] -= modulus
     return _exact_array(value)

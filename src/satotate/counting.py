@@ -19,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -31,18 +30,6 @@ from .symmetry import SQUARE_GROUP, parity
 from . import region as region_mod
 
 _GUARD = 1e-9
-
-CSV_COLUMNS = (
-    "x",
-    "pi_x",
-    "count_pos",
-    "count_neg",
-    "count_zero",
-    "emp_density",
-    "pred_density",
-    "envelope_ratio",
-)
-
 
 @dataclass(frozen=True)
 class PrimeSieve:
@@ -323,18 +310,6 @@ class DensityReport:
 
     def final(self):
         return self.rows[-1]
-
-    def to_csv(self):
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                f"{r.x},{r.pi_x},{r.count_pos},{r.count_neg},{r.count_zero},"
-                f"{r.emp_density:.12g},{r.pred_density:.12g},{r.envelope_ratio:.12g}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
 def sign_density_series(table_f, table_fp, m, n, checkpoints):

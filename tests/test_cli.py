@@ -1,6 +1,7 @@
 
 import ast
 import contextlib
+import csv
 import io
 import os
 import subprocess
@@ -112,6 +113,29 @@ def test_measure_rect_cross_check(capsys, tmp_path):
     assert "0.370878297" in out
 
 
+@pytest.mark.parametrize(
+    "flags", [["--rect=-1,1,-1,1"], ["--sign-product", "2,2"], ["--poly-interval", "0,-1,1", "--lift", "1,3"]]
+)
+def test_measure_csv_reads_back_a_label_with_commas(capsys, tmp_path, flags):
+    # each label holds a comma; unquoted, it split into extra fields
+    path = tmp_path / "m.csv"
+    code, out, _ = run(["--out", str(tmp_path), "measure", *flags, "--target", "1e-3", "--out-csv", str(path)], capsys)
+    assert code == 0
+    with path.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert list(row) == ["region", "value", "abs_error"]
+    assert f"region: {row['region']}\n" == out.splitlines(keepends=True)[0]
+    float(row["value"]), float(row["abs_error"])
+
+
+def test_measure_of_the_full_rectangle_is_the_square(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    code, out, _ = run(["--out", str(tmp_path), "measure", "--rect=-2,2,-2,2", "--out-csv", str(path)], capsys)
+    assert code == 0
+    assert out.startswith("region: full-square\nmeasure = 1.000000000  (certified +- 0)\n")
+    assert path.read_text() == "region,value,abs_error\nfull-square,1,0\n"
+
+
 def test_measure_of_a_squared_lift_is_one(capsys, tmp_path, monkeypatch):
     # {S_2(u)^2 >= 0}: the double roots at +-1 are found exactly, where the
     # cells of an interval bisection never decide; no cell is classified
@@ -134,6 +158,14 @@ def test_measure_takes_no_grid_bracket_flags(capsys, tmp_path):
             main(["--out", str(tmp_path), "measure", "--rect=0,2,-2,2", *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_expand_takes_no_weight_flag(capsys):
+    # k is half the recipe's exponent sum, the only weight it accepts
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--eta", "1:24", "--n", "3", "--weight", "12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weight" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--halfplane-u", "--full-square"])
@@ -386,9 +418,17 @@ def test_poly_interval_bounded_only_by_infinities(tmp_path, capsys, interval, va
     assert f"measure = {value:.9f}  (certified +- " in out
     code, _, _ = run(["--out", str(tmp_path), "bracket", *flags, "--m", "16,32"], capsys)
     assert code == 0
-    (csv,) = tmp_path.glob("bracket_*.csv")
-    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    (path,) = tmp_path.glob("bracket_*.csv")
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert [(float(lo), float(hi)) for _, lo, hi, *_ in rows] == [(value, value)] * 2
+
+
+def test_bracket_refuses_a_count_over_its_area_bound(tmp_path, capsys, monkeypatch):
+    # curves traced to no length bound the disk's boundary boxes by 0
+    monkeypatch.setattr(region.PolynomialRegion, "traced_boundary", property(lambda self: (0.0, 0)))
+    code, _, err = run(["--out", str(tmp_path), "bracket", "--disk", "--m", "16"], capsys)
+    assert code == 3
+    assert err.startswith("error: boundary-box count ") and err.endswith(" exceeds the area bound 0.0 at m=16\n")
 
 
 def test_bracket_command(tmp_path, capsys):
@@ -692,11 +732,13 @@ def test_runconfig_validation(tmp_path):
         ["measure", "--sign-product=2,-1"],
         ["bracket", "--sign-product=-1,2", "--m", "16"],
         ["expand", "--eta", "1:24", "--n", "3", "--level", "0"],
-        ["expand", "--eta", "1:24", "--n", "3", "--weight", "3"],
+        # an exponent sum of 2 is weight 1, below 2
+        ["expand", "--eta", "1:2", "--n", "3"],
         ["expand", "--eta", "1:24", "--n", "3", "--level", "-6"],
-        # a recipe at odds with --weight, or without an integral vanishing order
-        ["expand", "--eta", "1:24", "--n", "5", "--weight", "10"],
-        ["expand", "--eta", "1:24", "--n", "5", "--weight", "120000000000"],
+        # an odd exponent sum (23, 25), whose half is no weight, and a recipe
+        # without an integral vanishing order
+        ["expand", "--eta", "1:22,2:1", "--n", "5"],
+        ["expand", "--eta", "1:2,2:23", "--n", "5"],
         ["expand", "--eta", "1:12,2:1", "--n", "5"],
         ["measure", "--disk", "nan"],
         ["measure", "--rect=-1,1,-1,nan"],
@@ -722,13 +764,13 @@ def test_runconfig_validation(tmp_path):
         ["first-sign", "--d", "inf"],
         ["first-sign", "--d", "0"],
         # flags that would change nothing: a second region, --interval or
-        # --lift without --poly-interval, --weight or --level without --eta,
+        # --lift without --poly-interval, --level without --eta,
         # and --label beside --seed-bundled
         ["measure", "--disk", "--rect=-1,1,-1,1"],
         ["bracket", "--sign-product", "2,2", "--rect=-2,2,-2,2", "--m", "16"],
         ["measure", "--disk", "--interval", "0,1"],
         ["bracket", "--rect=0,2,-2,2", "--lift", "1,3", "--m", "16"],
-        ["expand", "--label", "5.4.a.a", "--n", "3", "--weight", "6", "--level", "7"],
+        ["expand", "--n", "3", "--level", "7"],
         ["expand", "--label", "5.4.a.a", "--n", "3", "--level", "7"],
         ["fetch", "--seed-bundled", "--label", "5.4.a.a", "--n", "10"],
         # an empty value is a given value: refused, and named by its flag
@@ -1012,7 +1054,7 @@ def _grammar(files):
     return {
         "expand": {
             "--eta": _pick("1:4,5:4", "1:24", "1:6,3:6", "2:16,1:-8", "1:12,2:1", "1:4:5"),
-            "--label": label, "--weight": _ints(-2, 12), "--level": _ints(-1, 12),
+            "--label": label, "--level": _ints(-1, 12),
             "--n": _ints(-3, 2000), "--out-file": out_file,
         },
         "fetch": {"--label": label, "--n": _ints(-3, 2000), "--seed-bundled": st.none()},

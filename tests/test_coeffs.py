@@ -292,8 +292,8 @@ def test_products_start_from_their_two_costliest_passes(monkeypatch, label, dens
 
 def test_crt_lift_inverts_residues():
     # for each prime count, the largest bound it covers, with values spread
-    # over all of it: the int64 lift (two moduli) runs close to 2^63 there;
-    # a bound of one or two primes is taken by the word
+    # over all of it; a bound of one or two primes is taken by the word, so
+    # only this test lifts from so few primes
     primes = coeffs._crt_moduli(2 ** (31 * 12))
     for count in range(1, 13):
         moduli = primes[:count]

@@ -7,12 +7,11 @@ import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from satotate import counting, region
+from satotate import bundled, counting, region
 from satotate.bipoly import Poly2, compose_bivariate
 from satotate.chebyshev import s_poly
 from satotate.coeffs import CoefficientTable, NewformDescriptor
 from satotate.counting import (
-    CSV_COLUMNS,
     count_in_region,
     default_checkpoints,
     dominance_density_series,
@@ -200,16 +199,6 @@ def test_dominance_self_comparison_is_zero(f54_table):
     assert rep.final().count_zero == rep.final().count_pos + rep.final().count_neg + rep.final().count_zero
 
 
-def test_csv_schema_and_determinism(f54_table, f66_table, tmp_path):
-    cps = default_checkpoints(10**3)
-    rep = sign_density_series(f54_table, f66_table, 1, 1, cps)
-    text = rep.to_csv()
-    assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
-    assert rep.to_csv() == text  # deterministic re-render
-    rep.write_csv(tmp_path / "r.csv")
-    assert (tmp_path / "r.csv").read_text() == text
-
-
 # -- zero counts -------------------------------------------------------------------------
 
 
@@ -255,6 +244,14 @@ def test_first_sign_change_exclusion_ordering(f54_table, f66_table):
     all_p = first_sign_change(f54_table, f66_table, 1, 1, "AllPrimes")
     excl = first_sign_change(f54_table, f66_table, 1, 1, "ExcludeLevelPrimes")
     assert all_p.prime <= excl.prime
+
+
+def test_first_sign_change_skips_a_level_prime_past_the_table():
+    # 5 divides the level of 5.4.a.a, so its sign is read from A(5^3), and
+    # 125 lies past a table of 100 coefficients
+    f, fp = (bundled.bundled_table(label, 100) for label in ("5.4.a.a", "6.6.a.a"))
+    res = first_sign_change(f, fp, 3, 3, "AllPrimes")
+    assert (res.prime, res.skipped) == (11, (5,))
 
 
 def test_first_sign_change_not_found(f54_table):

@@ -98,6 +98,12 @@ def test_grid_lines_bound_the_classified_boxes():
 # -- classification --------------------------------------------------------------------
 
 
+def test_rect_over_the_whole_square_is_the_full_square():
+    reg = rect(-2, 2, -2, 2)
+    mv = mu_jst_region(reg, 1e-6)
+    assert (reg.label, reg.leaves, mv.value, mv.abs_error) == ("full-square", (), 1.0, 0.0)
+
+
 def test_classify_full_square():
     for m in (1, 2, 16):
         approx = classify_boxes(full_square(), m)
@@ -966,6 +972,14 @@ def test_poly_positive_has_one_leaf_per_odd_factor(P, k):
         reg = poly_positive(P, 1, 1, sign)
         assert len(reg.leaves) == k
         assert len(reg.curves) == k
+
+
+@pytest.mark.parametrize("sign, label, value", [(1, "full-square", 1.0), (-1, "poly<0(1,1)", 0.0)])
+def test_poly_positive_of_even_factors_only(sign, label, value):
+    # u^2 has no odd-multiplicity factor: positive a.e., negative nowhere
+    reg = poly_positive(Poly2({(2, 0): 1}), 1, 1, sign)
+    mv = mu_jst_region(reg, 1e-6)
+    assert (reg.label, mv.value, mv.abs_error) == (label, value, 0.0)
 
 
 # -- the Newton-polygon irreducibility certificate ----------------------------------
