@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import re
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import bundled, charts, coeffs, counting, measures, region
@@ -254,11 +255,17 @@ def cmd_expand(cfg, args):
             )
         except ValueError:
             raise ConfigError(f"--eta: expected divisor:exponent pairs, got {args.eta!r}") from None
+        # the weight is half the exponent sum
+        exponents = sum(e for _, e in recipe)
+        if exponents % 2:
+            raise ConfigError(
+                f"--eta: the exponents sum to {exponents}, which is odd; the weight is half the sum"
+            )
         # --label only names the recipe, bundled or not
         try:
             descriptor = coeffs.NewformDescriptor(
                 label=f"eta.{args.eta}" if args.label is None else args.label,
-                weight=sum(e for _, e in recipe) // 2,
+                weight=exponents // 2,
                 level=max(d for d, _ in recipe) if args.level is None else args.level,
                 eta_recipe=recipe,
             )
@@ -335,10 +342,12 @@ def _series_commands(cfg, args, kind):
         counting.sign_density_series if kind == "density" else counting.dominance_density_series
     )
     header = [f.name for f in fields(counting.CheckpointRow)]
+    # a row's fields in header order; dataclasses.astuple deep-copies each row
+    cells = operator.attrgetter(*header)
     for m, n in pairs:
         rep = builder(*frame.tables, m, n, checkpoints)
         stem = f"{kind}_{m}_{n}"
-        charts.write_csv(_derived_file(out, f"{stem}.csv"), header, map(astuple, rep.rows))
+        charts.write_csv(_derived_file(out, f"{stem}.csv"), header, map(cells, rep.rows))
         final = rep.final()
         print(
             f"{kind} ({m},{n}): final empirical {final.emp_density:.4f} "

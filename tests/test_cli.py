@@ -86,6 +86,14 @@ def test_expand_usage_error(capsys):
     assert "expand requires" in err
 
 
+@pytest.mark.parametrize("eta, total", [("1:2,2:23", 25), ("1:22,2:1", 23)])
+def test_expand_refuses_an_odd_exponent_sum(capsys, eta, total):
+    # the weight is half the exponent sum, so an odd sum names no weight
+    code, _, err = run(["expand", "--eta", eta, "--n", "5"], capsys)
+    assert code == 2
+    assert f"the exponents sum to {total}, which is odd" in err
+
+
 def test_expand_of_a_recipe_that_is_no_newform_is_a_data_error(capsys):
     # a well-formed recipe: |A(2)| = 8, where a level-2 newform of weight 4
     # has 2^((k-2)/2) = 2

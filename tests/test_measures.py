@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from satotate import measures, region
+from satotate import counting, measures, region
 from satotate.bipoly import Poly2, _horner
 from satotate.chebyshev import eval_u
 from satotate.errors import BudgetError, DomainError, InvariantError
@@ -543,6 +543,141 @@ def test_grouped_section_roots_are_bit_identical_to_ungrouped(reg):
     want = _ungrouped_section_roots(poly, u_nodes)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("y", [1e-3, 1e-6, 1e-8])
+def test_a_complex_pair_near_the_axis_is_no_real_root(y):
+    # (v - 0.3)((v - 1)^2 + y^2) and that times (v + 2): |y| is above the
+    # 1e-9 under which a pair counts as a real root, in the cubic formula
+    # as in the quartic's companion eigenvalues
+    for others in ([0.3], [-2.0, 0.3]):
+        row = _ascending(1.0, [*others, 1 + 1j * y, 1 - 1j * y])
+        got = np.sort(measures._real_roots_batched(row)[0])
+        assert got[: len(others)] == pytest.approx(others, abs=1e-12)
+        assert np.isnan(got[len(others) :]).all()
+
+
+@pytest.mark.parametrize("roots", [[-1.0, 1.0, 1.0], [0.5, 0.5, 0.5]])
+def test_the_cubic_reports_exact_multiple_roots_with_multiplicity(roots):
+    got = np.sort(measures._real_roots_batched(_ascending(1.0, roots))[0])
+    assert got == pytest.approx(roots, abs=1e-7)
+
+
+def test_sections_up_to_cubic_make_no_eigensolve(monkeypatch):
+    # the (2,3) prediction and its curve (cubic in v, quadratic in u), the
+    # disk (quadratic) and the certify cubic u = v^3 - 2v are solved in
+    # closed form; the values are the eigenvalue path's, recorded before
+    # the cubic formula, to 1e-15 and 1e-12
+    def refuse(*args, **kwargs):
+        raise AssertionError("a section of degree <= 3 reached numpy.linalg.eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert abs(counting.dominance_prediction(2, 3) - 0.5165991442402753) <= 1e-15
+    mu_jst_region(region.disk(1), 1e-3)
+    (leaf,) = region.poly_positive(V_MINUS_U, 2, 3).leaves
+    length, components = region.trace_boundary(leaf.poly)
+    assert components == 4 and length == pytest.approx(12.451725164865852, rel=1e-12)
+    length, components = region.trace_boundary(Poly2({(0, 3): 1, (0, 1): -2, (1, 0): -1}))
+    assert components == 3 and length == pytest.approx(9.569687095619434, rel=1e-12)
+
+
+@st.composite
+def _root_rows(draw):
+    """(ascending coefficients, kind) of a polynomial of degree 1 to 6 built
+    from drawn roots: real ones at least 0.05 apart from -2.5 on, where
+    the last two may close to a near-double pair (gap 1e-10 to 1e-4), the
+    last three to a triple root, or all move so that the first lies within
+    1e-9 to 1e-3 of 0; and complex pairs x +- iy, |y| >= 0.05."""
+    degree = draw(st.integers(1, 6))
+    pairs = draw(st.integers(0, degree // 2))
+    reals = [draw(st.floats(-2.5, -1.0))] if degree > 2 * pairs else []
+    while len(reals) < degree - 2 * pairs:
+        reals.append(reals[-1] + draw(st.floats(0.05, 1.0)))
+    kind = draw(st.sampled_from(["separated", "near-double", "triple", "near-zero"]))
+    if kind == "near-double" and len(reals) >= 2:
+        reals[-1] = reals[-2] + 10.0 ** draw(st.floats(-10.0, -4.0))
+    elif kind == "triple" and len(reals) >= 3:
+        reals[-2:] = [reals[-3]] * 2
+    elif kind == "near-zero" and reals:
+        small = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -3.0))
+        reals = [small] + [r + (small - reals[0]) for r in reals[1:]]
+    else:
+        kind = "separated"
+    roots = [complex(r) for r in reals]
+    for _ in range(pairs):
+        x, y = draw(st.floats(-2.5, 2.5)), draw(st.floats(0.05, 2.0))
+        roots += [complex(x, y), complex(x, -y)]
+    lead = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return _ascending(lead, roots), kind
+
+
+def _ascending(lead, roots):
+    return np.real(lead * np.poly(roots))[::-1].copy()
+
+
+def _check_roots_against_oracle(coefficients, got):
+    """The reported real roots of one row against the roots of the same
+    float coefficients: sympy splits the exact polynomial into square-free
+    factors, whose simple roots mpmath's polyroots finds at 50 digits."""
+    import mpmath
+    import sympy
+
+    degree = coefficients.size - 1
+    exact = sympy.Poly([sympy.Rational(*c.as_integer_ratio()) for c in coefficients[::-1]], sympy.Symbol("x"))
+    want = []
+    with mpmath.workdps(50):
+        for factor, multiplicity in exact.sqf_list()[1]:
+            cs = [mpmath.mpf(c.p) / c.q for c in factor.all_coeffs()]
+            want += [complex(z) for z in mpmath.polyroots(cs, maxsteps=3000, extraprec=200)] * multiplicity
+    got = got[~np.isnan(got)]
+    assert got.size <= degree
+    # every reported root is close to a root of the oracle: a triple root
+    # moves by the cube root of the solver's error, (1000 eps)^(1/3) = 6e-5
+    # times the row's scale for companion eigenvalues
+    for g in got:
+        assert min(abs(g - z) / max(1.0, abs(z)) for z in want) <= 1e-3, (g, want)
+    derivative = np.polynomial.polynomial.polyder(coefficients)
+    for i, w in enumerate(want):
+        if w.imag != 0 or min((abs(w - z) for z in want[:i] + want[i + 1 :]), default=math.inf) < 1e-3:
+            continue
+        # a simple real root: found once, to 1e-12 relative, or to the
+        # solver's error bound where that is larger, eps times the root's
+        # condition number sum b_i |w|^i / |P'(w)| times a few ulps.  The
+        # linear and the cubic form err as if each coefficient moved by an
+        # ulp of itself (b_i = |c_i|, 8 ulps); the quadratic formula, whose
+        # smaller root cancels, and companion eigenvalues as if each moved
+        # by an ulp of the largest (b_i = max |c|; 8 and 1000 ulps)
+        w = w.real
+        near = got[np.abs(got - w) < 1e-3]
+        assert near.size == 1, (w, got)
+        if degree in (1, 3):
+            bound, ulps = np.abs(coefficients), 8
+        else:
+            bound, ulps = np.abs(coefficients).max(), 8 if degree == 2 else 1000
+        kappa = np.sum(bound * abs(w) ** np.arange(degree + 1))
+        kappa /= abs(np.polynomial.polynomial.polyval(w, derivative))
+        tol = max(1e-12 * abs(w), ulps * np.finfo(float).eps * kappa)
+        assert abs(near[0] - w) <= tol, (w, near[0], tol)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_root_rows(), min_size=1, max_size=5))
+@example([(_ascending(1.0, [0.5, 0.5, 0.5]), "triple"), (_ascending(-3.0, [-1.0, 1e-7 - 1.0, 2.0]), "near-double")])
+@example([(_ascending(2.0, [0.3, 1 + 1e-3j, 1 - 1e-3j]), "separated"), (_ascending(1.0, [-2.0, 1.0, 2.0]), "separated")])
+def test_real_roots_batched_matches_the_oracle_alone_and_in_a_batch(rows):
+    width = max(c.size for c, _ in rows)
+    batch = np.zeros((len(rows), width))
+    for i, (c, _) in enumerate(rows):
+        batch[i, : c.size] = c
+    together = measures._real_roots_batched(batch)
+    assert together.shape == (len(rows), width - 1)
+    for i, (c, kind) in enumerate(rows):
+        alone = measures._real_roots_batched(c)[0]
+        # bit-identical beside rows of other degrees, as _section_roots's
+        # chunking needs; the padding columns report no root
+        assert np.array_equal(together[i, : alone.size].view(np.uint64), alone.view(np.uint64)), kind
+        assert np.isnan(together[i, alone.size :]).all()
+        _check_roots_against_oracle(c, alone)
 
 
 @pytest.mark.parametrize(

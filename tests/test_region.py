@@ -604,6 +604,35 @@ def test_region_from_poly_interval_rejects_constant():
         region_from_poly_interval(Poly2({(1, 0): 1}), Interval(0, 1), 0, 0)
 
 
+@st.composite
+def _power_cells(draw):
+    """(k, cells): an exponent k <= 192 = 3 * DEGREE_CAP and intervals
+    [lo, hi] with an interior fraction t, of either sign, straddling 0,
+    tiny or large; |x| <= 2^(1000/k) keeps x^k inside the float range."""
+    k = draw(st.integers(1, 192))
+    bound = 2.0 ** (1000 / k)
+    end = st.one_of(st.floats(-bound, bound), st.floats(-1e-150, 1e-150), st.floats(-2.0, 2.0))
+    cells = draw(st.lists(st.tuples(end, end, st.floats(0.0, 1.0)), min_size=1, max_size=6))
+    return k, [(min(a, b), max(a, b), t) for a, b, t in cells]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_power_cells())
+@example((192, [(-2.0, 2.0, 0.75), (1.9, 2.0, 0.5), (-2.0, -1e-300, 1.0)]))
+@example((3, [(-1e-120, 1e-130, 0.5), (5e-324, 1.0, 0.0)]))
+def test_power_enclosure_holds_the_exact_powers(case):
+    # the square-and-multiply powers and their pad enclose x^k exactly, at
+    # both ends of each cell and at an interior point
+    k, cells = case
+    lo, hi, t = (np.array(col) for col in zip(*cells))
+    zero = np.zeros_like(lo)
+    enc_lo, enc_hi = Poly2({(k, 0): 1}).interval_enclosure_cells(lo, hi, zero, zero)
+    for a, b, s, e_lo, e_hi in zip(lo, hi, t, enc_lo, enc_hi):
+        a, b = Fraction(a), Fraction(b)
+        for x in (a, b, a + Fraction(s) * (b - a)):
+            assert Fraction(e_lo) <= x**k <= Fraction(e_hi), (k, a, b, x)
+
+
 def test_region_file_parsing(tmp_path):
     path = tmp_path / "region.txt"
     # u^2 + v^2 < 1 in graded-lex coefficients: 1; u, v; u^2, uv, v^2
