@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import bundled, charts, coeffs, counting, measures, region
+from . import bundled, charts, coeffs, counting, measures, primes, region
 from .errors import ConfigError, InvariantError, RecipeError, SatotateError
 
 _D22_FLAG = (
@@ -89,7 +89,7 @@ def _derived_file(out, name):
 def _n_max(args):
     """The --n of expand and fetch, checked before any work: a table past
     the sieve's bound could never be checked on ingest."""
-    if not 1 <= args.n <= counting.SIEVE_MAX:
+    if not 1 <= args.n <= primes.SIEVE_MAX:
         raise ConfigError(f"--n must be in [1, 1e8], got {args.n}")
     return args.n
 

@@ -70,7 +70,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .counting import sieve
 from .errors import (
     GapError,
     InvariantError,
@@ -80,6 +79,7 @@ from .errors import (
     ParseError,
     RecipeError,
 )
+from .primes import sieve
 
 #: Environment variable overriding the on-disk cache directory.
 CACHE_ENV_VAR = "SATOTATE_CACHE_DIR"

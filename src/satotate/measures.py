@@ -505,8 +505,13 @@ def _real_roots_batched(coeff_rows):
             disc = b * b - 4 * a * c
             ok = disc >= 0
             sq = np.sqrt(np.where(ok, disc, 0.0))
-            r1 = np.where(ok, (-b - sq) / (2 * a), np.nan)
-            r2 = np.where(ok, (-b + sq) / (2 * a), np.nan)
+            # where b != 0 one of -b -+ sq cancels, so that root is c / q
+            # instead, q = -(b + sign(b) sq) / 2 (the other root is q / a,
+            # the same bits as its own formula); b = 0 keeps +-sq / (2a)
+            with np.errstate(all="ignore"):  # rows with b = 0 or disc < 0
+                near = c / (-0.5 * (b + np.copysign(sq, b)))
+            r1 = np.where(ok, np.where(b < 0, near, (-b - sq) / (2 * a)), np.nan)
+            r2 = np.where(ok, np.where(b > 0, near, (-b + sq) / (2 * a)), np.nan)
             roots = np.stack([r1, r2], axis=1)
         elif d == 3:
             roots = _cubic_roots(block)

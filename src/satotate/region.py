@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import measures, symmetry
+from . import measures, primes, symmetry
 from .bipoly import Poly2, compose_bivariate, poly1_primitive, poly1_root_count
 from .chebyshev import check_degree, s_poly
 from .errors import (
@@ -724,10 +724,8 @@ def _li(x):
 @functools.cache
 def _pi_x(x):
     # memoised per x, so the envelope modes share one prime count
-    from . import counting
-
-    if x <= counting.PRIME_COUNT_MAX:
-        return counting.prime_count(int(x))
+    if x <= primes.PRIME_COUNT_MAX:
+        return primes.prime_count(int(x))
     return _li(x)
 
 
@@ -780,7 +778,7 @@ def error_envelope(mode, x, k, k_prime, level, level_prime, length, alpha, beta,
     GRH12:  L a b x^(11/12) log(K x)^(1/6) / (log x)^(1/2)
 
     pi(x) may be supplied by the caller; otherwise it is exact up to 10^11
-    (``counting.prime_count``, which lists no primes) and the
+    (``primes.prime_count``, which lists no primes) and the
     logarithmic-integral approximation beyond.  The GRH shapes, and pi(x)
     past 10^11, need x within float range.
     """

@@ -20,11 +20,11 @@ from satotate.counting import (
     default_checkpoints,
     dominance_density_series,
     first_sign_change,
-    sieve,
     sign_density_series,
     theoretical_first_sign_bound,
 )
 from satotate.measures import MeasureValue, d_ell, d_mn, mu_jst_region
+from satotate.primes import sieve
 from satotate.region import (
     boundary_bound_check,
     classify_boxes,

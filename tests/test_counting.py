@@ -18,14 +18,13 @@ from satotate.counting import (
     dominance_prediction,
     exact_lift_sign,
     first_sign_change,
-    prime_count,
-    sieve,
     sign_density_series,
     theoretical_first_sign_bound,
     zero_count,
 )
 from satotate.errors import BudgetError, CoverageError, DomainError
 from satotate.measures import Interval, MeasureValue, d_mn, mu_jst_region
+from satotate.primes import prime_count, sieve
 from satotate.symmetry import SQUARE_GROUP, parity
 
 import oracles

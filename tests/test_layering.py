@@ -1,0 +1,92 @@
+"""The package's internal imports are layered: no cycle, and the table layer
+(errors, primes, coeffs, bundled) loads without the geometry stack."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "satotate"
+
+TABLE_LAYER = ("errors", "primes", "coeffs", "bundled")
+GEOMETRY = ("bipoly", "chebyshev", "measures", "region", "counting", "symmetry", "charts")
+
+
+def _internal_imports():
+    """{module: {(imported package module, lineno, at module level)}} for
+    every module of the package, imports inside functions included."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        edges = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "satotate":
+                rest = node.module.split(".")[1:]
+                names = rest[:1] or [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name.split(".")[1] for a in node.names if a.name.startswith("satotate.")]
+            else:
+                continue
+            edges |= {(name, node.lineno, id(node) in top) for name in names if name in modules}
+        graph[path.stem] = edges
+    return graph
+
+
+def _reach(graph, start):
+    seen, stack = set(), [start]
+    while stack:
+        for name, _, _ in graph.get(stack.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                stack.append(name)
+    return seen
+
+
+def test_the_scan_sees_the_imports():
+    graph = _internal_imports()
+    assert {name for name, _, _ in graph["coeffs"]} == {"errors", "primes"}
+    assert {"bipoly", "measures", "region", "primes"} <= {n for n, _, _ in graph["counting"]}
+
+
+def test_internal_imports_form_no_cycle():
+    graph = _internal_imports()
+    cyclic = sorted(module for module in graph if module in _reach(graph, module))
+    assert not cyclic, f"modules on an import cycle: {cyclic}"
+
+
+def test_every_internal_import_is_at_module_level():
+    inner = sorted(
+        f"{module}.py:{line} imports {name}"
+        for module, edges in _internal_imports().items()
+        for name, line, at_top in edges
+        if not at_top
+    )
+    assert not inner, inner
+
+
+def test_the_table_layer_imports_no_geometry():
+    graph = _internal_imports()
+    for module in TABLE_LAYER:
+        assert not _reach(graph, module) & set(GEOMETRY), module
+
+
+def _loaded_after(statement):
+    script = f"import sys\n{statement}\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'satotate')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_package_root_loads_no_submodule():
+    assert _loaded_after("import satotate") == {"satotate"}
+
+
+def test_coefficient_tables_load_only_the_table_layer():
+    loaded = _loaded_after("import satotate.coeffs, satotate.bundled")
+    assert loaded == {"satotate"} | {f"satotate.{module}" for module in TABLE_LAYER}

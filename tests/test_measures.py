@@ -643,17 +643,17 @@ def _check_roots_against_oracle(coefficients, got):
         # a simple real root: found once, to 1e-12 relative, or to the
         # solver's error bound where that is larger, eps times the root's
         # condition number sum b_i |w|^i / |P'(w)| times a few ulps.  The
-        # linear and the cubic form err as if each coefficient moved by an
-        # ulp of itself (b_i = |c_i|, 8 ulps); the quadratic formula, whose
-        # smaller root cancels, and companion eigenvalues as if each moved
-        # by an ulp of the largest (b_i = max |c|; 8 and 1000 ulps)
+        # closed forms, whose roots never come from a cancelling sum, err
+        # as if each coefficient moved by an ulp of itself (b_i = |c_i|,
+        # 8 ulps); companion eigenvalues as if each moved by an ulp of the
+        # largest (b_i = max |c|, 1000 ulps)
         w = w.real
         near = got[np.abs(got - w) < 1e-3]
         assert near.size == 1, (w, got)
-        if degree in (1, 3):
+        if degree <= 3:
             bound, ulps = np.abs(coefficients), 8
         else:
-            bound, ulps = np.abs(coefficients).max(), 8 if degree == 2 else 1000
+            bound, ulps = np.abs(coefficients).max(), 1000
         kappa = np.sum(bound * abs(w) ** np.arange(degree + 1))
         kappa /= abs(np.polynomial.polynomial.polyval(w, derivative))
         tol = max(1e-12 * abs(w), ulps * np.finfo(float).eps * kappa)
@@ -664,6 +664,9 @@ def _check_roots_against_oracle(coefficients, got):
 @given(st.lists(_root_rows(), min_size=1, max_size=5))
 @example([(_ascending(1.0, [0.5, 0.5, 0.5]), "triple"), (_ascending(-3.0, [-1.0, 1e-7 - 1.0, 2.0]), "near-double")])
 @example([(_ascending(2.0, [0.3, 1 + 1e-3j, 1 - 1e-3j]), "separated"), (_ascending(1.0, [-2.0, 1.0, 2.0]), "separated")])
+# -b + sqrt(disc) cancels in the root near -1e-5, which (-b + sqrt(disc))/2a
+# gets 1e-12 relative off where eps times its condition number is 4e-16
+@example([(np.array([9.9999e-06, 0.99998, -1.0]), "separated")])
 def test_real_roots_batched_matches_the_oracle_alone_and_in_a_batch(rows):
     width = max(c.size for c, _ in rows)
     batch = np.zeros((len(rows), width))

@@ -713,7 +713,7 @@ def test_envelope_ratio_needs_no_scipy():
 
 
 def test_envelope_ratio_decreasing():
-    from satotate.counting import sieve
+    from satotate.primes import sieve
 
     def ratios(mode):
         out = []
@@ -738,7 +738,7 @@ _UNCONDITIONAL = ("Unconditional13", "Unconditional12")
 
 
 def test_envelope_ratio_counts_primes_once_per_x(monkeypatch):
-    from satotate import counting, region
+    from satotate import primes
     from satotate.region import ENVELOPE_MODES, ErrorEnvelope
 
     xs = [10**4, 10**5]
@@ -748,17 +748,32 @@ def test_envelope_ratio_counts_primes_once_per_x(monkeypatch):
     expected = [
         error_envelope(env.mode, x, *_ENVELOPE_PARAMS, pi_x=1)
         if env.mode in _UNCONDITIONAL
-        else env.value(x) / counting.sieve(x).count()
+        else env.value(x) / primes.sieve(x).count()
         for x in xs
         for env in envs
     ]
     region._pi_x.cache_clear()
     counted = []
-    real = counting.prime_count
-    monkeypatch.setattr(counting, "prime_count", lambda x: counted.append(x) or real(x))
-    monkeypatch.setattr(counting, "sieve", lambda bound: pytest.fail("pi(x) must not sieve"))
+    real = primes.prime_count
+    monkeypatch.setattr(primes, "prime_count", lambda x: counted.append(x) or real(x))
+    monkeypatch.setattr(primes, "sieve", lambda bound: pytest.fail("pi(x) must not sieve"))
     assert [env.ratio(x) for x in xs for env in envs] == expected
     assert counted == xs
+
+
+def test_envelopes_count_primes_through_primes_prime_count(monkeypatch):
+    # the tripwires beside this test patch primes.prime_count: were pi(x)
+    # counted anywhere else, they would pass without watching anything
+    from satotate import primes
+    from satotate.region import ErrorEnvelope
+
+    def refuse(x):
+        raise AssertionError(f"counted pi({x})")
+
+    region._pi_x.cache_clear()
+    monkeypatch.setattr(primes, "prime_count", refuse)
+    with pytest.raises(AssertionError, match=r"counted pi\(1000000\)"):
+        ErrorEnvelope("GRH12", *_ENVELOPE_PARAMS).ratio(10**6)
 
 
 _UNCONDITIONAL_RATIO_X = st.one_of(
@@ -772,7 +787,7 @@ _UNCONDITIONAL_RATIO_X = st.one_of(
 @example(x=10**11, mode="Unconditional12")
 @example(x=10**400, mode="Unconditional13")
 def test_unconditional_ratio_is_the_m_factor(x, mode):
-    from satotate import counting
+    from satotate import primes
     from satotate.region import ErrorEnvelope
 
     k, kp, level, level_p, length, alpha, beta = _ENVELOPE_PARAMS
@@ -782,7 +797,7 @@ def test_unconditional_ratio_is_the_m_factor(x, mode):
         raise AssertionError(f"an unconditional ratio evaluated pi(x) at {args}")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "prime_count", refuse)
+        mp.setattr(primes, "prime_count", refuse)
         mp.setattr(region, "_li", refuse)
         mp.setattr(region, "_pi_x", refuse)
         got = env.ratio(x)
@@ -790,7 +805,7 @@ def test_unconditional_ratio_is_the_m_factor(x, mode):
     closed = length * alpha / m ** (1.0 / 3.0) if mode == "Unconditional13" else length * alpha * beta / math.sqrt(m)
     assert got == closed
     if x <= 10**7:
-        via_pi = env.value(x) / counting.prime_count(int(x))
+        via_pi = env.value(x) / primes.prime_count(int(x))
         assert abs(got - via_pi) <= 4 * math.ulp(via_pi)
 
 
