@@ -18,6 +18,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from . import bundled, charts, coeffs, counting, measures, primes, region
@@ -53,10 +54,7 @@ class RunConfig:
             raise ConfigError(f"x_max must be in [2, 1e8], got {self.x_max}")
         if self.checkpoints < 1:
             raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
-        if not self.mn:
-            raise ConfigError("at least one (m, n) pair is required")
         _make_dir(self.out)
-        return self
 
 
 def _make_dir(path):
@@ -86,12 +84,133 @@ def _derived_file(out, name):
     return file
 
 
-def _n_max(args):
-    """The --n of expand and fetch, checked before any work: a table past
-    the sieve's bound could never be checked on ingest."""
-    if not 1 <= args.n <= primes.SIEVE_MAX:
-        raise ConfigError(f"--n must be in [1, 1e8], got {args.n}")
-    return args.n
+# -- settings: one parser per value flag and config key -----------------------------
+#
+# A parser takes a value's text and the name of its source (``--x-max``, or
+# ``run.cfg:3: x_max`` for a config key), and returns the value or raises
+# ConfigError naming that source.  ``load_config`` parses every key and
+# ``main`` every flag given, both through ``_PARSERS``, before a command runs.
+
+
+def _parse_numbers(text, name, convert, count=None):
+    """Comma-separated numbers; spaces and empty items are ignored."""
+    try:
+        values = [convert(t) for t in text.replace(" ", "").split(",") if t]
+    except ValueError:
+        values = None
+    if not values:
+        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}")
+    if any(v != v for v in values):  # NaN, the one value unequal to itself
+        raise ConfigError(f"{name}: NaN is not a number here, got {text!r}")
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{name}: expected {count} comma-separated numbers, got {text!r}")
+    return values
+
+
+def _number(convert, ok=lambda value: True, expected=""):
+    """The parser of one number for which ``ok`` holds."""
+
+    def parse(text, name):
+        (value,) = _parse_numbers(text, name, convert, count=1)
+        if not ok(value):
+            raise ConfigError(f"{name}: expected {expected}, got {value}")
+        return value
+
+    return parse
+
+
+def _path(text, name):
+    if not text:
+        raise ConfigError(f"{name}: expected a path, got ''")
+    return text
+
+
+def _boolean(text, name):
+    if text.lower() in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        return text.lower() in ("1", "true", "yes", "on")
+    raise ConfigError(f"{name}: expected a boolean value, got {text!r}")
+
+
+def _parse_mn(text, name):
+    """(m, n) pairs, m,n separated by ';'."""
+    chunks = text.replace(" ", "").split(";")
+    pairs = tuple(tuple(_parse_numbers(chunk, name, int, count=2)) for chunk in chunks if chunk)
+    if not pairs:
+        raise ConfigError(f"{name}: no (m,n) pairs supplied")
+    return pairs
+
+
+def _eta_recipe(text, name):
+    """The text and (divisor, exponent) pairs of a recipe; its weight, half the exponent sum, must be whole."""
+    try:
+        recipe = tuple((int(d), int(e)) for d, e in (pair.split(":") for pair in text.split(",")))
+    except ValueError:
+        raise ConfigError(f"{name}: expected divisor:exponent pairs, got {text!r}") from None
+    exponents = sum(e for _, e in recipe)
+    if exponents % 2:
+        raise ConfigError(f"{name}: the exponents sum to {exponents}, which is odd; the weight is half the sum")
+    return text, recipe
+
+
+def _graded_lex_poly(text, name):
+    try:
+        return region.graded_lex_poly(text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _interval(text, name):
+    """lo,hi; an empty end is infinite."""
+    try:
+        lo, hi = text.split(",")
+        ends = float(lo or "-inf"), float(hi or "inf")
+    except ValueError:
+        raise ConfigError(f"{name}: expected lo,hi, got {text!r}") from None
+    return measures.Interval(*ends)
+
+
+#: A table label: <level>.<weight>, then dot-separated parts of ASCII
+#: letters and digits.  A label names a cache file and a URL path, so
+#: nothing else may reach either.
+_LABEL_PATTERN = r"[0-9]+\.[0-9]+(\.[A-Za-z0-9]+)*"
+
+
+def _check_label(label, name):
+    """``label``; ConfigError unless all of it matches ``_LABEL_PATTERN``."""
+    if not re.fullmatch(_LABEL_PATTERN, label, re.ASCII):
+        raise ConfigError(
+            f"{name}: expected a label <level>.<weight>[.<part>...] of ASCII letters and digits, got {label!r}"
+        )
+    return label
+
+
+#: The parser of each config key (the fields of RunConfig) and of each value
+#: flag, by its argparse dest.  Absent here: --config, read first through
+#: ``_path``, and the files that a command opens or writes, --region-file,
+#: --out-file and --out-csv.
+_PARSERS = {
+    **dict.fromkeys(("f", "fp", "base_url"), lambda text, name: text),
+    **dict.fromkeys(("cache_dir", "out"), _path),
+    **dict.fromkeys(("x_max", "checkpoints", "level"), _number(int)),
+    "png": _boolean,
+    "mn": _parse_mn,
+    "label": _check_label,
+    # a table past the sieve's bound could never be checked on ingest
+    "n": _number(int, lambda n: 1 <= n <= primes.SIEVE_MAX, "a value in [1, 1e8]"),
+    "eta": _eta_recipe,
+    **dict.fromkeys(("target", "disk"), _number(float)),
+    "d": _number(float, lambda d: 0 < d < math.inf, "a finite, positive envelope constant"),
+    "m": partial(_parse_numbers, convert=int),
+    "rect": partial(_parse_numbers, convert=float, count=4),
+    **dict.fromkeys(("sign_product", "lift"), partial(_parse_numbers, convert=int, count=2)),
+    "poly_interval": _graded_lex_poly,
+    "interval": _interval,
+}
+_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
 
 
 def load_config(path):
@@ -108,62 +227,10 @@ def load_config(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key in ("out", "cache_dir") and not val:
-            raise ConfigError(f"{path}:{lineno}: {key}: expected a path, got ''")
-        if key in ("f", "fp", "base_url", "out", "cache_dir"):
-            setattr(cfg, key, val)
-        elif key in ("x_max", "checkpoints"):
-            setattr(cfg, key, _parse_numbers(val, key, int, count=1)[0])
-        elif key == "png":
-            if val.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-                raise ConfigError(f"{path}:{lineno}: expected a boolean png value, got {val!r}")
-            cfg.png = val.lower() in ("1", "true", "yes", "on")
-        elif key == "mn":
-            cfg.mn = _parse_mn(val)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        setattr(cfg, key, _PARSERS[key](val, f"{path}:{lineno}: {key}"))
     return cfg
-
-
-def _parse_numbers(text, name, convert, count=None):
-    """Comma-separated numbers of a flag or key; ConfigError when malformed."""
-    try:
-        values = [convert(t) for t in text.replace(" ", "").split(",") if t]
-    except ValueError:
-        values = None
-    if not values:
-        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}")
-    if any(v != v for v in values):  # NaN, the one value unequal to itself
-        raise ConfigError(f"{name}: NaN is not a number here, got {text!r}")
-    if count is not None and len(values) != count:
-        raise ConfigError(f"{name}: expected {count} comma-separated numbers, got {text!r}")
-    return values
-
-
-def _parse_mn(text):
-    pairs = tuple(
-        tuple(_parse_numbers(chunk, "(m,n) pair", int, count=2))
-        for chunk in text.replace(" ", "").split(";")
-        if chunk
-    )
-    if not pairs:
-        raise ConfigError("--mn (key mn): no (m,n) pairs supplied")
-    return pairs
-
-
-#: A table label: <level>.<weight>, then dot-separated parts of ASCII
-#: letters and digits.  A label names a cache file and a URL path, so
-#: nothing else may reach either.
-_LABEL_PATTERN = r"[0-9]+\.[0-9]+(\.[A-Za-z0-9]+)*"
-
-
-def _check_label(label, name):
-    """ConfigError unless all of ``label`` matches ``_LABEL_PATTERN``."""
-    if not re.fullmatch(_LABEL_PATTERN, label, re.ASCII):
-        raise ConfigError(
-            f"{name}: expected a label <level>.<weight>[.<part>...] of ASCII "
-            f"letters and digits, got {label!r}"
-        )
 
 
 def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL):
@@ -192,13 +259,11 @@ def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL
 
 def _add_region_flags(sub):
     sub.add_argument("--rect", help="u_lo,u_hi,v_lo,v_hi")
-    sub.add_argument("--sign-product", dest="sign_product", help="m,n")
+    sub.add_argument("--sign-product", help="m,n")
     sub.add_argument("--disk", nargs="?", const="1", help="radius (default 1)")
     sub.add_argument(
         "--poly-interval",
-        dest="poly_interval",
-        help="graded-lex coefficients of P, e.g. '0,0,0,0,1,0' for uv; "
-        "combine with --interval lo,hi and --lift m,n",
+        help="graded-lex coefficients of P, e.g. '0,0,0,0,1,0' for uv; combine with --interval lo,hi and --lift m,n",
     )
     sub.add_argument("--interval", help="interval for --poly-interval, default 0,inf")
     sub.add_argument("--lift", help="symmetric-power indices for --poly-interval, default 1,1")
@@ -211,28 +276,19 @@ _REGION_FLAGS = ("rect", "sign_product", "disk", "poly_interval", "region_file")
 def _region_from_args(args):
     given = [name for name in _REGION_FLAGS if getattr(args, name) is not None]
     if len(given) > 1:
-        flags = " ".join("--" + name.replace("_", "-") for name in given)
-        raise ConfigError(f"one region flag at most, got {flags}")
+        raise ConfigError(f"one region flag at most, got {' '.join(map(_flag, given))}")
     if args.poly_interval is None and (args.interval, args.lift) != (None, None):
         raise ConfigError("--interval and --lift apply only to --poly-interval")
     if args.rect is not None:
-        return region.rect(*_parse_numbers(args.rect, "--rect", float, count=4))
+        return region.rect(*args.rect)
     if args.sign_product is not None:
-        return region.sign_product(*_parse_numbers(args.sign_product, "--sign-product", int, count=2))
+        return region.sign_product(*args.sign_product)
     if args.disk is not None:
-        return region.disk(*_parse_numbers(args.disk, "--disk", float, count=1))
+        return region.disk(args.disk)
     if args.poly_interval is not None:
-        try:
-            P = region.graded_lex_poly(args.poly_interval.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"--poly-interval: {exc}") from None
-        try:
-            lo_s, hi_s = ("0,inf" if args.interval is None else args.interval).split(",")
-            lo, hi = float(lo_s or "-inf"), float(hi_s or "inf")
-        except ValueError:
-            raise ConfigError(f"--interval: expected lo,hi, got {args.interval!r}") from None
-        m, n = _parse_numbers("1,1" if args.lift is None else args.lift, "--lift", int, count=2)
-        return region.region_from_poly_interval(P, measures.Interval(lo, hi), m, n)
+        interval = measures.Interval(0.0, math.inf) if args.interval is None else args.interval
+        m, n = (1, 1) if args.lift is None else args.lift
+        return region.region_from_poly_interval(args.poly_interval, interval, m, n)
     if args.region_file is not None:
         return region.parse_region_file(args.region_file)
     raise ConfigError("no region specified")
@@ -242,39 +298,24 @@ def _region_from_args(args):
 
 
 def cmd_expand(cfg, args):
-    n_max = _n_max(args)
-    if args.label is not None:
-        _check_label(args.label, "--label")
     if args.eta is None and args.level is not None:
         raise ConfigError("--level applies only to --eta")
     if args.eta is not None:
-        try:
-            recipe = tuple(
-                (int(d), int(e))
-                for d, e in (pair.split(":") for pair in args.eta.split(","))
-            )
-        except ValueError:
-            raise ConfigError(f"--eta: expected divisor:exponent pairs, got {args.eta!r}") from None
-        # the weight is half the exponent sum
-        exponents = sum(e for _, e in recipe)
-        if exponents % 2:
-            raise ConfigError(
-                f"--eta: the exponents sum to {exponents}, which is odd; the weight is half the sum"
-            )
+        text, recipe = args.eta
         # --label only names the recipe, bundled or not
         try:
             descriptor = coeffs.NewformDescriptor(
-                label=f"eta.{args.eta}" if args.label is None else args.label,
-                weight=exponents // 2,
+                label=f"eta.{text}" if args.label is None else args.label,
+                weight=sum(e for _, e in recipe) // 2,
                 level=max(d for d, _ in recipe) if args.level is None else args.level,
                 eta_recipe=recipe,
             )
         # every check here reads only the --eta and --level flags
         except (InvariantError, RecipeError) as exc:
             raise ConfigError(f"expand: {exc}") from None
-        table = coeffs.expand_eta_quotient(descriptor, n_max)
+        table = coeffs.expand_eta_quotient(descriptor, args.n)
     elif args.label is not None:
-        table = resolve_table(args.label, n_max, cfg.cache_dir, cfg.base_url)
+        table = resolve_table(args.label, args.n, cfg.cache_dir, cfg.base_url)
     else:
         raise ConfigError("expand requires --eta or --label")
     if args.out_file is not None:
@@ -286,20 +327,17 @@ def cmd_expand(cfg, args):
 
 
 def cmd_fetch(cfg, args):
-    n_max = _n_max(args)
-    if args.label is not None:
-        _check_label(args.label, "--label")
     cache_dir = Path(cfg.cache_dir) if cfg.cache_dir is not None else coeffs.default_cache_dir()
     if args.seed_bundled:
         if args.label is not None:
             raise ConfigError("--seed-bundled seeds the default pair and takes no --label")
         for label in (RunConfig.f, RunConfig.fp):
-            resolve_table(label, n_max, cache_dir, cfg.base_url)
+            resolve_table(label, args.n, cache_dir, cfg.base_url)
             print(f"seeded {cache_dir / f'{label}.txt'}")
         return 0
     if args.label is None:
         raise ConfigError("fetch requires --label (or --seed-bundled)")
-    table = resolve_table(args.label, n_max, cache_dir, cfg.base_url)
+    table = resolve_table(args.label, args.n, cache_dir, cfg.base_url)
     print(f"{table.descriptor.label}: {table.bound} coefficients cached under {cache_dir}")
     return 0
 
@@ -310,11 +348,11 @@ def cmd_measure(cfg, args):
     print(f"region: {reg.label}")
     print(f"measure = {mv.value:.9f}  (certified +- {mv.abs_error:.3g})")
     if args.rect is not None:
-        u_lo, u_hi, v_lo, v_hi = _parse_numbers(args.rect, "--rect", float, count=4)
+        u_lo, u_hi, v_lo, v_hi = args.rect
         closed = measures.mu_jst_rect(measures.Interval(u_lo, u_hi), measures.Interval(v_lo, v_hi)).value
         print(f"closed form (product of 1-D measures) = {closed:.9f}")
     if args.sign_product is not None:
-        m, n = _parse_numbers(args.sign_product, "--sign-product", int, count=2)
+        m, n = args.sign_product
         closed = measures.d_mn(m, n)
         print(f"closed form d({m},{n}) = {closed:.9f}   |difference| = {abs(closed - mv.value):.2e}")
         if (m, n) == (2, 2):
@@ -328,14 +366,12 @@ def cmd_measure(cfg, args):
 def _pair_frame(cfg):
     """Resolve the command's two tables and checkpoint grid, and build its one
     pair frame; every series of the command reduces this frame."""
-    table_f = resolve_table(cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
-    table_fp = resolve_table(cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
+    tables = [resolve_table(label, cfg.x_max, cfg.cache_dir, cfg.base_url) for label in (cfg.f, cfg.fp)]
     checkpoints = counting.default_checkpoints(cfg.x_max, cfg.checkpoints)
-    return counting.pair_frame(table_f, table_fp, max(checkpoints)), checkpoints
+    return counting.pair_frame(*tables, max(checkpoints)), checkpoints
 
 
-def _series_commands(cfg, args, kind):
-    pairs = cfg.mn if args.mn is None else _parse_mn(args.mn)
+def _series_commands(cfg, kind):
     frame, checkpoints = _pair_frame(cfg)
     out = Path(cfg.out)
     builder = (
@@ -344,7 +380,7 @@ def _series_commands(cfg, args, kind):
     header = [f.name for f in fields(counting.CheckpointRow)]
     # a row's fields in header order; dataclasses.astuple deep-copies each row
     cells = operator.attrgetter(*header)
-    for m, n in pairs:
+    for m, n in cfg.mn:
         rep = builder(*frame.tables, m, n, checkpoints)
         stem = f"{kind}_{m}_{n}"
         charts.write_csv(_derived_file(out, f"{stem}.csv"), header, map(cells, rep.rows))
@@ -400,13 +436,8 @@ def cmd_figures(cfg, args):
 
 
 def cmd_first_sign(cfg, args):
-    # refused before any table is read, like --n
-    if args.d is not None and not 0 < args.d < math.inf:  # NaN fails this too
-        raise ConfigError(f"--d: expected a finite, positive envelope constant, got {args.d}")
-    table_f = resolve_table(cfg.f, cfg.x_max, cfg.cache_dir, cfg.base_url)
-    table_fp = resolve_table(cfg.fp, cfg.x_max, cfg.cache_dir, cfg.base_url)
-    pairs = cfg.mn if args.mn is None else _parse_mn(args.mn)
-    for m, n in pairs:
+    table_f, table_fp = (resolve_table(label, cfg.x_max, cfg.cache_dir, cfg.base_url) for label in (cfg.f, cfg.fp))
+    for m, n in cfg.mn:
         for rule in counting.EXCLUSION_RULES:
             res = counting.first_sign_change(table_f, table_fp, m, n, rule)
             if res.found:
@@ -430,9 +461,8 @@ def cmd_bracket(cfg, args):
     """For each grid resolution m: the grid bracket, the boundary box count
     and its bound, and the most components of one strip."""
     reg = _region_from_args(args)
-    out = Path(cfg.out)
     rows = []
-    for m_res in _parse_numbers("16,32,64,128" if args.m is None else args.m, "--m", int):
+    for m_res in args.m:
         approx = region.classify_boxes(reg, m_res)
         n_obs, bound = region.boundary_bound_check(approx)
         strips = int(region.strip_merge(approx).per_strip_counts.max(initial=0))
@@ -443,7 +473,7 @@ def cmd_bracket(cfg, args):
         )
         rows.append([m_res, approx.mu_low, approx.mu_high, width, n_obs, bound, strips])
     header = ["m", "mu_low", "mu_high", "width", "boundary_count", "area_bound", "max_strip_components"]
-    charts.write_csv(_derived_file(out, f"bracket_{reg.label.replace('/', '_')}.csv"), header, rows)
+    charts.write_csv(_derived_file(cfg.out, f"bracket_{reg.label.replace('/', '_')}.csv"), header, rows)
     return 0
 
 
@@ -458,29 +488,29 @@ def build_parser():
         "can be overridden with the SATOTATE_CACHE_DIR environment variable.",
     )
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--cache-dir", dest="cache_dir")
+    parser.add_argument("--cache-dir")
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="expand an eta quotient to a coefficient file")
     p.add_argument("--eta", help="recipe as divisor:exponent pairs, e.g. 1:4,5:4")
     p.add_argument("--label")
-    p.add_argument("--level", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out-file", dest="out_file")
+    p.add_argument("--level")
+    p.add_argument("--n", required=True)
+    p.add_argument("--out-file")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("fetch", help="fetch (or seed) cached coefficient tables")
     p.add_argument("--label")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--seed-bundled", action="store_true", help="seed the cache offline")
     p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("measure", help="joint measure of a region")
     _add_region_flags(p)
-    p.add_argument("--target", type=float, default=1e-6)
+    p.add_argument("--target", default="1e-6")
     p.add_argument("--seedless", action="store_true", help="lift the quadrature cell budget")
-    p.add_argument("--out-csv", dest="out_csv")
+    p.add_argument("--out-csv")
     p.set_defaults(func=cmd_measure)
 
     for kind in ("density", "dominance"):
@@ -488,41 +518,37 @@ def build_parser():
         p.add_argument("--f")
         p.add_argument("--fp")
         p.add_argument("--mn", help="pairs m,n separated by ';'")
-        p.add_argument("--x-max", dest="x_max", type=int)
-        p.set_defaults(func=lambda cfg, args, _kind=kind: _series_commands(cfg, args, _kind))
+        p.add_argument("--x-max")
+        p.set_defaults(func=lambda cfg, args, _kind=kind: _series_commands(cfg, _kind))
 
     p = sub.add_parser("figures", help="reproduce the two summary figures")
     p.add_argument("--f")
     p.add_argument("--fp")
-    p.add_argument("--x-max", dest="x_max", type=int)
+    p.add_argument("--x-max")
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("first-sign", help="first simultaneous sign change")
     p.add_argument("--f")
     p.add_argument("--fp")
     p.add_argument("--mn")
-    p.add_argument("--x-max", dest="x_max", type=int)
-    p.add_argument("--d", type=float, help="envelope constant for the theoretical bound")
+    p.add_argument("--x-max")
+    p.add_argument("--d", help="envelope constant for the theoretical bound")
     p.set_defaults(func=cmd_first_sign)
 
     p = sub.add_parser("bracket", help="certified grid bracket of a region")
     _add_region_flags(p)
-    p.add_argument("--m", help="grid resolutions, default 16,32,64,128")
+    p.add_argument("--m", default="16,32,64,128", help="grid resolutions, default 16,32,64,128")
     p.set_defaults(func=cmd_bracket)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        for key in ("config", "cache_dir", "out"):
-            if getattr(args, key) == "":
-                raise ConfigError(f"--{key.replace('_', '-')}: expected a path, got ''")
-        cfg = load_config(args.config) if args.config is not None else RunConfig()
-        for key in ("cache_dir", "out", "f", "fp", "x_max"):
-            if getattr(args, key, None) is not None:
-                setattr(cfg, key, getattr(args, key))
+        cfg = load_config(_path(args.config, "--config")) if args.config is not None else RunConfig()
+        for dest, parse in _PARSERS.items():
+            if getattr(args, dest, None) is not None:  # a flag wins over its key
+                setattr(cfg if dest in _KEYS else args, dest, parse(getattr(args, dest), _flag(dest)))
         cfg.validate()
         return args.func(cfg, args)
     except SatotateError as exc:

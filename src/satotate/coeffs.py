@@ -58,12 +58,10 @@ eta(z)^6 eta(3z)^6 on every second coefficient.
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 import re
 import threading
-import urllib.error
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -695,8 +693,10 @@ def download_table(label, n_max, base_url, timeout=30.0):
     array of integers or whitespace/comma separated text.  A malformed base
     URL, an unreachable host or a broken reply is a NetworkError.
     """
+    # the remote client's modules (http.client, ssl, email): only when a table is downloaded
     import http.client
-    import urllib.request  # http.client, ssl and email: only when a table is downloaded
+    import urllib.error
+    import urllib.request
 
     url = f"{base_url.rstrip('/')}/q_expansion/{label}?n={n_max}"
     try:
@@ -724,6 +724,8 @@ def _parse_remote_body(body):
     fields of the file grammar (an optional sign and ASCII digits) separated
     by whitespace or commas.  Anything else, bools and floats included, is
     refused."""
+    import json  # the remote client's, like urllib in download_table
+
     body = body.strip()
     try:
         data = json.loads(body)

@@ -285,11 +285,16 @@ def event_and_prediction(frame, kind, m, n):
 
 
 def count_in_region(table_f, table_fp, stat_region, x):
-    """Exact count of primes p <= x, p coprime to both levels, whose
-    normalized pair lies in the region.
+    """Count of primes p <= x, p coprime to both levels, whose normalized
+    pair lies in the region.
 
     Each constraint's sign is decided by ``PairFrame.decide``: in floating
-    point, and exactly in Q + Q*sqrt(p) within 1e-9 of the boundary.
+    point, and exactly in Q + Q*sqrt(p) within 1e-9 of the boundary.  The
+    count is exact only while that guard band covers the rounding of the
+    composed polynomial's evaluation, which at high lift degree it does not:
+    {S_m(u) > 0} built by ``region_from_poly_interval`` on 5.4.a.a x 1.12.a.a
+    up to 1e4 counts 620 and 612 primes at m = 48 and 64, where the exact
+    counts (``poly_positive``, or the lift signs) are 616 and 601.
     """
     frame = pair_frame(table_f, table_fp, x)
     statuses = [
@@ -339,10 +344,13 @@ def first_sign_change(table_f, table_fp, m, n, exclusion="AllPrimes", search_bou
     the stored A(p^m) (such a prime is skipped, and recorded, if p^m exceeds
     the table bound).  Never raises on a fruitless search; returns a
     NotFound-style result carrying the searched bound.  ``search_bound``,
-    when given, must be at least 2 (DomainError).
+    when given, must be at least 2, and (m, n) = (0, 0), whose product is
+    the constant 1, has no sign change to find (DomainError, as in ``d_mn``).
     """
     if exclusion not in EXCLUSION_RULES:
         raise DomainError(f"unknown exclusion rule {exclusion!r}")
+    if m == 0 and n == 0:
+        raise DomainError("(m, n) = (0, 0) has no sign statistic")
     if search_bound is not None and search_bound < 2:
         raise DomainError(f"search_bound must be at least 2, got {search_bound}")
     bound = min(table_f.bound, table_fp.bound, math.inf if search_bound is None else search_bound)

@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -797,6 +798,8 @@ def test_runconfig_validation(tmp_path):
         ["expand", "--label", "5.4.a.a", "--n", "3", "--out-file", "/"],
         ["measure", "--disk", "--target", "1e-2", "--out-csv", "."],
         ["--cache-dir", "/dev/null", "fetch", "--label", "5.4.a.a", "--n", "3"],
+        # (0, 0) has no sign statistic, for first-sign as for density
+        ["first-sign", "--mn", "0,0", "--x-max", "100"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
@@ -858,7 +861,7 @@ def test_png_key_takes_only_booleans(tmp_path, value, png):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"png = {value}\n")
     if png is None:
-        with pytest.raises(ConfigError, match="boolean png value"):
+        with pytest.raises(ConfigError, match=":1: png: expected a boolean value"):
             load_config(cfg_file)
     else:
         assert load_config(cfg_file).png is png
@@ -910,6 +913,35 @@ def test_config_keys_exit_with_the_codes_of_their_flags(tmp_path, monkeypatch, p
     by_key = exit_code({k: v for k, v in given.items() if k != key}, f"--config={config}")
     assert by_key == by_flag
     assert by_flag in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "key, value", [*(("x_max", v) for v in ("1e5", "0x10", "3,000", "0", "100000001")), ("mn", ""), ("mn", "1,x")]
+)
+def test_a_flag_and_its_key_give_one_error_line(tmp_path, capsys, monkeypatch, key, value):
+    # one parser per setting: the same exit code and error line, up to the
+    # name of the source, and never argparse's usage text
+    _refuse_tables(monkeypatch)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    flag = _KEY_FLAGS[key]
+    by_flag = run(["--out", str(tmp_path), "density", flag, value], capsys)
+    by_key = run(["--config", str(config), "--out", str(tmp_path), "density"], capsys)
+    assert by_flag[:2] == by_key[:2] == (2, "")
+    assert by_flag[2].startswith("error: ") and by_flag[2].count("\n") == 1
+    assert by_key[2].replace(f"{config}:1: {key}", flag) == by_flag[2]
+    assert "usage:" not in by_flag[2] + by_key[2]
+
+
+def test_every_value_flag_and_key_has_one_parser():
+    parser = cli.build_parser()
+    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+    for command in (parser, *commands.values()):
+        for action in command._actions:
+            if action.option_strings and action.nargs != 0:  # a flag that takes a value
+                assert action.type is None, action.dest  # text, parsed by main alone
+                assert action.dest in {*cli._PARSERS, "config", "out_file", "out_csv", "region_file"}, action.dest
+    assert {f.name for f in fields(RunConfig)} <= set(cli._PARSERS)
 
 
 #: The exit code of each package error raised from a command through main.

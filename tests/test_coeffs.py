@@ -641,6 +641,22 @@ def test_file_not_utf8_rejected(tmp_path, data, line):
     assert excinfo.value.line_number == line
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="ROADMAP item 2: ingest checks only prime indices, so A(6) = -37 loads and is served",
+)
+def test_a_composite_coefficient_that_breaks_multiplicativity_is_refused(tmp_path):
+    # A(6) = A(2) A(3) = -36 for 6.6.a.a; no prime index changes
+    path = tmp_path / "6.6.a.a.txt"
+    write_coefficient_file(path, bundled.bundled_table("6.6.a.a", 60))
+    text = path.read_text()
+    assert "\n6 -36\n" in text
+    path.write_text(text.replace("\n6 -36\n", "\n6 -37\n"))
+    with pytest.raises((ParseError, InvariantError)):
+        load_coefficient_file(path)
+
+
 def test_truncated_file_never_loads_wrong_values(tmp_path):
     # cut the file at every byte offset: each cut is refused, or it ends on
     # a line boundary and loads a correct prefix of the table

@@ -271,6 +271,37 @@ def test_first_sign_change_searches_up_to_2(f54_table, f66_table):
     assert (res.prime, res.searched_bound) == (2, 2)
 
 
+@pytest.mark.parametrize("rule", counting.EXCLUSION_RULES)
+def test_first_sign_change_refuses_the_constant_pair(f54_table, f66_table, rule):
+    # S_0(u) S_0(v) = 1 at every prime: once reported as "no sign change"
+    with pytest.raises(DomainError, match=r"\(0, 0\)"):
+        first_sign_change(f54_table, f66_table, 0, 0, rule)
+    assert first_sign_change(f54_table, f66_table, 0, 1, rule).found  # one zero index is a statistic
+
+
+_HIGH_DEGREE = [(48, 616), (64, 601)]
+
+
+@pytest.mark.parametrize("m, exact", _HIGH_DEGREE)
+def test_lift_signs_and_factored_regions_count_high_degrees_exactly(f54_table, delta_table, m, exact):
+    # {S_m(u) > 0} on 5.4.a.a x 1.12.a.a up to 1e4
+    frame = counting.pair_frame(f54_table, delta_table, 10**4)
+    assert int((frame.lift_signs(0, m) > 0).sum()) == exact
+    assert count_in_region(f54_table, delta_table, region.poly_positive(Poly2({(1, 0): 1}), m, 0), 10**4) == exact
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the 1e-9 guard band of PairFrame.decide does not cover the rounding "
+    "of the composed S_m, so {S_m(u) > 0} counts 620 and 612 at m = 48 and 64",
+)
+@pytest.mark.parametrize("m, exact", _HIGH_DEGREE)
+def test_count_in_region_is_exact_at_high_lift_degree(f54_table, delta_table, m, exact):
+    composed = region.region_from_poly_interval(Poly2({(1, 0): 1}), Interval(0, math.inf), m, 0)
+    assert count_in_region(f54_table, delta_table, composed, 10**4) == exact
+
+
 def test_theoretical_bound_minimality():
     kwargs = dict(m=2, n=2, k=4, k_prime=6, level=5, level_prime=6)
     j = theoretical_first_sign_bound(d=0.6, **kwargs)

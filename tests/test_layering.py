@@ -75,8 +75,10 @@ def test_the_table_layer_imports_no_geometry():
         assert not _reach(graph, module) & set(GEOMETRY), module
 
 
-def _loaded_after(statement):
-    script = f"import sys\n{statement}\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'satotate')))"
+def _loaded_after(statement, roots=("satotate",)):
+    """The modules under ``roots`` in sys.modules after a fresh interpreter
+    runs ``statement``."""
+    script = f"import sys\n{statement}\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -90,3 +92,9 @@ def test_the_package_root_loads_no_submodule():
 def test_coefficient_tables_load_only_the_table_layer():
     loaded = _loaded_after("import satotate.coeffs, satotate.bundled")
     assert loaded == {"satotate"} | {f"satotate.{module}" for module in TABLE_LAYER}
+
+
+def test_the_cli_loads_no_remote_client():
+    # json and urllib.error serve downloads alone, like urllib.request
+    loaded = _loaded_after("import satotate.cli", roots=("json", "urllib"))
+    assert not loaded & {"json", "urllib.error", "urllib.request"}, sorted(loaded)
