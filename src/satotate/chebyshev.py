@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapError
+from .errors import CapError, DomainError
 
 #: Degree cap keeping U_m coefficients comfortably inside exact 64-bit range
 #: (the leading coefficient is 2^m).  Adjustable if a caller truly needs more.
@@ -29,6 +29,15 @@ def check_degree(m):
         raise CapError(f"degree must be nonnegative, got {m}")
     if m > DEGREE_CAP:
         raise CapError(f"degree {m} exceeds cap {DEGREE_CAP}")
+
+
+def check_pair(m, n):
+    """The one rule of an (m, n) statistic or region: each degree in
+    [0, DEGREE_CAP], and not both 0, where both lifts are U_0 = 1."""
+    check_degree(m)
+    check_degree(n)
+    if m == 0 and n == 0:
+        raise DomainError("(m, n) = (0, 0) lifts both coefficients to the constant 1")
 
 
 def s_poly(m):

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
-from . import bundled, charts, coeffs, counting, measures, primes, region
-from .errors import ConfigError, InvariantError, RecipeError, SatotateError
+from . import bundled, charts, chebyshev, coeffs, counting, measures, primes, region
+from .errors import ConfigError, DomainError, InvariantError, RecipeError, SatotateError
 
 _D22_FLAG = (
     "note: the (2,2) density is 0.523761 by both the closed form and certified "
@@ -44,17 +44,6 @@ class RunConfig:
     out: str = "."
     png: bool = True
     mn: tuple = ((1, 1),)
-
-    def validate(self):
-        if not (self.f and self.fp):
-            raise ConfigError(f"table labels must not be empty, got f={self.f!r} fp={self.fp!r}")
-        _check_label(self.f, "f")
-        _check_label(self.fp, "fp")
-        if not 2 <= self.x_max <= 10**8:
-            raise ConfigError(f"x_max must be in [2, 1e8], got {self.x_max}")
-        if self.checkpoints < 1:
-            raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
-        _make_dir(self.out)
 
 
 def _make_dir(path):
@@ -90,12 +79,14 @@ def _derived_file(out, name):
 # ``run.cfg:3: x_max`` for a config key), and returns the value or raises
 # ConfigError naming that source.  ``load_config`` parses every key and
 # ``main`` every flag given, both through ``_PARSERS``, before a command runs.
+# Each range and label rule is checked by its parser alone.
 
 
 def _parse_numbers(text, name, convert, count=None):
-    """Comma-separated numbers; spaces and empty items are ignored."""
+    """Comma-separated numbers; empty items are ignored.  ``convert`` (int
+    or float) reads an item stripped and refuses a space inside it."""
     try:
-        values = [convert(t) for t in text.replace(" ", "").split(",") if t]
+        values = [convert(t) for t in text.split(",") if t.strip()]
     except ValueError:
         values = None
     if not values:
@@ -131,17 +122,26 @@ def _boolean(text, name):
     raise ConfigError(f"{name}: expected a boolean value, got {text!r}")
 
 
+def _lift_pair(text, name):
+    """m,n: a pair of lift degrees, as ``chebyshev.check_pair`` allows."""
+    m, n = _parse_numbers(text, name, int, count=2)
+    try:
+        chebyshev.check_pair(m, n)
+    except DomainError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return m, n
+
+
 def _parse_mn(text, name):
-    """(m, n) pairs, m,n separated by ';'."""
-    chunks = text.replace(" ", "").split(";")
-    pairs = tuple(tuple(_parse_numbers(chunk, name, int, count=2)) for chunk in chunks if chunk)
+    """``_lift_pair`` pairs separated by ';'."""
+    pairs = tuple(_lift_pair(chunk, name) for chunk in text.split(";") if chunk.strip())
     if not pairs:
         raise ConfigError(f"{name}: no (m,n) pairs supplied")
     return pairs
 
 
 def _eta_recipe(text, name):
-    """The text and (divisor, exponent) pairs of a recipe; its weight, half the exponent sum, must be whole."""
+    """The (divisor, exponent) pairs of a recipe; its weight, half the exponent sum, must be whole."""
     try:
         recipe = tuple((int(d), int(e)) for d, e in (pair.split(":") for pair in text.split(",")))
     except ValueError:
@@ -149,7 +149,7 @@ def _eta_recipe(text, name):
     exponents = sum(e for _, e in recipe)
     if exponents % 2:
         raise ConfigError(f"{name}: the exponents sum to {exponents}, which is odd; the weight is half the sum")
-    return text, recipe
+    return recipe
 
 
 def _graded_lex_poly(text, name):
@@ -189,20 +189,22 @@ def _check_label(label, name):
 #: ``_path``, and the files that a command opens or writes, --region-file,
 #: --out-file and --out-csv.
 _PARSERS = {
-    **dict.fromkeys(("f", "fp", "base_url"), lambda text, name: text),
+    **dict.fromkeys(("f", "fp", "label"), _check_label),
+    "base_url": lambda text, name: text,
     **dict.fromkeys(("cache_dir", "out"), _path),
-    **dict.fromkeys(("x_max", "checkpoints", "level"), _number(int)),
+    # a table past the sieve's bound could never be checked on ingest
+    "x_max": _number(int, lambda x: 2 <= x <= primes.SIEVE_MAX, "a value in [2, 1e8]"),
+    "n": _number(int, lambda n: 1 <= n <= primes.SIEVE_MAX, "a value in [1, 1e8]"),
+    "checkpoints": _number(int, lambda count: count >= 1, "at least 1"),
+    "level": _number(int),
     "png": _boolean,
     "mn": _parse_mn,
-    "label": _check_label,
-    # a table past the sieve's bound could never be checked on ingest
-    "n": _number(int, lambda n: 1 <= n <= primes.SIEVE_MAX, "a value in [1, 1e8]"),
     "eta": _eta_recipe,
     **dict.fromkeys(("target", "disk"), _number(float)),
     "d": _number(float, lambda d: 0 < d < math.inf, "a finite, positive envelope constant"),
     "m": partial(_parse_numbers, convert=int),
     "rect": partial(_parse_numbers, convert=float, count=4),
-    **dict.fromkeys(("sign_product", "lift"), partial(_parse_numbers, convert=int, count=2)),
+    **dict.fromkeys(("sign_product", "lift"), _lift_pair),
     "poly_interval": _graded_lex_poly,
     "interval": _interval,
 }
@@ -241,7 +243,6 @@ def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL
     raises (exit 3), never skipped or overwritten.  A label outside
     ``_LABEL_PATTERN`` is refused (exit 2) before any path or URL is built."""
     _check_label(label, "label")
-    cache_dir = Path(cache_dir) if cache_dir is not None else coeffs.default_cache_dir()
     table = coeffs.cached_table(label, n_max, cache_dir)
     if table is not None:
         return table
@@ -249,8 +250,9 @@ def resolve_table(label, n_max, cache_dir=None, base_url=coeffs.DEFAULT_BASE_URL
         table = bundled.bundled_table(label, n_max)
     else:
         table = coeffs.download_table(label, n_max, base_url)
-    _make_dir(cache_dir)
-    coeffs.write_coefficient_file(cache_dir / f"{label}.txt", table)
+    path = coeffs.cache_file(label, cache_dir)
+    _make_dir(path.parent)
+    coeffs.write_coefficient_file(path, table)
     return table
 
 
@@ -301,11 +303,11 @@ def cmd_expand(cfg, args):
     if args.eta is None and args.level is not None:
         raise ConfigError("--level applies only to --eta")
     if args.eta is not None:
-        text, recipe = args.eta
+        recipe = args.eta
         # --label only names the recipe, bundled or not
         try:
             descriptor = coeffs.NewformDescriptor(
-                label=f"eta.{text}" if args.label is None else args.label,
+                label=f"eta.{','.join(f'{d}:{e}' for d, e in recipe)}" if args.label is None else args.label,
                 weight=sum(e for _, e in recipe) // 2,
                 level=max(d for d, _ in recipe) if args.level is None else args.level,
                 eta_recipe=recipe,
@@ -327,17 +329,17 @@ def cmd_expand(cfg, args):
 
 
 def cmd_fetch(cfg, args):
-    cache_dir = Path(cfg.cache_dir) if cfg.cache_dir is not None else coeffs.default_cache_dir()
     if args.seed_bundled:
         if args.label is not None:
             raise ConfigError("--seed-bundled seeds the default pair and takes no --label")
         for label in (RunConfig.f, RunConfig.fp):
-            resolve_table(label, args.n, cache_dir, cfg.base_url)
-            print(f"seeded {cache_dir / f'{label}.txt'}")
+            resolve_table(label, args.n, cfg.cache_dir, cfg.base_url)
+            print(f"seeded {coeffs.cache_file(label, cfg.cache_dir)}")
         return 0
     if args.label is None:
         raise ConfigError("fetch requires --label (or --seed-bundled)")
-    table = resolve_table(args.label, args.n, cache_dir, cfg.base_url)
+    table = resolve_table(args.label, args.n, cfg.cache_dir, cfg.base_url)
+    cache_dir = coeffs.cache_file(args.label, cfg.cache_dir).parent
     print(f"{table.descriptor.label}: {table.bound} coefficients cached under {cache_dir}")
     return 0
 
@@ -549,7 +551,7 @@ def main(argv=None):
         for dest, parse in _PARSERS.items():
             if getattr(args, dest, None) is not None:  # a flag wins over its key
                 setattr(cfg if dest in _KEYS else args, dest, parse(getattr(args, dest), _flag(dest)))
-        cfg.validate()
+        _make_dir(cfg.out)
         return args.func(cfg, args)
     except SatotateError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -659,11 +659,12 @@ def parse_label(label):
         raise ParseError(f"cannot parse level/weight from label {label!r}") from None
 
 
-def default_cache_dir():
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "satotate"
+def cache_file(label, cache_dir=None):
+    """The cache file of ``label``, ``<cache_dir>/<label>.txt``; the
+    directory defaults to $SATOTATE_CACHE_DIR, else ~/.cache/satotate."""
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_ENV_VAR) or Path.home() / ".cache" / "satotate"
+    return Path(cache_dir) / f"{label}.txt"
 
 
 def _truncate_table(table, n_max):
@@ -672,17 +673,17 @@ def _truncate_table(table, n_max):
     return CoefficientTable(table.descriptor, table._values[:n_max], check=False)
 
 
-def cached_table(label, n_max, cache_dir):
-    """The cached table of ``label`` cut to n_max, or None when the cache
-    file is missing or shorter.  A corrupt file raises, as on any load, and
-    so does one that cannot be read (a ParseError, exit 3)."""
-    cache_file = Path(cache_dir) / f"{label}.txt"
-    if not cache_file.exists():
+def cached_table(label, n_max, cache_dir=None):
+    """The cached table of ``label`` cut to n_max, or None when its
+    ``cache_file`` is missing or shorter.  A corrupt file raises, as on any
+    load, and so does one that cannot be read (a ParseError, exit 3)."""
+    path = cache_file(label, cache_dir)
+    if not path.exists():
         return None
     try:
-        table = load_coefficient_file(cache_file)
+        table = load_coefficient_file(path)
     except OSError as exc:  # a directory in the file's place, no permission
-        raise ParseError(f"cache file {cache_file}: {exc.strerror}") from None
+        raise ParseError(f"cache file {path}: {exc.strerror}") from None
     return _truncate_table(table, n_max) if table.bound >= n_max else None
 
 

@@ -23,22 +23,24 @@ from fractions import Fraction
 import numpy as np
 
 from .bipoly import Poly2, compose_bivariate
-from .chebyshev import eval_u, s_poly
+from .chebyshev import check_pair, eval_u, s_poly
 from .errors import CoverageError, DomainError, InvariantError
 from .measures import d_mn, mu_jst_region
 from .primes import sieve
-from .symmetry import SQUARE_GROUP, parity
 from . import region as region_mod
 
 _GUARD = 1e-9
+#: The first checkpoint of ``default_checkpoints`` (x_max when smaller).
+_FIRST_CHECKPOINT = 1000
+#: The certified error of the quadrature behind ``dominance_prediction``.
+_PREDICTION_TARGET = 1e-3
 
 
-def default_checkpoints(x_max, count=20, x_min=1000):
+def default_checkpoints(x_max, count=20):
     """Geometric checkpoint grid, deduplicated, ending exactly at x_max."""
     if x_max < 2:
         raise DomainError("x_max must be at least 2")
-    x_min = min(x_min, x_max)
-    pts = np.geomspace(x_min, x_max, count)
+    pts = np.geomspace(min(_FIRST_CHECKPOINT, x_max), x_max, count)
     xs = sorted({int(round(p)) for p in pts} | {int(x_max)})
     return xs
 
@@ -233,8 +235,7 @@ def sign_density_series(table_f, table_fp, m, n, checkpoints):
     The predicted density is the closed-form d_{m,n}; the envelope column is
     the ratio of the sharper unconditional envelope to pi(x).
     """
-    if m == 0 and n == 0:
-        raise DomainError("(m, n) = (0, 0) has no sign statistic")
+    check_pair(m, n)
     frame = pair_frame(table_f, table_fp, max(checkpoints))
     return DensityReport.build(
         "sign", frame, m, n, list(checkpoints), region_mod.sign_product(m, n)
@@ -247,25 +248,25 @@ def _dominance_region(m, n):
     return region_mod.poly_positive(Poly2({(0, 1): 1, (1, 0): -1}), m, n)
 
 
-def dominance_prediction(m, n, target_abs_error=1e-3):
+def dominance_prediction(m, n):
     """Limiting density of {a(p^m) < a'(p^n)}.
 
-    It is exactly 1/2 when a symmetry of the square maps
-    S_n(v) - S_m(u) to its negative (equal indices, by u <-> v, or two odd
-    ones, by (u, v) -> (-u, -v)); that is decided on the polynomial, before
-    any region is built.  Otherwise the joint measure of
-    {U_m(u/2) < U_n(v/2)} is computed by certified quadrature.
+    It is exactly 1/2 when a symmetry of the square maps the one-leaf region
+    {W > 0}, W = S_n(v) - S_m(u), onto its complement (equal indices, by
+    u <-> v, or two odd ones, by (u, v) -> (-u, -v)): ``mu_jst_region``'s
+    test, made before W is factored.  Otherwise the joint measure of
+    {U_m(u/2) < U_n(v/2)} is certified to ``_PREDICTION_TARGET``.
     """
+    check_pair(m, n)
     W = _lift_poly(n, "v") - _lift_poly(m, "u")
-    if any(parity(g, W) < 0 for g in SQUARE_GROUP):
+    if region_mod.PolynomialRegion((region_mod.Constraint(W, ">"),)).symmetries[1]:
         return 0.5
-    return mu_jst_region(_dominance_region(m, n), target_abs_error).value
+    return mu_jst_region(_dominance_region(m, n), _PREDICTION_TARGET).value
 
 
 def dominance_density_series(table_f, table_fp, m, n, checkpoints):
     """Counts of primes with a(p^m) < a'(p^n) per checkpoint."""
-    if m == 0 and n == 0:
-        raise DomainError("(m, n) = (0, 0) compares constants")
+    check_pair(m, n)
     frame = pair_frame(table_f, table_fp, max(checkpoints))
     return DensityReport.build(
         "dominance", frame, m, n, list(checkpoints), _dominance_region(m, n)
@@ -344,13 +345,11 @@ def first_sign_change(table_f, table_fp, m, n, exclusion="AllPrimes", search_bou
     the stored A(p^m) (such a prime is skipped, and recorded, if p^m exceeds
     the table bound).  Never raises on a fruitless search; returns a
     NotFound-style result carrying the searched bound.  ``search_bound``,
-    when given, must be at least 2, and (m, n) = (0, 0), whose product is
-    the constant 1, has no sign change to find (DomainError, as in ``d_mn``).
+    when given, must be at least 2, and (m, n) pass ``check_pair``.
     """
     if exclusion not in EXCLUSION_RULES:
         raise DomainError(f"unknown exclusion rule {exclusion!r}")
-    if m == 0 and n == 0:
-        raise DomainError("(m, n) = (0, 0) has no sign statistic")
+    check_pair(m, n)
     if search_bound is not None and search_bound < 2:
         raise DomainError(f"search_bound must be at least 2, got {search_bound}")
     bound = min(table_f.bound, table_fp.bound, math.inf if search_bound is None else search_bound)

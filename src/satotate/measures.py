@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bipoly import poly1_primitive, poly1_roots, poly1_sign
-from .chebyshev import check_degree
+from .chebyshev import check_pair
 from .errors import BudgetError, DomainError, InvariantError
 
 _SLACK = 1e-12
@@ -189,12 +189,10 @@ def d_mn(m, n):
     """Density of primes where the (m, n) symmetric-power product is positive.
 
     Zero indices are allowed (U_0 = 1 is positive everywhere, so the density
-    degenerates to the single-index one), but (0, 0) is rejected.
+    degenerates to the single-index one), but (0, 0) is rejected
+    (``chebyshev.check_pair``).
     """
-    check_degree(m)
-    check_degree(n)
-    if m == 0 and n == 0:
-        raise DomainError("(m, n) = (0, 0) has no sign statistic")
+    check_pair(m, n)
     if m % 2 == 1 or n % 2 == 1:
         return 0.5
     return 0.5 + _tan_gap(m) * _tan_gap(n) / (2 * math.pi**2)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import measures, primes, symmetry
 from .bipoly import Poly2, compose_bivariate, poly1_primitive, poly1_root_count
-from .chebyshev import check_degree, s_poly
+from .chebyshev import check_pair, s_poly
 from .errors import (
     BudgetError,
     DegenerateError,
@@ -238,10 +238,7 @@ def sign_product(m, n, sign=1):
     (see ``measures.mu_jst_region``).  Index 0 contributes the constant
     factor 1 and is dropped.
     """
-    check_degree(m)
-    check_degree(n)
-    if m == 0 and n == 0:
-        raise DomainError("(m, n) = (0, 0) has constant sign")
+    check_pair(m, n)
     factors = [Poly2.from_univariate(s_poly(ell), axis) for ell, axis in ((m, "u"), (n, "v")) if ell > 0]
     return _sign_pattern(factors, sign, f"sign[{m},{n}]{'+' if sign > 0 else '-'}")
 
@@ -253,10 +250,9 @@ def region_from_poly_interval(P, interval, m, n):
     integer polynomials S_m, S_n is exact, and the resulting degree feeds the
     vertical-line intersection bound beta.
     """
+    check_pair(m, n)
     if P.is_constant():
         raise DomainError("P must be non-constant")
-    if m == 0 and n == 0:
-        raise DomainError("(m, n) = (0, 0) is not allowed")
     composed = compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))
     if composed.is_constant():
         raise DomainError("composed polynomial is constant on the square")
@@ -418,6 +414,7 @@ def poly_positive(P, m, n, sign=1):
     of even multiplicity cannot change the sign off a measure-zero set and
     are dropped.
     """
+    check_pair(m, n)
     if P.is_constant():
         raise DomainError("P must be non-constant")
     composed = compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))

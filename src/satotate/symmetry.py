@@ -61,14 +61,6 @@ SQUARE_GROUP = tuple(
 )
 
 
-def parity(g, poly):
-    """+1 if P o g = P, -1 if P o g = -P, else 0 (exact comparison)."""
-    image = g.act(poly)
-    if image == -poly:
-        return -1
-    return 1 if image == poly else 0
-
-
 def _multiset(items):
     return frozenset(Counter(items).items())
 

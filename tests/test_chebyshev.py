@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from satotate.chebyshev import eval_u, s_poly
+from satotate.chebyshev import DEGREE_CAP, check_pair, eval_u, s_poly
 from satotate.counting import PairFrame
-from satotate.errors import CapError
+from satotate.errors import CapError, DomainError
 
 
 def test_s_poly_base_cases():
@@ -13,6 +13,16 @@ def test_s_poly_base_cases():
     assert s_poly(0) == (1,)
     assert s_poly(1) == (0, 1)
     assert s_poly(2) == (-1, 0, 1)
+
+
+def test_check_pair_is_the_one_lift_pair_rule():
+    for pair in ((0, 1), (1, 0), (DEGREE_CAP, DEGREE_CAP)):
+        check_pair(*pair)
+    for pair in ((-1, 1), (1, DEGREE_CAP + 1)):
+        with pytest.raises(CapError):
+            check_pair(*pair)
+    with pytest.raises(DomainError, match=r"^\(m, n\) = \(0, 0\) "):
+        check_pair(0, 0)
 
 
 def test_s_poly_structure():

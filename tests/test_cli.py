@@ -1,5 +1,6 @@
 
 import ast
+import collections
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satotate
-from satotate import bundled, cli, coeffs, counting, errors, measures, region
+from satotate import bundled, chebyshev, cli, coeffs, counting, errors, measures, region
 from satotate.cli import RunConfig, load_config, main, resolve_table
 from satotate.errors import ConfigError
 
@@ -79,6 +80,17 @@ def test_out_directory_blocked_by_a_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(["--out", str(blocker / "sub"), "fetch", "--seed-bundled", "--n", "3"], capsys)
     assert code == 2
     assert err.startswith("error: cannot create output directory")
+
+
+def test_expand_names_a_recipe_by_its_parsed_spelling(tmp_path, capsys):
+    # the default label is spelled from the parsed recipe, so a recipe given
+    # with a space writes a file that loads
+    path = tmp_path / "x.txt"
+    code, out, _ = run(["expand", "--eta", "1:4, 5:4", "--n", "9", "--out-file", str(path)], capsys)
+    assert (code, out) == (0, f"wrote 9 coefficients to {path}\n")
+    table = coeffs.load_coefficient_file(path)
+    assert table.descriptor.label == "eta.1:4,5:4"
+    assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
 
 
 def test_expand_usage_error(capsys):
@@ -286,8 +298,7 @@ def _refuse_tables(monkeypatch):
 def test_x_max_flag_is_validated(tmp_path, capsys, monkeypatch, command, x_max):
     _refuse_tables(monkeypatch)
     code, _, err = run(["--out", str(tmp_path), command, "--x-max", x_max], capsys)
-    assert code == 2
-    assert "x_max" in err
+    assert (code, err) == (2, f"error: --x-max: expected a value in [2, 1e8], got {x_max}\n")
 
 
 @pytest.mark.parametrize("count", [-1, 0])
@@ -307,7 +318,7 @@ def test_empty_label_flag_is_refused(tmp_path, capsys, monkeypatch, command, fla
     _refuse_tables(monkeypatch)
     code, _, err = run(["--out", str(tmp_path), command, flag, ""], capsys)
     assert code == 2
-    assert "labels must not be empty" in err
+    assert err.startswith(f"error: {flag}: expected a label") and err.endswith(", got ''\n")
 
 
 _BAD_LABELS = ["6.6.a.a\n", "6.6.a.a/../../x", "x", "5", "5.4.", "5.4.a.\u00e4", "\u0665.4.a.a", "5.4..a"]
@@ -353,7 +364,7 @@ def test_empty_label_in_config_is_refused(tmp_path, capsys, monkeypatch, key):
     cfg_file.write_text(f"{key} =\n")
     code, _, err = run(["--config", str(cfg_file), "--out", str(tmp_path), "figures"], capsys)
     assert code == 2
-    assert "labels must not be empty" in err
+    assert err.startswith(f"error: {cfg_file}:1: {key}: expected a label") and err.endswith(", got ''\n")
 
 
 def test_label_flags_override_config(tmp_path, capsys, monkeypatch):
@@ -708,11 +719,11 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_runconfig_validation(tmp_path):
-    from satotate.errors import ConfigError
-
-    cfg = RunConfig(x_max=10**9, out=str(tmp_path))
-    with pytest.raises(ConfigError):
-        cfg.validate()
+    # a key's range is checked as the file is read, by the key's parser
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"x_max = {10**9}\n")
+    with pytest.raises(ConfigError, match=r":1: x_max: expected a value in \[2, 1e8\], got 1000000000$"):
+        load_config(cfg_file)
 
 
 @pytest.mark.parametrize(
@@ -798,8 +809,13 @@ def test_runconfig_validation(tmp_path):
         ["expand", "--label", "5.4.a.a", "--n", "3", "--out-file", "/"],
         ["measure", "--disk", "--target", "1e-2", "--out-csv", "."],
         ["--cache-dir", "/dev/null", "fetch", "--label", "5.4.a.a", "--n", "3"],
-        # (0, 0) has no sign statistic, for first-sign as for density
+        # (0, 0) lifts both coefficients to the constant 1, for first-sign as
+        # for density
         ["first-sign", "--mn", "0,0", "--x-max", "100"],
+        # a space inside a number is refused, never dropped
+        ["expand", "--eta", "1:24", "--n", "3 0"],
+        ["density", "--mn", "1 2,3", "--x-max", "100"],
+        ["measure", "--sign-product", "1 0,2"],
     ],
 )
 def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
@@ -809,6 +825,25 @@ def test_malformed_flag_values_are_usage_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
     if "" in argv:
         assert argv[argv.index("") - 1] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--mn", "0,0"],
+        ["first-sign", "--mn", "1,1;0,65"],
+        ["measure", "--sign-product", "0,0"],
+        ["bracket", "--poly-interval", "0,1", "--lift", "0,0"],
+    ],
+)
+def test_a_lift_pair_is_refused_by_its_flag_parser(tmp_path, capsys, monkeypatch, argv):
+    # chebyshev.check_pair's rule and words, prefixed by the flag, before
+    # any table is read
+    _refuse_tables(monkeypatch)
+    flag, value = argv[-2:]
+    with pytest.raises(errors.DomainError) as refused:
+        chebyshev.check_pair(*map(int, value.split(";")[-1].split(",")))
+    assert run(["--out", str(tmp_path), *argv], capsys) == (2, "", f"error: {flag}: {refused.value}\n")
 
 
 #: The reason given for each file that cannot be read.
@@ -916,21 +951,29 @@ def test_config_keys_exit_with_the_codes_of_their_flags(tmp_path, monkeypatch, p
 
 
 @pytest.mark.parametrize(
-    "key, value", [*(("x_max", v) for v in ("1e5", "0x10", "3,000", "0", "100000001")), ("mn", ""), ("mn", "1,x")]
+    "key, value",
+    [
+        *(("x_max", v) for v in ("1e5", "0x10", "3,000", "3 000", "0", "1", "100000001")),
+        *((key, v) for key in ("f", "fp") for v in ("", "5..4")),
+        *(("mn", v) for v in ("", "1,x", "1 2,3", "0,0", "0,65")),
+        ("checkpoints", "0"),
+    ],
 )
 def test_a_flag_and_its_key_give_one_error_line(tmp_path, capsys, monkeypatch, key, value):
-    # one parser per setting: the same exit code and error line, up to the
-    # name of the source, and never argparse's usage text
+    # one parser per setting, which checks its range, label or lift pair: the
+    # same exit code and error line, up to the name of the source, and never
+    # argparse's usage text (checkpoints is a key without a flag)
     _refuse_tables(monkeypatch)
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {value}\n")
-    flag = _KEY_FLAGS[key]
-    by_flag = run(["--out", str(tmp_path), "density", flag, value], capsys)
     by_key = run(["--config", str(config), "--out", str(tmp_path), "density"], capsys)
-    assert by_flag[:2] == by_key[:2] == (2, "")
-    assert by_flag[2].startswith("error: ") and by_flag[2].count("\n") == 1
-    assert by_key[2].replace(f"{config}:1: {key}", flag) == by_flag[2]
-    assert "usage:" not in by_flag[2] + by_key[2]
+    assert by_key[:2] == (2, "")
+    assert by_key[2].startswith(f"error: {config}:1: {key}: ") and by_key[2].count("\n") == 1
+    assert "usage:" not in by_key[2]
+    if key in _KEY_FLAGS:
+        flag = _KEY_FLAGS[key]
+        by_flag = run(["--out", str(tmp_path), "density", flag, value], capsys)
+        assert by_flag == (2, "", by_key[2].replace(f"{config}:1: {key}", flag))
 
 
 def test_every_value_flag_and_key_has_one_parser():
@@ -1135,6 +1178,55 @@ def _argv(draw, files):
     return argv
 
 
+#: The documented header of each CSV that a command writes.
+_SERIES_HEADER = ["x", "pi_x", "count_pos", "count_neg", "count_zero", "emp_density", "pred_density", "envelope_ratio"]
+_CSV_HEADERS = {
+    "density": _SERIES_HEADER,
+    "dominance": _SERIES_HEADER,
+    "measure": ["region", "value", "abs_error"],
+    "bracket": ["m", "mu_low", "mu_high", "width", "boundary_count", "area_bound", "max_strip_components"],
+}
+_FIGURE_PAIRS = {"figure1.csv": ("1_1", "2_2", "1_2"), "figure2.csv": ("1_3", "2_2", "2_3")}
+
+
+def _files(root):
+    return {path: path.stat().st_mtime_ns for path in root.rglob("*") if path.is_file()}
+
+
+def _check_output(command, path):
+    """Check the contract of one file that a run exiting 0 wrote, and return
+    its kind: a coefficient file loads, and a CSV reads back under its
+    documented header with consistent values."""
+    if path.suffix == ".svg":
+        return "svg"
+    # expand's --out-file, or a table cached on the way (measure reads none)
+    if command in ("expand", "fetch") or path.suffix == ".txt" and command != "measure":
+        coeffs.load_coefficient_file(path)
+        return "table"
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = [{k: float(v) if k != "region" else v for k, v in row.items()} for row in reader]
+    if command == "figures":
+        pairs = _FIGURE_PAIRS[path.name]
+        assert reader.fieldnames == ["x", "pi_x", *(f"{kind}_{p}" for p in pairs for kind in ("emp", "pred"))]
+        return "figure"
+    assert reader.fieldnames == _CSV_HEADERS[command], path
+    assert rows and all(None not in row for row in rows), path
+    if command == "measure":
+        ((row),) = rows
+        assert 0 <= row["value"] - row["abs_error"] <= row["value"] + row["abs_error"] <= 1, row
+        return "measure"
+    if command == "bracket":
+        assert all(row["mu_low"] <= row["mu_high"] for row in rows), rows
+        return "bracket"
+    counted = [row["count_pos"] + row["count_neg"] + row["count_zero"] for row in rows]
+    pi_x = [row["pi_x"] for row in rows]
+    assert all(c <= p for c, p in zip(counted, pi_x)), rows
+    assert counted == sorted(counted) and pi_x == sorted(pi_x), rows
+    assert all(0 <= row["emp_density"] <= 1 for row in rows), rows
+    return "series"
+
+
 def test_generated_argv_exits_with_a_contract_code(tmp_path, seed_cache):
     files = {
         "cache": tmp_path / "cache", "out": tmp_path / "out", "config": tmp_path / "offline.cfg",
@@ -1147,12 +1239,11 @@ def test_generated_argv_exits_with_a_contract_code(tmp_path, seed_cache):
     files["bad"].write_bytes(b"\xff\xfe")
     work = tmp_path / "a" / "b"  # relative paths such as ../x stay inside tmp_path
     work.mkdir(parents=True)
+    checked = collections.Counter()
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.data())
-    def check(data):
-        argv = data.draw(_argv(files), label="argv")
+    def run_and_check(argv):
         stderr = io.StringIO()
+        before = _files(tmp_path)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
@@ -1160,10 +1251,29 @@ def test_generated_argv_exits_with_a_contract_code(tmp_path, seed_cache):
                 code = exc.code
         assert code in (0, 2, 3, 4), stderr.getvalue()
         assert "Traceback" not in stderr.getvalue()
+        if code == 0:  # every file the run wrote keeps its contract
+            for path, stamp in _files(tmp_path).items():
+                if before.get(path) != stamp:
+                    checked[_check_output(argv[3], path)] += 1
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        run_and_check(data.draw(_argv(files), label="argv"))
+
+    # the generated runs seldom reach a measure CSV or an --out-file
+    fixed = [
+        ["measure", "--disk", "--target", "1e-2", "--out-csv", "m.csv"],
+        ["measure", "--rect=-2,2,-2,2", "--target", "1e-2", "--out-csv", "r.csv"],
+        ["measure", "--sign-product", "2,2", "--target", "0.5", "--out-csv", "s.csv"],
+        ["expand", "--eta", "1:4, 5:4", "--n", "30", "--out-file", "e.txt"],
+    ]
     cwd = os.getcwd()
     os.chdir(work)
     try:
         check()
+        for argv in fixed:
+            run_and_check([f"--config={files['config']}", f"--cache-dir={files['cache']}", f"--out={files['out']}", *argv])
     finally:
         os.chdir(cwd)
+    assert {"table", "figure", "series", "measure", "bracket"} <= set(checked), checked

@@ -816,7 +816,7 @@ def test_fetch_matches_eta(tmp_path, monkeypatch, coeff_server):
     monkeypatch.chdir(tmp_path)
     table = download_table("5.4.a.a", 9, base)
     assert table.raw == (1, -4, 2, 8, -5, -8, 6, 0, -23)
-    assert not any(tmp_path.iterdir()) and not any(coeffs.default_cache_dir().iterdir())
+    assert not any(tmp_path.iterdir()) and not any(coeffs.cache_file("5.4.a.a").parent.iterdir())
 
 
 def test_fetch_66_snapshot(coeff_server):

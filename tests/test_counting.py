@@ -25,7 +25,7 @@ from satotate.counting import (
 from satotate.errors import BudgetError, CoverageError, DomainError
 from satotate.measures import Interval, MeasureValue, d_mn, mu_jst_region
 from satotate.primes import prime_count, sieve
-from satotate.symmetry import SQUARE_GROUP, parity
+from satotate.symmetry import SQUARE_GROUP
 
 import oracles
 
@@ -405,9 +405,10 @@ def test_exact_lift_sign_matches_oracle(delta_table, f54_table, m):
 
 
 def _flips(P, m, n):
-    """The symmetries of the square that negate P(S_m(u), S_n(v))."""
+    """The symmetries of the square that map {W > 0}, W = P(S_m(u), S_n(v)),
+    onto its complement."""
     W = compose_bivariate(P, list(s_poly(m)), list(s_poly(n)))
-    return [g for g in SQUARE_GROUP if parity(g, W) == -1]
+    return list(region.PolynomialRegion((region.Constraint(W, ">"),)).symmetries[1])
 
 
 def test_symmetry_odd_twist():
@@ -436,15 +437,38 @@ def test_symmetry_forces_half_measure():
 
 
 def test_dominance_half_is_decided_before_any_region(monkeypatch):
-    # exactly the pairs with equal or two odd indices are 1/2, and no
-    # region is built for them
+    # exactly the pairs with equal or two odd indices are 1/2, and W is not
+    # factored for them; (0, 0) is refused
     monkeypatch.setattr(region, "poly_positive", None)
     for m in range(9):
         for n in range(9):
+            if (m, n) == (0, 0):
+                continue
             half = m == n or m % 2 == n % 2 == 1
             assert bool(_flips(Poly2({(0, 1): 1, (1, 0): -1}), m, n)) == half, (m, n)
             if half:
                 assert dominance_prediction(m, n) == 0.5
+
+
+def test_dominance_is_half_exactly_when_a_symmetry_negates_the_difference(monkeypatch):
+    # 1/2 if and only if some g of the square maps W = S_n(v) - S_m(u) to -W,
+    # compared exactly on the coefficients; any other pair goes to the
+    # quadrature, stubbed here
+    monkeypatch.setattr(counting, "_dominance_region", lambda m, n: None)
+    monkeypatch.setattr(counting, "mu_jst_region", lambda reg, target: MeasureValue(0.25, 0.0))
+    for m in range(25):
+        for n in range(25):
+            if (m, n) == (0, 0):
+                continue
+            W = Poly2.from_univariate(s_poly(n), "v") - Poly2.from_univariate(s_poly(m), "u")
+            negated = any(g.act(W) == -W for g in SQUARE_GROUP)
+            assert (dominance_prediction(m, n) == 0.5) == negated, (m, n)
+
+
+def test_dominance_prediction_refuses_the_constant_pair():
+    # {S_0(u) < S_0(v)} = {1 < 1} is empty, so no density is 1/2 there
+    with pytest.raises(DomainError, match=r"\(0, 0\)"):
+        dominance_prediction(0, 0)
 
 
 def test_empirical_convergence_all_panels(f54_table, f66_table):
