@@ -192,8 +192,8 @@ _PARSERS = {
     **dict.fromkeys(("f", "fp", "label"), _check_label),
     "base_url": lambda text, name: text,
     **dict.fromkeys(("cache_dir", "out"), _path),
-    # a table past the sieve's bound could never be checked on ingest
     "x_max": _number(int, lambda x: 2 <= x <= primes.SIEVE_MAX, "a value in [2, 1e8]"),
+    # a table past the sieve's bound could never be checked on ingest
     "n": _number(int, lambda n: 1 <= n <= primes.SIEVE_MAX, "a value in [1, 1e8]"),
     "checkpoints": _number(int, lambda count: count >= 1, "at least 1"),
     "level": _number(int),
