@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
+
+from .records import Record
 
 #: fixed color cycle (series are assigned in order)
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -21,8 +22,7 @@ _WIDTH, _HEIGHT = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 40, 55
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     name: str
     ys: tuple
     prediction: float | None = None

@@ -17,7 +17,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -31,9 +30,10 @@ _D22_FLAG = (
 )
 
 
-@dataclass
 class RunConfig:
-    """Run settings; file values are overridden by explicit CLI flags."""
+    """Run settings; file values are overridden by explicit CLI flags.  The
+    annotated class attributes are the config keys and their defaults; an
+    instance reads a default until a key or flag sets its own value."""
 
     f: str = "5.4.a.a"
     fp: str = "6.6.a.a"
@@ -208,7 +208,7 @@ _PARSERS = {
     "poly_interval": _graded_lex_poly,
     "interval": _interval,
 }
-_KEYS = tuple(f.name for f in fields(RunConfig))
+_KEYS = tuple(RunConfig.__annotations__)
 
 
 def _flag(dest):
@@ -379,9 +379,8 @@ def _series_commands(cfg, kind):
     builder = (
         counting.sign_density_series if kind == "density" else counting.dominance_density_series
     )
-    header = [f.name for f in fields(counting.CheckpointRow)]
-    # a row's fields in header order; dataclasses.astuple deep-copies each row
-    cells = operator.attrgetter(*header)
+    header = counting.CheckpointRow._fields
+    cells = operator.attrgetter(*header)  # a row's fields in header order
     for m, n in cfg.mn:
         rep = builder(*frame.tables, m, n, checkpoints)
         stem = f"{kind}_{m}_{n}"

@@ -63,7 +63,6 @@ import os
 import re
 import threading
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +77,7 @@ from .errors import (
     RecipeError,
 )
 from .primes import sieve
+from .records import Record
 
 #: Environment variable overriding the on-disk cache directory.
 CACHE_ENV_VAR = "SATOTATE_CACHE_DIR"
@@ -94,8 +94,7 @@ _MODULUS_LIMIT = 2**31
 _WORD = 2**64
 
 
-@dataclass(frozen=True)
-class NewformDescriptor:
+class NewformDescriptor(Record):
     """Identifying data for a normalized newform with trivial nebentypus."""
 
     label: str
@@ -103,7 +102,7 @@ class NewformDescriptor:
     level: int
     eta_recipe: tuple | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.weight < 2 or self.weight % 2 != 0:
             raise InvariantError(f"weight must be even and >= 2, got {self.weight}")
         if self.level < 1:

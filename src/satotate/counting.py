@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +26,7 @@ from .chebyshev import check_pair, eval_u, s_poly
 from .errors import CoverageError, DomainError, InvariantError
 from .measures import d_mn, mu_jst_region
 from .primes import sieve
+from .records import Record
 from . import region as region_mod
 
 _GUARD = 1e-9
@@ -179,8 +179,7 @@ def pair_frame(table_f, table_fp, x):
 # -- reports -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckpointRow:
+class CheckpointRow(Record):
     x: int
     pi_x: int
     count_pos: int
@@ -191,8 +190,7 @@ class CheckpointRow:
     envelope_ratio: float
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Per-checkpoint empirical counts with predictions and envelope ratios.
 
     ``count_pos`` counts the tracked event (product positive, or dominance
@@ -203,7 +201,7 @@ class DensityReport:
 
     rows: tuple
 
-    def __post_init__(self):
+    def _check(self):
         for row in self.rows:
             if not 0.0 <= row.emp_density <= 1.0:
                 raise InvariantError(f"empirical density {row.emp_density} outside [0,1]")
@@ -323,8 +321,7 @@ def zero_count(table_f, table_fp, P, m, n, x):
 EXCLUSION_RULES = ("AllPrimes", "ExcludeLevelPrimes")
 
 
-@dataclass(frozen=True)
-class FirstSignChange:
+class FirstSignChange(Record):
     """Search outcome; ``prime`` is None when no sign change was found."""
 
     prime: int | None

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,12 +35,12 @@ import numpy as np
 from .bipoly import poly1_primitive, poly1_roots, poly1_sign
 from .chebyshev import check_pair
 from .errors import BudgetError, DomainError, InvariantError
+from .records import Record
 
 _SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A real interval; endpoints may be +-inf.  Openness is tracked but is
     irrelevant for the atomless measures here."""
 
@@ -50,21 +49,22 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def __post_init__(self):
+    def _check(self):
         if self.lo != self.lo or self.hi != self.hi:
             raise DomainError(f"interval endpoint is NaN: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise DomainError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
 
-@dataclass(frozen=True)
-class MeasureValue:
+class MeasureValue(Record):
     """A measure in [0,1] with a certified absolute error bound."""
 
     value: float
     abs_error: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
+        if self.value != self.value or self.abs_error != self.abs_error:
+            raise InvariantError(f"measure is NaN: {self.value} +- {self.abs_error}")
         if self.abs_error < 0:
             raise InvariantError("negative error bound")
         if self.value - self.abs_error < -_SLACK or self.value + self.abs_error > 1 + _SLACK:

@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, InvariantError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class PrimeSieve:
+class PrimeSieve(Record):
     """All primes up to ``bound`` (Eratosthenes, exact)."""
 
     bound: int
     primes: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         if self.bound >= 10 and int(np.searchsorted(self.primes, 10, "right")) != 4:
             raise InvariantError("sieve self-check failed at pi(10) = 4")
         if self.bound >= 100 and int(np.searchsorted(self.primes, 100, "right")) != 25:

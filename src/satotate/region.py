@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,19 +39,19 @@ from .errors import (
     InvariantError,
     ParseError,
 )
+from .records import Record
 
 _HOLDS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
 _OP_COMPLEMENT = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A sign condition 'poly op 0' (any bound is folded into the polynomial)."""
 
     poly: Poly2
     op: str
 
-    def __post_init__(self):
+    def _check(self):
         if self.op not in _HOLDS:
             raise DomainError(f"unknown comparison {self.op!r}")
         if self.poly.is_zero:
@@ -443,13 +442,14 @@ def poly_positive(P, m, n, sign=1):
 # -- grid ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridLines:
+class GridLines(Record):
     """The m+1 grid lines per axis: -2 + 4*tau*i/m for i < m, closed by +2."""
 
     m: int
     tau: float
-    edges: np.ndarray = field(repr=False)
+    edges: np.ndarray
+
+    _hidden = ("edges",)
 
 
 def build_grid(m):
@@ -466,8 +466,7 @@ def build_grid(m):
     return GridLines(m, tau, edges)
 
 
-@dataclass(frozen=True)
-class GridApproximation:
+class GridApproximation(Record):
     """Box classification of a region on the m x m grid.
 
     ``status[i, j]`` covers the box [edges[i], edges[i+1]] x [edges[j],
@@ -476,10 +475,12 @@ class GridApproximation:
 
     region: PolynomialRegion
     grid: GridLines
-    status: np.ndarray = field(repr=False)
+    status: np.ndarray
     mu_low: float
     mu_high: float
     boundary_count: int
+
+    _hidden = ("status",)
 
     @property
     def m(self):
@@ -566,8 +567,7 @@ def boundary_bound_check(approx):
     return n_obs, bound
 
 
-@dataclass(frozen=True)
-class StripMerge:
+class StripMerge(Record):
     """Maximal interior rectangles per vertical strip."""
 
     rectangles: tuple
@@ -726,8 +726,23 @@ def _pi_x(x):
     return _li(x)
 
 
-@dataclass(frozen=True)
-class ErrorEnvelope:
+def _check_envelope(mode, k, k_prime, level, level_prime, length, alpha, beta):
+    """DomainError unless the mode is known, the weights and levels are at
+    least 1, and the region's length, alpha and beta are finite and
+    non-negative."""
+    if mode not in ENVELOPE_MODES:
+        raise DomainError(f"unknown envelope mode {mode!r}")
+    if not all(n >= 1 for n in (k, k_prime, level, level_prime)):
+        raise DomainError(
+            f"envelope weights and levels must be >= 1, got {(k, k_prime, level, level_prime)}"
+        )
+    if not all(0 <= c < math.inf for c in (length, alpha, beta)):
+        raise DomainError(
+            f"envelope length, alpha and beta must be finite and >= 0, got {(length, alpha, beta)}"
+        )
+
+
+class ErrorEnvelope(Record):
     """Error envelope for the effective joint equidistribution estimates."""
 
     mode: str
@@ -739,9 +754,8 @@ class ErrorEnvelope:
     alpha: int
     beta: int
 
-    def __post_init__(self):
-        if self.mode not in ENVELOPE_MODES:
-            raise DomainError(f"unknown envelope mode {self.mode!r}")
+    def _check(self):
+        _check_envelope(*self._values())
 
     @property
     def conductor_product(self):
@@ -777,10 +791,10 @@ def error_envelope(mode, x, k, k_prime, level, level_prime, length, alpha, beta,
     pi(x) may be supplied by the caller; otherwise it is exact up to 10^11
     (``primes.prime_count``, which lists no primes) and the
     logarithmic-integral approximation beyond.  The GRH shapes, and pi(x)
-    past 10^11, need x within float range.
+    past 10^11, need x within float range.  A weight or level below 1, or a
+    negative or non-finite length, alpha or beta, raises DomainError.
     """
-    if mode not in ENVELOPE_MODES:
-        raise DomainError(f"unknown envelope mode {mode!r}")
+    _check_envelope(mode, k, k_prime, level, level_prime, length, alpha, beta)
     if not 16 <= x < math.inf:
         raise DomainError(f"envelopes are defined for finite x >= 16, got {x}")
     K = k * k_prime * level * level_prime

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SquareSymmetry:
+class SquareSymmetry(Record):
     """(u, v) -> (a*x, b*y) with (x, y) = (v, u) if ``swap`` else (u, v)."""
 
     a: int

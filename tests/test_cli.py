@@ -7,7 +7,6 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -984,7 +983,7 @@ def test_every_value_flag_and_key_has_one_parser():
             if action.option_strings and action.nargs != 0:  # a flag that takes a value
                 assert action.type is None, action.dest  # text, parsed by main alone
                 assert action.dest in {*cli._PARSERS, "config", "out_file", "out_csv", "region_file"}, action.dest
-    assert {f.name for f in fields(RunConfig)} <= set(cli._PARSERS)
+    assert set(RunConfig.__annotations__) <= set(cli._PARSERS)
 
 
 #: The exit code of each package error raised from a command through main.

@@ -1,5 +1,5 @@
 """The package's internal imports are layered: no cycle, and the table layer
-(errors, primes, coeffs, bundled) loads without the geometry stack."""
+(errors, records, primes, coeffs, bundled) loads without the geometry stack."""
 
 import ast
 import os
@@ -9,7 +9,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "satotate"
 
-TABLE_LAYER = ("errors", "primes", "coeffs", "bundled")
+TABLE_LAYER = ("errors", "records", "primes", "coeffs", "bundled")
 GEOMETRY = ("bipoly", "chebyshev", "measures", "region", "counting", "symmetry", "charts")
 
 
@@ -49,7 +49,7 @@ def _reach(graph, start):
 
 def test_the_scan_sees_the_imports():
     graph = _internal_imports()
-    assert {name for name, _, _ in graph["coeffs"]} == {"errors", "primes"}
+    assert {name for name, _, _ in graph["coeffs"]} == {"errors", "primes", "records"}
     assert {"bipoly", "measures", "region", "primes"} <= {n for n, _, _ in graph["counting"]}
 
 
@@ -95,6 +95,7 @@ def test_coefficient_tables_load_only_the_table_layer():
 
 
 def test_the_cli_loads_no_remote_client():
-    # json and urllib.error serve downloads alone, like urllib.request
-    loaded = _loaded_after("import satotate.cli", roots=("json", "urllib"))
-    assert not loaded & {"json", "urllib.error", "urllib.request"}, sorted(loaded)
+    # json and urllib.error serve downloads alone, like urllib.request; the
+    # records are plain classes, so no dataclasses code runs at start-up
+    loaded = _loaded_after("import satotate.cli", roots=("json", "urllib", "dataclasses"))
+    assert not loaded & {"json", "urllib.error", "urllib.request", "dataclasses"}, sorted(loaded)

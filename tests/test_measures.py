@@ -71,6 +71,11 @@ def test_measure_value_invariants():
         MeasureValue(0.9, 0.2)
     with pytest.raises(InvariantError):
         MeasureValue(0.5, -0.1)
+    # every comparison with NaN is false, so NaN is refused by name
+    with pytest.raises(InvariantError):
+        MeasureValue(math.nan, 0.0)
+    with pytest.raises(InvariantError):
+        MeasureValue(0.5, math.nan)
 
 
 def test_mu_jst_rect():

@@ -29,7 +29,9 @@ from satotate.errors import (
 )
 from satotate.measures import Interval, d_mn, mu_jst_region
 from satotate.region import (
+    ENVELOPE_MODES,
     Constraint,
+    ErrorEnvelope,
     boundary_bound_check,
     build_grid,
     classify_boxes,
@@ -864,6 +866,16 @@ def test_envelope_validation():
         error_envelope("Unconditional12", 8, 4, 6, 5, 6, 10.0, 5, 4)
     with pytest.raises(DomainError):
         error_envelope("Bogus", 100, 4, 6, 5, 6, 10.0, 5, 4)
+    # weights and levels below 1; a length, alpha or beta negative or not
+    # finite. The record refuses what the function refuses.
+    good = (4, 6, 5, 6, 10.0, 5, 4)
+    for i, bad in [(0, 0), (1, 0), (2, 0), (3, -1), (4, -1.0), (4, math.nan), (4, math.inf), (5, -1), (6, -1)]:
+        params = good[:i] + (bad,) + good[i + 1:]
+        for mode in ENVELOPE_MODES:
+            with pytest.raises(DomainError):
+                error_envelope(mode, 1e6, *params)
+            with pytest.raises(DomainError):
+                ErrorEnvelope(mode, *params)
 
 
 def test_error_envelope_dataclass():
