@@ -528,15 +528,16 @@ def write_coefficient_file(path, table):
         raise
 
 
-def load_coefficient_file(path):
-    r"""Read a coefficient file.
+def load_coefficient_file(path, n_max=None):
+    r"""Read a coefficient file, or only its first ``n_max`` coefficients.
 
     Format (UTF-8 text): a header line ``label=<text> k=<int> N=<int>``
     followed by one ``<n> <A(n)>`` line per index, ascending and contiguous
     from 1.  Fields are an optional sign and ASCII digits, separated by
     whitespace.  ``#`` starts a comment, blank lines are skipped, and every
     line ends in a newline (``\n``, ``\r\n`` or ``\r``), so a file cut
-    short is refused.  All table invariants are checked.
+    short is refused.  All table invariants are checked on the lines read:
+    with ``n_max`` the parse stops there, and a bad line past it is unseen.
     """
     with open(path, "rb") as binary, io.TextIOWrapper(binary, encoding="utf-8") as fh:
         binary.seek(max(binary.seek(0, os.SEEK_END) - 1, 0))
@@ -552,11 +553,11 @@ def load_coefficient_file(path):
             try:
                 header_line, header = _read_header(fh)
                 try:
-                    rows = _load_body(path, fh, header_line, np.int64)
+                    rows = _load_body(path, fh, header_line, np.int64, n_max)
                     values = rows["a"].copy()  # contiguous, without the n column
                 except (ValueError, DeprecationWarning):
                     # a value beyond int64, or a malformed line: read A(n) as text
-                    rows = _load_body(path, fh, header_line, object)
+                    rows = _load_body(path, fh, header_line, object, n_max)
                     digits = "".join(rows["a"])  # int() also takes '_' and non-ASCII digits
                     if not digits.isascii() or "_" in digits:
                         raise ValueError("a field that is not an optional sign and ASCII digits")
@@ -576,17 +577,18 @@ def load_coefficient_file(path):
 _COMPRESSOR_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _load_body(path, fh, header_line, value_dtype):
-    """The (n, A(n)) rows below the header, which is line ``header_line``.
-    numpy parses a path with its chunked C reader, a file object one Python
-    line at a time.  The file is read from ``fh``, rewound, as plain text
-    when numpy would decompress the path (a compressor suffix) or cannot
-    open it: numpy resolves the working directory first, and fails when
-    that directory has been removed."""
+def _load_body(path, fh, header_line, value_dtype, max_rows):
+    """The (n, A(n)) rows below the header, line ``header_line``, up to
+    ``max_rows`` of them.  numpy parses a path with its chunked C reader, a
+    file object one Python line at a time.  The file is read from ``fh``,
+    rewound, as plain text when numpy would decompress the path (a
+    compressor suffix) or cannot open it: numpy resolves the working
+    directory first, and fails when that directory has been removed."""
     kwargs = dict(
         dtype=[("n", np.int64), ("a", value_dtype)],
         comments="#",
         skiprows=header_line,
+        max_rows=max_rows,
         encoding="utf-8",
         ndmin=1,
     )
@@ -666,24 +668,18 @@ def cache_file(label, cache_dir=None):
     return Path(cache_dir) / f"{label}.txt"
 
 
-def _truncate_table(table, n_max):
-    if table.bound == n_max:
-        return table
-    return CoefficientTable(table.descriptor, table._values[:n_max], check=False)
-
-
 def cached_table(label, n_max, cache_dir=None):
-    """The cached table of ``label`` cut to n_max, or None when its
-    ``cache_file`` is missing or shorter.  A corrupt file raises, as on any
-    load, and so does one that cannot be read (a ParseError, exit 3)."""
+    """The first n_max coefficients in the ``cache_file`` of ``label``, or
+    None when it is missing or holds fewer.  Only their lines are parsed: a
+    corrupt one raises, as does a file cut short or unreadable (exit 3)."""
     path = cache_file(label, cache_dir)
     if not path.exists():
         return None
     try:
-        table = load_coefficient_file(path)
+        table = load_coefficient_file(path, n_max)
     except OSError as exc:  # a directory in the file's place, no permission
         raise ParseError(f"cache file {path}: {exc.strerror}") from None
-    return _truncate_table(table, n_max) if table.bound >= n_max else None
+    return table if table.bound == n_max else None
 
 
 def download_table(label, n_max, base_url, timeout=30.0):

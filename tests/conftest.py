@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
 from satotate import bundled, cli, coeffs
+
+_SRC = str(Path(coeffs.__file__).resolve().parents[1])
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +32,32 @@ def seed_cache():
     """The function ``seed_cache(cache_dir, n_max)``: the one way a test
     seeds a cache."""
     return _seed
+
+
+def _run_python(script, *args, timeout, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=timeout
+    )
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """The function ``run_python(script, *args, timeout, cwd=None)``: run
+    ``script`` with ``args`` in a fresh interpreter that imports the tested
+    package, and return the finished process with its text output."""
+    return _run_python
+
+
+def _table_prefix(table, n_max):
+    return coeffs.CoefficientTable(table.descriptor, table._values[:n_max], check=False)
+
+
+@pytest.fixture(scope="session")
+def table_prefix():
+    """The function ``table_prefix(table, n_max)``: the first n_max
+    coefficients of ``table`` as a table of their own, unchecked."""
+    return _table_prefix
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,6 @@ import contextlib
 import csv
 import io
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -541,18 +539,36 @@ def test_truncated_cache_file_exit_code(tmp_path, capsys, seed_cache):
     seed_cache(tmp_path, 30)
     path = tmp_path / "6.6.a.a.txt"
     path.write_bytes(path.read_bytes()[:-3])  # cut inside the last line
-    code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", "30"], capsys)
-    assert code == 3
-    assert "line 31" in err and "truncated" in err
+    # a run reads only the prefix it asks for, but always the file's last byte
+    for n in ("30", "5"):
+        code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", n], capsys)
+        assert code == 3
+        assert "line 31" in err and "truncated" in err
+
+
+@pytest.mark.parametrize("n, code", [("30", 3), ("3", 3), ("2", 0)])
+def test_a_corrupt_cache_line_is_refused_within_the_prefix_read(tmp_path, capsys, seed_cache, n, code):
+    # line 4 holds A(3); a run that asks for two coefficients never parses it
+    seed_cache(tmp_path, 30)
+    path = tmp_path / "6.6.a.a.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = "3 x\n"
+    path.write_text("".join(lines))
+    got, out, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", n], capsys)
+    assert got == code, err
+    if code:
+        assert "error: line 4: expected '<n> <A(n)>', got '3 x'" in err
+    else:
+        assert out.endswith("\n1 1\n2 4\n")
 
 
 def test_non_utf8_cache_file_exit_code(tmp_path, capsys, seed_cache):
     seed_cache(tmp_path, 30)
     path = tmp_path / "6.6.a.a.txt"
     lines = path.read_bytes().split(b"\n")
-    lines[3] = lines[3] + b"\xff"
+    lines[3] = lines[3] + b"\xff"  # line 4 holds A(3), inside the prefix read
     path.write_bytes(b"\n".join(lines))
-    code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", "2"], capsys)
+    code, _, err = run(["--cache-dir", str(tmp_path), "expand", "--label", "6.6.a.a", "--n", "3"], capsys)
     assert code == 3
     assert "line 4" in err and "UTF-8" in err
 
@@ -580,9 +596,9 @@ def _refuse_network(monkeypatch):
 def _count_loads(monkeypatch):
     loads, load = [], coeffs.load_coefficient_file
 
-    def spy(path):
+    def spy(path, *rest):
         loads.append(path)
-        return load(path)
+        return load(path, *rest)
 
     monkeypatch.setattr(coeffs, "load_coefficient_file", spy)
     return loads
@@ -635,7 +651,7 @@ def test_offline_builds_are_written_back_to_the_cache(tmp_path, capsys, monkeypa
     assert code == 0, err
 
 
-def _main_leaves_out(module, argv):
+def _main_leaves_out(run_python, module, argv):
     """Run ``main(argv)`` in a fresh interpreter (this test process may have
     imported ``module`` already); the process fails when ``main`` fails or
     has imported ``module``."""
@@ -645,25 +661,24 @@ def _main_leaves_out(module, argv):
         f"code = main({argv!r})\n"
         f"sys.exit(code or ({module!r} + ' was imported' if {module!r} in sys.modules else 0))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    return run_python(script, timeout=300)
 
 
-def test_figures_imports_no_sympy(tmp_path, seed_cache):
+def test_figures_imports_no_sympy(tmp_path, seed_cache, run_python):
     cache, out = tmp_path / "cache", tmp_path / "out"
     seed_cache(cache, 3000)
-    proc = _main_leaves_out("sympy", ["--cache-dir", str(cache), "--out", str(out), "figures", "--x-max", "3000"])
+    proc = _main_leaves_out(run_python, "sympy", ["--cache-dir", str(cache), "--out", str(out), "figures", "--x-max", "3000"])
     assert proc.returncode == 0, proc.stderr
     assert (out / "figure2.csv").exists()
 
 
-def test_warm_cache_density_imports_no_urllib_request(tmp_path, seed_cache):
+def test_warm_cache_density_imports_no_urllib_request(tmp_path, seed_cache, run_python):
     # the HTTP client (http.client, ssl, email) loads only for a download
     cache, out = tmp_path / "cache", tmp_path / "out"
     seed_cache(cache, 3000)
     argv = ["--cache-dir", str(cache), "--out", str(out), "density",
             "--f", "5.4.a.a", "--fp", "6.6.a.a", "--mn", "1,1", "--x-max", "3000"]
-    proc = _main_leaves_out("urllib.request", argv)
+    proc = _main_leaves_out(run_python, "urllib.request", argv)
     assert proc.returncode == 0, proc.stderr
     assert (out / "density_1_1.csv").exists()
 
@@ -744,6 +759,7 @@ def test_runconfig_validation(tmp_path):
         ["fetch", "--seed-bundled", "--n", "-3"],
         # past the sieve's 10^8, where no table could be checked on ingest
         ["expand", "--label", "5.4.a.a", "--n", "99999999999999999999"],
+        ["expand", "--label", "5.4.a.a", "--n", "1000000000"],
         ["expand", "--eta", "1:24", "--n", "100000001"],
         ["fetch", "--label", "5.4.a.a", "--n", "1000000000"],
         ["fetch", "--seed-bundled", "--n", "100000001"],
@@ -1029,14 +1045,12 @@ def test_reversed_rect_exits_before_any_output(tmp_path, capsys, command):
 
 
 @pytest.fixture()
-def pipeline_calls(monkeypatch, f54_table, f66_table):
+def pipeline_calls(monkeypatch, f54_table, f66_table, table_prefix):
     """Run series commands on the bundled fixtures while counting pair frames,
     sieves, curve traces and poly_positive builds."""
     tables = {"5.4.a.a": f54_table, "6.6.a.a": f66_table}
-    # truncation hands out fresh, already-checked tables: no ingest sieve runs
-    monkeypatch.setattr(
-        cli, "resolve_table", lambda label, n_max, *rest: coeffs._truncate_table(tables[label], n_max)
-    )
+    # prefixes of already-checked tables: no ingest sieve runs
+    monkeypatch.setattr(cli, "resolve_table", lambda label, n_max, *rest: table_prefix(tables[label], n_max))
     counting.pair_frame.cache_clear()
     counting._dominance_region.cache_clear()
     calls = {}

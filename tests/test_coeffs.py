@@ -418,10 +418,10 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, f54_table):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("name, dtype", [("f54_table", np.int64), ("delta_table", object)])
-def test_written_file_is_the_line_format_at_block_bounds(tmp_path, request, name, dtype, offset):
+def test_written_file_is_the_line_format_at_block_bounds(tmp_path, request, table_prefix, name, dtype, offset):
     # one line short of a block, a whole block and one line past it, for an
     # int64 table and for Delta's, which outgrows 2^63
-    table = coeffs._truncate_table(request.getfixturevalue(name), coeffs._BLOCK_LINES + offset)
+    table = table_prefix(request.getfixturevalue(name), coeffs._BLOCK_LINES + offset)
     assert table._values.dtype == dtype
     d = table.descriptor
     rows = "".join(f"{n} {a}\n" for n, a in enumerate(table.raw, start=1))
@@ -444,12 +444,12 @@ def test_write_memory_does_not_grow_with_the_table(tmp_path, lines):
     assert load_coefficient_file(tmp_path / "t.txt").raw == table.raw
 
 
-def test_concurrent_writers_of_one_path_each_publish_a_whole_file(tmp_path, monkeypatch, f54_table):
+def test_concurrent_writers_of_one_path_each_publish_a_whole_file(tmp_path, monkeypatch, f54_table, table_prefix):
     # one writer pauses after its first block while another thread writes a
     # shorter table to the same path; each writes its own temp file, so the
     # file holds one whole table and neither rename fails
     path = tmp_path / "f54.txt"
-    long, short = (coeffs._truncate_table(f54_table, n) for n in (coeffs._BLOCK_LINES + 5, 20))
+    long, short = (table_prefix(f54_table, n) for n in (coeffs._BLOCK_LINES + 5, 20))
     blocks = coeffs.coefficient_file_blocks
     paused, resume = threading.Event(), threading.Event()
 
@@ -766,8 +766,8 @@ def test_table_round_trip_int64_or_exact(tmp_path_factory, values, cut):
     path = tmp_path_factory.mktemp("round") / "t.txt"
     write_coefficient_file(path, CoefficientTable(NewformDescriptor("t", 2, 1), values))
     loaded = load_coefficient_file(path)
-    truncated = coeffs._truncate_table(loaded, min(cut, loaded.bound))
-    for table, expected in ((loaded, values), (truncated, values[:cut])):
+    prefix = load_coefficient_file(path, cut)
+    for table, expected in ((loaded, values), (prefix, values[:cut])):
         assert table.raw == tuple(expected)
         assert table._values.dtype == (np.int64 if _fits_int64(expected) else object)
         assert all(type(v) is int for v in table.raw)

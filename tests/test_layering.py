@@ -2,9 +2,6 @@
 (errors, records, primes, coeffs, bundled) loads without the geometry stack."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "satotate"
@@ -75,27 +72,26 @@ def test_the_table_layer_imports_no_geometry():
         assert not _reach(graph, module) & set(GEOMETRY), module
 
 
-def _loaded_after(statement, roots=("satotate",)):
+def _loaded_after(run_python, statement, roots=("satotate",)):
     """The modules under ``roots`` in sys.modules after a fresh interpreter
     runs ``statement``."""
     script = f"import sys\n{statement}\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
 
-def test_the_package_root_loads_no_submodule():
-    assert _loaded_after("import satotate") == {"satotate"}
+def test_the_package_root_loads_no_submodule(run_python):
+    assert _loaded_after(run_python, "import satotate") == {"satotate"}
 
 
-def test_coefficient_tables_load_only_the_table_layer():
-    loaded = _loaded_after("import satotate.coeffs, satotate.bundled")
+def test_coefficient_tables_load_only_the_table_layer(run_python):
+    loaded = _loaded_after(run_python, "import satotate.coeffs, satotate.bundled")
     assert loaded == {"satotate"} | {f"satotate.{module}" for module in TABLE_LAYER}
 
 
-def test_the_cli_loads_no_remote_client():
+def test_the_cli_loads_no_remote_client(run_python):
     # json and urllib.error serve downloads alone, like urllib.request; the
     # records are plain classes, so no dataclasses code runs at start-up
-    loaded = _loaded_after("import satotate.cli", roots=("json", "urllib", "dataclasses"))
+    loaded = _loaded_after(run_python, "import satotate.cli", roots=("json", "urllib", "dataclasses"))
     assert not loaded & {"json", "urllib.error", "urllib.request", "dataclasses"}, sorted(loaded)
