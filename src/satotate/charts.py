@@ -25,12 +25,11 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 40, 55
 class Series(Record):
     name: str
     ys: tuple
-    prediction: float | None = None
+    prediction: float
 
 
 def _nice_ylim(series_list):
-    values = [y for s in series_list for y in s.ys]
-    values += [s.prediction for s in series_list if s.prediction is not None]
+    values = [y for s in series_list for y in (*s.ys, s.prediction)]
     lo, hi = min(values), max(values)
     pad = max(0.02, 0.15 * (hi - lo))
     return lo - pad, hi + pad
@@ -101,12 +100,11 @@ def render_svg(path, xs, series_list, title):
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
-        if s.prediction is not None:
-            out.append(
-                f'<line x1="{_MARGIN_L}" y1="{py(s.prediction):.1f}" '
-                f'x2="{_MARGIN_L + plot_w}" y2="{py(s.prediction):.1f}" '
-                f'stroke="{color}" stroke-width="1.2" stroke-dasharray="6,4" opacity="0.7"/>'
-            )
+        out.append(
+            f'<line x1="{_MARGIN_L}" y1="{py(s.prediction):.1f}" '
+            f'x2="{_MARGIN_L + plot_w}" y2="{py(s.prediction):.1f}" '
+            f'stroke="{color}" stroke-width="1.2" stroke-dasharray="6,4" opacity="0.7"/>'
+        )
         lx0 = _MARGIN_L + plot_w + 10
         out.append(
             f'<line x1="{lx0}" y1="{legend_y}" x2="{lx0 + 22}" y2="{legend_y}" '
@@ -131,8 +129,7 @@ def render_png(path, xs, series_list, title):
     for i, s in enumerate(series_list):
         color = COLORS[i % len(COLORS)]
         ax.plot(xs, s.ys, color=color, label=s.name, lw=1.6)
-        if s.prediction is not None:
-            ax.axhline(s.prediction, color=color, ls="--", lw=1.1, alpha=0.7)
+        ax.axhline(s.prediction, color=color, ls="--", lw=1.1, alpha=0.7)
     ax.set_xscale("log")
     ax.set_title(title)
     ax.set_xlabel("x")

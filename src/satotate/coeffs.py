@@ -147,17 +147,14 @@ def _exact_array(values):
 class CoefficientTable:
     """Immutable table of exact integers A(1..bound) for one newform, A(1)
     first.  They are stored as one array (see ``_exact_array``); ``raw``
-    returns them as a tuple of Python ints."""
+    returns them as a tuple of Python ints.  A table is checked as it is
+    built: A(1) must be 1, and each |A(p)| within its bound."""
 
-    def __init__(self, descriptor, raw, check=True):
+    def __init__(self, descriptor, raw):
         self.descriptor = descriptor
         self._values = _exact_array(raw)
         self._values.flags.writeable = False
         self.bound = len(self._values)
-        if check:
-            self._validate()
-
-    def _validate(self):
         if self.bound < 1 or self._values[0] != 1:
             raise InvariantError("A(1) must equal 1")
         k, N = self.descriptor.weight, self.descriptor.level
@@ -489,6 +486,8 @@ def expand_eta_quotient(descriptor, n_max, bound=None):
 # -- file format ----------------------------------------------------------------
 
 _HEADER_RE = re.compile(r"^label=(?P<label>\S+)\s+k=(?P<k>\d+)\s+N=(?P<N>\d+)\s*$", re.ASCII)
+#: one field of a coefficient line or of a remote text payload
+_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 #: Lines per block of a written table: a write holds one block's text at a
@@ -636,7 +635,7 @@ def _raise_at_first_bad_line(path, header_line):
                 _parse_header(content.strip(), lineno)
             fields = content.split() if header_line is not None and lineno > header_line else ()
             if fields:
-                if len(fields) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
+                if len(fields) != 2 or not all(_FIELD.fullmatch(f) for f in fields):
                     raise ParseError(f"expected '<n> <A(n)>', got {line.strip()!r}", lineno)
                 if int(fields[0]) != expected:
                     raise GapError(f"expected index {expected}, got {fields[0]}", lineno)
@@ -727,7 +726,7 @@ def _parse_remote_body(body):
         data = json.loads(body)
     except json.JSONDecodeError:
         data = body.replace(",", " ").split()
-        if all(re.fullmatch(r"[+-]?[0-9]+", field) for field in data):
+        if all(_FIELD.fullmatch(field) for field in data):
             return [int(field) for field in data]
     else:
         if isinstance(data, list) and all(type(x) is int for x in data):

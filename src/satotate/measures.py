@@ -252,9 +252,9 @@ _CELL_BLOCK = 1 << 14
 
 
 def leaf_statuses(leaves, u_lo, u_hi, v_lo, v_hi):
-    """Per-leaf sign statuses over 1-D arrays of boxes (scalar bounds are
-    broadcast), evaluating each distinct polynomial once per block of
-    _CELL_BLOCK boxes."""
+    """Per-leaf ``Constraint.box_status`` over 1-D arrays of boxes (scalar
+    bounds are broadcast), enclosing each distinct polynomial once per
+    block of _CELL_BLOCK boxes."""
     bounds = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (u_lo, u_hi, v_lo, v_hi)))
     blocks = [[] for _ in leaves]
     for at in range(0, max(bounds[0].size, 1), _CELL_BLOCK):
@@ -264,17 +264,8 @@ def leaf_statuses(leaves, u_lo, u_hi, v_lo, v_hi):
             enc = enclosures.get(leaf.poly)
             if enc is None:
                 enc = enclosures[leaf.poly] = leaf.poly.interval_enclosure_cells(*box)
-            out.append(_direction_status(leaf.op, *enc))
+            out.append(leaf.box_status(*enc))
     return [np.concatenate(out) for out in blocks]
-
-
-def _direction_status(op, f_lo, f_hi):
-    # +1 definitely satisfied, -1 definitely violated, 0 unknown; boundary
-    # sets have measure zero so strict and non-strict ops classify alike.
-    # Built from the two bool masks straight in int8; where both hold (an
-    # enclosure whose ends crossed in rounding) +1 wins
-    yes, no = (f_lo > 0, f_hi < 0) if op in (">", ">=") else (f_hi < 0, f_lo > 0)
-    return yes.view(np.int8) - (no > yes).view(np.int8)
 
 
 def tensor_sums(status, u_ends, v_ends):
@@ -467,127 +458,10 @@ def _split_edges(ends, at):
     return out, moved
 
 
-def _real_roots_batched(coeff_rows):
-    """Real roots of many dense v-polynomials (ascending coefficients).
-
-    Returns a NaN-padded matrix of shape (rows, degree).  Rows are
-    normalized (largest coefficient 1 in magnitude) and grouped by effective
-    degree, the last coefficient above 1e-12.  Degrees 1 and 2 use the
-    closed forms, degree 3 ``_cubic_roots``, and only degrees >= 4 batched
-    companion eigenvalues, whose complex pairs x +- iy with |y| < 1e-9 count
-    as the real root x twice.  A row's roots depend on that row alone, not
-    on the rows solved beside it.
-    """
-    rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
-    n, width = rows.shape
-    # row maxima column by column: a reduction along a short axis is slow
-    scale = functools.reduce(np.maximum, np.abs(rows).T)[:, None]
-    scale[scale == 0] = 1.0
-    norm = rows / scale
-    eff_deg = np.zeros(n, dtype=int)
-    nz = np.abs(norm) > 1e-12
-    for d in range(width):
-        eff_deg[nz[:, d]] = d
-    out = np.full((n, width - 1), np.nan)
-    for d in range(1, width):
-        idx = np.flatnonzero(eff_deg == d)
-        if idx.size == n:
-            idx = slice(None)  # one degree throughout: no gather or scatter
-        elif idx.size == 0:
-            continue
-        block = norm[idx, : d + 1]
-        if d == 1:
-            roots = (-block[:, 0] / block[:, 1])[:, None]
-        elif d == 2:
-            a, b, c = block[:, 2], block[:, 1], block[:, 0]
-            disc = b * b - 4 * a * c
-            ok = disc >= 0
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            # where b != 0 one of -b -+ sq cancels, so that root is c / q
-            # instead, q = -(b + sign(b) sq) / 2 (the other root is q / a,
-            # the same bits as its own formula); b = 0 keeps +-sq / (2a)
-            with np.errstate(all="ignore"):  # rows with b = 0 or disc < 0
-                near = c / (-0.5 * (b + np.copysign(sq, b)))
-            r1 = np.where(ok, np.where(b < 0, near, (-b - sq) / (2 * a)), np.nan)
-            r2 = np.where(ok, np.where(b > 0, near, (-b + sq) / (2 * a)), np.nan)
-            roots = np.stack([r1, r2], axis=1)
-        elif d == 3:
-            roots = _cubic_roots(block)
-        else:
-            comp = np.zeros((block.shape[0], d, d))
-            comp[:, 1:, :-1] = np.eye(d - 1)
-            comp[:, :, -1] = -block[:, :d] / block[:, d : d + 1]
-            ev = np.linalg.eigvals(comp)
-            roots = np.where(np.abs(ev.imag) < 1e-9, ev.real, np.nan)
-        out[idx, : roots.shape[1]] = roots
-    return out
-
-
-def _cubic_roots(block):
-    """Real roots of the cubics block[:, 0] + ... + block[:, 3] v^3 (rows
-    normalized, |block[:, 3]| > 1e-12), as a (rows, 3) NaN-padded matrix.
-
-    With v = t - a/3 the monic cubic is t^3 + p t + q = 0.  Three real roots
-    (h^2 + r^3 < 0, h = q/2, r = p/3) come from the trigonometric formula
-    t = 2 sqrt(-r) cos((arccos(-h / sqrt(-r)^3) - 2 pi k) / 3); otherwise
-    Cardano's real root is A + B with A = -sign(h) cbrt(|h| + sqrt(h^2 + r^3)),
-    which adds two numbers of one sign, and B = -r / A, from A B = -r.  Its
-    complex pair -(A + B)/2 +- i sqrt(3)/2 (A - B) counts, as in the
-    eigenvalue path, as the real root -(A + B)/2 twice when the imaginary
-    part is under 1e-9.  Every root then takes two Newton steps on the
-    normalized row, each kept only where it lowers |f|: the shift by a/3 and
-    the closed forms lose digits that the steps win back.
-    """
-    c0, c1, c2, c3 = block.T
-    a = c2 / c3
-    shift = a / 3.0
-    b = c1 / c3
-    r = (b - a * shift) / 3.0
-    h = 0.5 * (((2.0 / 27.0) * a * a - b / 3.0) * a + c0 / c3)
-    disc = h * h + r * r * r
-    three = disc < 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m = np.sqrt(-r)
-        phi = np.arccos(np.clip(-h / (m * m * m), -1.0, 1.0)) / 3.0
-        big = np.cbrt(np.abs(h) + np.sqrt(disc))
-        big = np.where(h > 0, -big, big)
-        small = np.where(big == 0, 0.0, -r / big)
-    real = big + small
-    pair = -0.5 * real
-    paired = np.abs((0.5 * math.sqrt(3.0)) * (big - small)) < 1e-9
-    roots = np.empty((block.shape[0], 3))
-    for k in range(3):
-        trig = (2.0 * m) * np.cos(phi - (2.0 * math.pi / 3.0) * k)
-        other = real if k == 0 else np.where(paired, pair, np.nan)
-        roots[:, k] = np.where(three, trig, other) - shift
-    c0, c1, c2, c3 = c0[:, None], c1[:, None], c2[:, None], c3[:, None]
-    f = ((c3 * roots + c2) * roots + c1) * roots + c0
-    for _ in range(2):
-        df = ((3.0 * c3) * roots + 2.0 * c2) * roots + c1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = roots - f / df
-        g = ((c3 * step + c2) * step + c1) * step + c0
-        better = np.abs(g) < np.abs(f)
-        roots = np.where(better, step, roots)
-        f = np.where(better, g, f)
-    return roots
-
-
 #: cells per block in _polish_cells's estimates, whose rows are a few times
 #: wider than a classification's: 2^12 keeps a block's temporaries near the
 #: size of a classification block's
 _POLISH_BLOCK = 1 << 12
-
-
-def _section_roots(poly, u_nodes):
-    """Real roots in v of poly(u0, v) at each node u0, as _real_roots_batched,
-    solved in chunks of _POLISH_BLOCK nodes that keep the companion stacks
-    small.  A node's roots do not depend on the other rows of its chunk."""
-    out = np.empty((u_nodes.size, poly.degree_v()))
-    for at in range(0, u_nodes.size, _POLISH_BLOCK):
-        chunk = u_nodes[at : at + _POLISH_BLOCK]
-        out[at : at + chunk.size] = _real_roots_batched(poly.v_coefficients_at(chunk))
-    return out
 
 
 def _gauss_angles(t_lo, t_hi):
@@ -609,9 +483,9 @@ def _polish_cells(region, t_ends, t, s_ends, s, weight):
     leave the certified bracket.  The cells are given by their lower-edge
     indices t, s into the edge stores of _quadtree_bracket.  The cells of a
     t-column share its Gauss nodes, so the sections are solved once per
-    column and leaf polynomial (_section_roots); the cells are then
-    estimated in blocks of _POLISH_BLOCK, each gathering its columns' roots,
-    into one array that is summed once.
+    column and leaf polynomial (``Poly2.section_roots``); the cells are
+    then estimated in blocks of _POLISH_BLOCK, each gathering its columns'
+    roots, into one array that is summed once.
     """
     polys = []
     for leaf in region.leaves:
@@ -623,7 +497,7 @@ def _polish_cells(region, t_ends, t, s_ends, s, weight):
     u_nodes = 2.0 * np.cos(_gauss_angles(t_ends[0].take(cols), t_ends[0, 1:].take(cols))[1])
     del cols
     # the root tables have rows (node, column)
-    roots = [_section_roots(p, u_nodes.ravel()).reshape(*u_nodes.shape, -1) for p in polys]
+    roots = [p.section_roots(u_nodes.ravel()).reshape(*u_nodes.shape, -1) for p in polys]
     del u_nodes
     # each cell's column: the rank of its lower edge among the used ones
     col = np.cumsum(used, dtype=np.int32)
@@ -647,10 +521,10 @@ def _polish_block(region, t_lo, t_hi, roots, v_lo, v_hi):
     """Unclipped estimates for a block of cells [t_lo, t_hi] x [v_lo, v_hi]
     in (angle, v).  Each of ``roots`` has rows (node, cell) and holds along
     its last axis the real roots in v of one leaf polynomial's sections at
-    the cells' Gauss nodes (_section_roots).  A region in the quadtree has
-    a leaf in both variables, so ``roots`` is never empty.  The arrays of
-    the sections' shape are updated in place where the arithmetic allows,
-    so at most a few of them are live at once."""
+    the cells' Gauss nodes (``Poly2.section_roots``).  A region in the
+    quadtree has a leaf in both variables, so ``roots`` is never empty.  The
+    arrays of the sections' shape are updated in place where the arithmetic
+    allows, so at most a few of them are live at once."""
     half, thetas = _gauss_angles(t_lo, t_hi)
     thetas = thetas.ravel()
     u_nodes = 2.0 * np.cos(thetas)

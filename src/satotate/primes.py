@@ -29,12 +29,6 @@ class PrimeSieve(Record):
         if self.bound >= 100 and int(np.searchsorted(self.primes, 100, "right")) != 25:
             raise InvariantError("sieve self-check failed at pi(100) = 25")
 
-    def count(self):
-        return int(self.primes.size)
-
-    def pi(self, x):
-        return int(np.searchsorted(self.primes, x, side="right"))
-
 
 #: largest bound that sieve accepts
 SIEVE_MAX = 10**8

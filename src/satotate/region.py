@@ -70,6 +70,19 @@ class Constraint(Record):
         one, zero, minus = np.int8(1), np.int8(0), np.int8(-1)
         return np.where(_HOLDS[self.op](value, 0), one, np.where(value == 0, zero, minus))
 
+    @property
+    def direction(self):
+        """The sign the polynomial must have: +1 for > and >=, -1 for < and <=."""
+        return 1 if self.op in (">", ">=") else -1
+
+    def box_status(self, lo, hi):
+        """int8 status of boxes where the polynomial's enclosure is [lo, hi]:
+        +1 definitely satisfied, -1 definitely violated, 0 unknown; strict
+        and non-strict ops classify alike, as boundary sets are null.  Where
+        both masks hold (ends crossed in rounding) +1 wins."""
+        yes, no = (lo > 0, hi < 0) if self.direction > 0 else (hi < 0, lo > 0)
+        return yes.view(np.int8) - (no > yes).view(np.int8)
+
 
 class PolynomialRegion:
     """A subset of [-2,2]^2 cut out by polynomial constraints.
@@ -115,8 +128,7 @@ class PolynomialRegion:
         """(fixing, flipping): the elements of ``symmetry.SQUARE_GROUP`` that
         map the region onto itself, resp. onto its complement, up to null
         sets (see ``symmetry.region_symmetries``)."""
-        oriented = [c.poly if c.op in (">", ">=") else -c.poly for c in self.leaves]
-        return symmetry.region_symmetries(oriented, self.tree)
+        return symmetry.region_symmetries([c.poly * c.direction for c in self.leaves], self.tree)
 
     # -- membership -------------------------------------------------------------
 
@@ -230,8 +242,8 @@ def disk(radius=1):
     return PolynomialRegion((Constraint(p, "<"),), label=f"disk(r={radius})")
 
 
-def sign_product(m, n, sign=1):
-    """Region where U_m(u/2) * U_n(v/2) has the requested sign.
+def sign_product(m, n):
+    """Region where U_m(u/2) * U_n(v/2) is positive.
 
     Built from univariate factors, so its measure is exact up to rounding
     (see ``measures.mu_jst_region``).  Index 0 contributes the constant
@@ -239,7 +251,7 @@ def sign_product(m, n, sign=1):
     """
     check_pair(m, n)
     factors = [Poly2.from_univariate(s_poly(ell), axis) for ell, axis in ((m, "u"), (n, "v")) if ell > 0]
-    return _sign_pattern(factors, sign, f"sign[{m},{n}]{'+' if sign > 0 else '-'}")
+    return _sign_pattern(factors, 1, f"sign[{m},{n}]+")
 
 
 def region_from_poly_interval(P, interval, m, n):
@@ -522,7 +534,7 @@ def classify_boxes(region, m):
     lines = grid.edges[np.minimum(np.arange(n + 1) * b, m)]
     # one enclosure per distinct polynomial; a Constraint is never zero
     enclosures = {poly: poly.interval_eval_grid(lines, lines) for poly in region.curves}
-    statuses = [measures._direction_status(leaf.op, *enclosures[leaf.poly]) for leaf in region.leaves]
+    statuses = [leaf.box_status(*enclosures[leaf.poly]) for leaf in region.leaves]
     tree = region.tree_status(statuses, shape=(n, n))
     while b > 1:
         b //= 2
@@ -623,7 +635,7 @@ def _sweep(poly):
     h = 4.0 / LINES
     c = (-2.0 + h * (np.arange(LINES) + 0.5))[:, None]
     d_u, d_v = poly.derivative("u"), poly.derivative("v")
-    roots = measures._real_roots_batched(poly.v_coefficients_at(c[:, 0]))
+    roots = poly.section_roots(c[:, 0])
     inside = (roots >= -2) & (roots <= 2)
     total = h * np.where(inside, _share(d_u.eval_float(c, roots), d_v.eval_float(c, roots)), 0.0).sum()
     # the midpoint rule moves the jump where the curve crosses v = +-2 at x
@@ -631,7 +643,7 @@ def _sweep(poly):
     # where the curve lies left of x, puts it back.  Where the curve only
     # touches the edge (to within 1e-6 rad) there is no jump.
     edge = np.array([[-2.0], [2.0]])
-    x = measures._real_roots_batched(poly.swap_vars().v_coefficients_at(edge[:, 0]))
+    x = poly.swap_vars().section_roots(edge[:, 0])
     p_u, p_v = d_u.eval_float(x, edge), d_v.eval_float(x, edge)
     side = np.sign(p_u * p_v * edge) * (np.abs(p_u) > 1e-6 * np.hypot(p_u, p_v))
     b = -2.0 + h * np.round((x + 2.0) / h)

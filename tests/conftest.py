@@ -50,13 +50,14 @@ def run_python():
 
 
 def _table_prefix(table, n_max):
-    return coeffs.CoefficientTable(table.descriptor, table._values[:n_max], check=False)
+    return coeffs.CoefficientTable(table.descriptor, table._values[:n_max])
 
 
 @pytest.fixture(scope="session")
 def table_prefix():
     """The function ``table_prefix(table, n_max)``: the first n_max
-    coefficients of ``table`` as a table of their own, unchecked."""
+    coefficients of ``table`` as a table of their own, checked as any table
+    (a prefix of a valid table is valid)."""
     return _table_prefix
 
 

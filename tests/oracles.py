@@ -262,13 +262,21 @@ def strip_runs(status, edges, cap):
     return rectangles, counts
 
 
+def _enclosure_status(op, lo, hi):
+    """+1 where the enclosure [lo, hi] lies wholly on the side of 0 that
+    ``op`` asks for, -1 where it lies wholly on the other side, else 0;
+    crossed ends (lo > 0 > hi) count as +1."""
+    wanted, unwanted = (lo > 0, hi < 0) if op in (">", ">=") else (hi < 0, lo > 0)
+    return np.where(wanted, 1, np.where(unwanted, -1, 0)).astype(np.int8)
+
+
 def direct_grid_approximation(reg, m):
     """Grid classification with one interval enclosure per box of the m-grid
-    (all m^2 of them), and its bracket from the same masked sums as
-    region.classify_boxes."""
+    (all m^2 of them), each box's status read off its enclosure here, and
+    its bracket from the same masked sums as region.classify_boxes."""
     grid = region.build_grid(m)
     enclosures = {poly: poly.interval_eval_grid(grid.edges, grid.edges) for poly in reg.curves}
-    statuses = [measures._direction_status(leaf.op, *enclosures[leaf.poly]) for leaf in reg.leaves]
+    statuses = [_enclosure_status(leaf.op, *enclosures[leaf.poly]) for leaf in reg.leaves]
     tree = reg.tree_status(statuses, shape=(m, m))
     mu_low, mu_boundary = measures.tensor_sums(tree, grid.edges, grid.edges)
     return region.GridApproximation(

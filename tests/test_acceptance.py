@@ -199,7 +199,7 @@ def test_criterion_9_error_envelopes():
         assert abs(m_of_x(math.exp(math.e), 1) - math.exp(0.25)) <= 1e-12
         params = dict(k=4, k_prime=6, level=5, level_prime=6, length=10.0, alpha=5, beta=4)
         grid = (1e3, 1e4, 1e5, 1e6)
-        pis = {x: sieve(int(x)).count() for x in grid}
+        pis = {x: sieve(int(x)).primes.size for x in grid}
 
         def ratios(mode):
             return [

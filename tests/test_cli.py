@@ -1049,7 +1049,8 @@ def pipeline_calls(monkeypatch, f54_table, f66_table, table_prefix):
     """Run series commands on the bundled fixtures while counting pair frames,
     sieves, curve traces and poly_positive builds."""
     tables = {"5.4.a.a": f54_table, "6.6.a.a": f66_table}
-    # prefixes of already-checked tables: no ingest sieve runs
+    # prefixes of the fixture tables, checked as a loaded table is; that
+    # check sieves in coeffs, out of sight of the counted counting.sieve
     monkeypatch.setattr(cli, "resolve_table", lambda label, n_max, *rest: table_prefix(tables[label], n_max))
     counting.pair_frame.cache_clear()
     counting._dominance_region.cache_clear()

@@ -35,13 +35,13 @@ import oracles
 
 def test_sieve_small():
     assert list(sieve(10).primes) == [2, 3, 5, 7]
-    assert sieve(100).count() == 25
+    assert sieve(100).primes.size == 25
 
 
 def test_sieve_against_segmented_oracle():
-    assert sieve(10**5).count() == 9592
-    assert sieve(10**5).count() == oracles.segmented_sieve_count(10**5)
-    assert sieve(54321).count() == oracles.segmented_sieve_count(54321)
+    assert sieve(10**5).primes.size == 9592
+    assert sieve(10**5).primes.size == oracles.segmented_sieve_count(10**5)
+    assert sieve(54321).primes.size == oracles.segmented_sieve_count(54321)
 
 
 def test_sieve_budget():
@@ -54,7 +54,7 @@ def test_sieve_memoises_the_last_bound_read_only():
     assert sieve(4321) is first
     with pytest.raises(ValueError):
         first.primes[0] = 4
-    assert sieve(4321).count() == oracles.segmented_sieve_count(4321)
+    assert sieve(4321).primes.size == oracles.segmented_sieve_count(4321)
 
 
 # -- prime counting ------------------------------------------------------------------
@@ -67,7 +67,7 @@ PUBLISHED_PI = {
 
 
 def test_prime_count_matches_sieve_below_3000():
-    assert [prime_count(x) for x in range(3001)] == [sieve(x).count() for x in range(3001)]
+    assert [prime_count(x) for x in range(3001)] == [sieve(x).primes.size for x in range(3001)]
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def primes_to_1e7():
 @example(x=9_999_991)  # the largest prime below 10^7
 @example(x=3137**2)  # the square of the largest prime below sqrt(10^7)
 def test_prime_count_matches_sieve_up_to_1e7(primes_to_1e7, x):
-    assert prime_count(x) == primes_to_1e7.pi(x)
+    assert prime_count(x) == np.searchsorted(primes_to_1e7.primes, x, side="right")
 
 
 @pytest.mark.parametrize("k", sorted(PUBLISHED_PI))
@@ -112,14 +112,14 @@ def test_checkpoints():
 
 def test_count_full_square(delta_table, f54_table):
     x = 10**4
-    expected = sieve(x).count() - 1  # only p = 5 divides the level product
+    expected = sieve(x).primes.size - 1  # only p = 5 divides the level product
     assert count_in_region(delta_table, f54_table, region.full_square(), x) == expected
 
 
 def test_count_sign_product_near_half(delta_table, f54_table):
     x = 10**4
     count = count_in_region(delta_table, f54_table, region.sign_product(1, 1), x)
-    pi_x = sieve(x).count()
+    pi_x = sieve(x).primes.size
     assert abs(count - 0.5 * pi_x) <= 0.05 * pi_x
     # cross-check against a direct brute-force scan
     primes = [int(p) for p in sieve(x).primes if p != 5]
@@ -215,7 +215,7 @@ def test_zero_count_identical_difference(f54_table):
 def test_zero_count_envelope_ratio_logged(delta_table, f54_table):
     x = 10**4
     zc = zero_count(delta_table, f54_table, Poly2({(1, 1): 1, (0, 0): -1}), 1, 1, x)
-    ratio = zc / sieve(x).count()
+    ratio = zc / sieve(x).primes.size
     assert ratio <= 0.05  # recorded sanity margin, not a tight envelope claim
 
 

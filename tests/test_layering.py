@@ -1,5 +1,6 @@
-"""The package's internal imports are layered: no cycle, and the table layer
-(errors, records, primes, coeffs, bundled) loads without the geometry stack."""
+"""The package's internal imports are layered: no cycle, no module reads
+another's underscore names, and the table layer (errors, records, primes,
+coeffs, bundled) loads without the geometry stack."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,43 @@ def _internal_imports():
             edges |= {(name, node.lineno, id(node) in top) for name in names if name in modules}
         graph[path.stem] = edges
     return graph
+
+
+def _foreign_private_reads():
+    """Every read, in a module of the package, of another package module's
+    underscore name: an attribute of a module it imports (``measures._x``)
+    or a name it imports from one (``from .measures import _x``).  Dunder
+    names are not private."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, reads = {}, []  # local name -> package module; (line, module, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = "satotate" + (f".{node.module}" if node.module else "") if node.level else node.module
+                if source == "satotate":
+                    bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+                elif source.startswith("satotate."):
+                    reads += [(node.lineno, source.split(".")[1], alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                bound.update(
+                    (alias.asname, alias.name.split(".")[1])
+                    for alias in node.names
+                    if alias.asname and alias.name.startswith("satotate.")
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                reads.append((node.lineno, bound[node.value.id], node.attr))
+        found += [
+            f"{path.name}:{line} reads {module}.{name}"
+            for line, module, name in sorted(reads)
+            if module != path.stem and name.startswith("_") and not name.endswith("__")
+        ]
+    return found
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert not _foreign_private_reads()
 
 
 def _reach(graph, start):

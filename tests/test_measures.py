@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from satotate import counting, measures, region
+from satotate import bipoly, counting, measures, region
 from satotate.bipoly import Poly2, _horner
 from satotate.chebyshev import eval_u
 from satotate.errors import BudgetError, DomainError, InvariantError
@@ -293,8 +293,8 @@ def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build, targe
     # the deepest levels (174,763 disk cells, 26,940 of the (2,3) region)
     # span several blocks of 2^10 and 2^14, and the disk's several of 2^16;
     # the polished cells (87,382 and 13,467) span several polish blocks of
-    # 2^10 and 2^12, and one of 2^17; _section_roots solves their distinct
-    # nodes in chunks of the same size
+    # 2^10 and 2^12, and one of 2^17; Poly2.section_roots solves their
+    # distinct nodes in chunks of the same size
     real = measures.leaf_statuses
     runs = set()
     for block, polish_block in ((1 << 10, 1 << 12), (1 << 14, 1 << 10), (1 << 14, 1 << 12), (1 << 16, 1 << 17)):
@@ -306,6 +306,7 @@ def test_quadtree_result_does_not_depend_on_cell_block(monkeypatch, build, targe
 
         monkeypatch.setattr(measures, "_CELL_BLOCK", block)
         monkeypatch.setattr(measures, "_POLISH_BLOCK", polish_block)
+        monkeypatch.setattr(bipoly, "_SECTION_BLOCK", polish_block)
         monkeypatch.setattr(measures, "leaf_statuses", spy)
         mv = mu_jst_region(build(), target)
         assert max(sizes) > 1 << 14
@@ -530,7 +531,7 @@ def test_polished_disk_matches_recorded_bits():
 
 
 def _ungrouped_section_roots(poly, u_nodes):
-    return measures._real_roots_batched(poly.v_coefficients_at(u_nodes))
+    return bipoly._real_roots_batched(poly.v_coefficients_at(u_nodes))
 
 
 @pytest.mark.parametrize(
@@ -544,7 +545,7 @@ def test_grouped_section_roots_are_bit_identical_to_ungrouped(reg):
     (leaf,) = reg.leaves
     poly = leaf.poly
     u_nodes = np.cos(np.linspace(0.0, math.pi, 37))[np.arange(111) % 37 // 2 * 2]
-    got = measures._section_roots(poly, u_nodes)
+    got = poly.section_roots(u_nodes)
     want = _ungrouped_section_roots(poly, u_nodes)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -557,14 +558,14 @@ def test_a_complex_pair_near_the_axis_is_no_real_root(y):
     # as in the quartic's companion eigenvalues
     for others in ([0.3], [-2.0, 0.3]):
         row = _ascending(1.0, [*others, 1 + 1j * y, 1 - 1j * y])
-        got = np.sort(measures._real_roots_batched(row)[0])
+        got = np.sort(bipoly._real_roots_batched(row)[0])
         assert got[: len(others)] == pytest.approx(others, abs=1e-12)
         assert np.isnan(got[len(others) :]).all()
 
 
 @pytest.mark.parametrize("roots", [[-1.0, 1.0, 1.0], [0.5, 0.5, 0.5]])
 def test_the_cubic_reports_exact_multiple_roots_with_multiplicity(roots):
-    got = np.sort(measures._real_roots_batched(_ascending(1.0, roots))[0])
+    got = np.sort(bipoly._real_roots_batched(_ascending(1.0, roots))[0])
     assert got == pytest.approx(roots, abs=1e-7)
 
 
@@ -677,11 +678,11 @@ def test_real_roots_batched_matches_the_oracle_alone_and_in_a_batch(rows):
     batch = np.zeros((len(rows), width))
     for i, (c, _) in enumerate(rows):
         batch[i, : c.size] = c
-    together = measures._real_roots_batched(batch)
+    together = bipoly._real_roots_batched(batch)
     assert together.shape == (len(rows), width - 1)
     for i, (c, kind) in enumerate(rows):
-        alone = measures._real_roots_batched(c)[0]
-        # bit-identical beside rows of other degrees, as _section_roots's
+        alone = bipoly._real_roots_batched(c)[0]
+        # bit-identical beside rows of other degrees, as section_roots's
         # chunking needs; the padding columns report no root
         assert np.array_equal(together[i, : alone.size].view(np.uint64), alone.view(np.uint64)), kind
         assert np.isnan(together[i, alone.size :]).all()
@@ -699,7 +700,7 @@ def test_real_roots_batched_matches_the_oracle_alone_and_in_a_batch(rows):
 )
 def test_polished_measure_is_bit_identical_to_ungrouped_polish(monkeypatch, build, target):
     grouped = mu_jst_region(build(), target)
-    monkeypatch.setattr(measures, "_section_roots", _ungrouped_section_roots)
+    monkeypatch.setattr(Poly2, "section_roots", _ungrouped_section_roots)
     ungrouped = mu_jst_region(build(), target)
     assert (grouped.value.hex(), grouped.abs_error.hex()) == (
         ungrouped.value.hex(),
@@ -731,6 +732,7 @@ def test_sections_are_solved_once_per_node(monkeypatch, reg, target):
 
     monkeypatch.setattr(measures, "_CELL_BLOCK", 1 << 10)
     monkeypatch.setattr(measures, "_POLISH_BLOCK", 1 << 10)
+    monkeypatch.setattr(bipoly, "_SECTION_BLOCK", 1 << 10)
     monkeypatch.setattr(Poly2, "v_coefficients_at", spy)
     mu_jst_region(reg, target)
     assert calls and all(nodes.ndim == 1 for nodes in calls)

@@ -61,7 +61,7 @@ def test_a_record_is_a_frozen_value(cls, values):
 def test_a_field_default_fills_a_missing_value():
     assert measures.Interval(0, 1) == measures.Interval(0, 1, True, True)
     assert measures.MeasureValue(0.5).abs_error == 0.0
-    assert charts.Series("s", ()).prediction is None
+    assert counting.FirstSignChange(None, 100, "AllPrimes").skipped == ()
     with pytest.raises(TypeError):
         measures.Interval(0)
 

@@ -710,7 +710,7 @@ def test_envelope_ratio_decreasing():
         out = []
         for x in (1e3, 1e4, 1e5, 1e6):
             env = error_envelope(mode, x, 4, 6, 5, 6, 10.0, 5, 4)
-            out.append(env / sieve(int(x)).count())
+            out.append(env / sieve(int(x)).primes.size)
         return out
 
     # the M(x)-based envelopes are monotone decreasing relative to pi(x)
@@ -739,7 +739,7 @@ def test_envelope_ratio_counts_primes_once_per_x(monkeypatch):
     expected = [
         error_envelope(env.mode, x, *_ENVELOPE_PARAMS, pi_x=1)
         if env.mode in _UNCONDITIONAL
-        else env.value(x) / primes.sieve(x).count()
+        else env.value(x) / primes.sieve(x).primes.size
         for x in xs
         for env in envs
     ]
